@@ -2,11 +2,12 @@
 
 Library layout:
   channel       surface geometry, placements, array factor, SNR
-  access        quality measurement and the four access policies
+  access        quality measurement, per-trial access draws, the four policies
   receiver      singleton detection and SIC peeling
   power_metrics frame power model, throughput, energy efficiency
   config        flat key=value schema, defaults, validation
-  engine        frame pipeline, Monte Carlo aggregation, sweeps
+  engine        the batched frame pipeline (one frame is a batch of one),
+                Monte Carlo aggregation, sweeps
   cli           `risra` command-line front end
 """
 

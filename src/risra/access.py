@@ -12,12 +12,15 @@ and each device transmits packet replicas in the slots chosen by its policy:
   irsap   a random replica count drawn from a soliton-like degree
           distribution, then that many distinct slots uniformly (no training)
 
-Slot indices are 0-based throughout.
+Every policy works on arrays of shape (..., k, s): any leading batch shape,
+then devices, then slots. Its random numbers are drawn beforehand, one trial
+at a time, by `draw_trial`, so the slot choice itself is deterministic. The
+result is a boolean replica mask of the same shape. Slot indices are 0-based
+throughout.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,111 +50,66 @@ class Policy:
         return self.kind
 
 
-@dataclass(slots=True)
-class QualityMatrix:
-    """Measured channel qualities, one row per device, one column per slot."""
-
-    values: np.ndarray
-    c: np.ndarray
-    noise_std: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 2:
-            raise ValueError("quality values must be a 2-D device x slot grid")
-        k = self.values.shape[0]
-        if self.c.shape != (k,) or self.noise_std.shape != (k,):
-            raise ValueError("per-device constants must match the number of devices")
-
-
-@dataclass(slots=True)
-class AccessDecision:
-    """Chosen access slots per device; every set is nonempty and within range."""
-
-    num_slots: int
-    slots_per_device: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        for k, chosen in enumerate(self.slots_per_device):
-            if not chosen:
-                raise ValueError(f"device {k} selected no slots")
-            if not all(0 <= s < self.num_slots for s in chosen):
-                raise ValueError(f"device {k} selected a slot outside 0..{self.num_slots - 1}")
-
-    @property
-    def replica_counts(self) -> np.ndarray:
-        return np.array([len(s) for s in self.slots_per_device])
-
-    @property
-    def total_replicas(self) -> int:
-        return sum(len(s) for s in self.slots_per_device)
-
-
 def measure_quality(
-    snr_values: np.ndarray,
-    c: float | np.ndarray = 1.0,
-    noise_std: float | np.ndarray = 0.0,
-    rng: np.random.Generator | None = None,
-) -> QualityMatrix:
-    """Per-device quality grid: scaled SNR plus zero-mean estimation noise.
+    snr_values: np.ndarray, c: float = 1.0, noise_std: float = 0.0, noise: np.ndarray | None = None
+) -> np.ndarray:
+    """Quality grid: scaled SNR plus zero-mean estimation noise, clamped at zero.
 
-    With c = 1 and noise_std = 0 (perfect estimation) the values equal the SNR
-    grid exactly and no random numbers are consumed. Noisy measurements are
-    Gaussian and clamped at zero from below, since the policies need
-    nonnegative weights.
+    `noise` holds standard normal draws of the grid's shape and is required
+    when noise_std > 0. With c = 1 and noise_std = 0 (perfect estimation) the
+    values equal the SNR grid exactly. The clamp keeps the policies' weights
+    nonnegative.
     """
-    snr_values = np.asarray(snr_values, dtype=float)
-    k = snr_values.shape[0]
-    c_arr = np.broadcast_to(np.asarray(c, dtype=float), (k,)).copy()
-    std_arr = np.broadcast_to(np.asarray(noise_std, dtype=float), (k,)).copy()
-    if np.any(std_arr < 0):
+    if noise_std < 0:
         raise ValueError("noise_std must be nonnegative")
-    values = c_arr[:, None] * snr_values
-    if np.any(std_arr > 0):
-        if rng is None:
-            raise ValueError("rng is required when noise_std > 0")
-        values = values + std_arr[:, None] * rng.standard_normal(snr_values.shape)
-    return QualityMatrix(np.maximum(values, 0.0), c_arr, std_arr)
+    quality = c * np.asarray(snr_values, dtype=float)
+    if noise_std > 0:
+        if noise is None:
+            raise ValueError("noise draws are required when noise_std > 0")
+        quality = quality + noise_std * noise
+    return np.maximum(quality, 0.0)
 
 
-def carp_probabilities(q_row: np.ndarray) -> np.ndarray:
+def carp_probabilities(quality: np.ndarray) -> np.ndarray:
     """Per-slot transmit probabilities proportional to the measured qualities.
 
-    An all-zero row carries no information, so it degrades to uniform 1/S.
+    Normalized over the last axis. An all-zero row carries no information, so
+    it degrades to uniform 1/S.
     """
-    q_row = np.asarray(q_row, dtype=float)
-    total = q_row.sum()
-    if total <= 0.0:
-        return np.full(q_row.shape, 1.0 / q_row.size)
-    return q_row / total
+    s = quality.shape[-1]
+    totals = quality.sum(axis=-1, keepdims=True)
+    return np.where(totals > 0.0, quality / np.where(totals > 0.0, totals, 1.0), 1.0 / s)
 
 
-def carp_select(rng: np.random.Generator, probs: np.ndarray, q_row: np.ndarray) -> set[int]:
-    """One Bernoulli trial per slot; empty outcomes fall back to the best slot."""
-    draws = rng.random(len(probs))
-    chosen = np.nonzero(draws < probs)[0]
-    if chosen.size == 0:
-        return {int(np.argmax(q_row))}
-    return set(chosen.tolist())
+def carp_slots(quality: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One Bernoulli trial per slot (uniforms `u`); empty rows fall back to the best slot."""
+    chosen = u < carp_probabilities(quality)
+    empty = ~chosen.any(axis=-1)
+    if empty.any():
+        best = np.argmax(quality, axis=-1)
+        rows = np.nonzero(empty)
+        chosen[(*rows, best[rows])] = True
+    return chosen
 
 
-def sscp_select(q_row: np.ndarray, count: int) -> set[int]:
+def sscp_slots(quality: np.ndarray, count: int) -> np.ndarray:
     """The `count` slots with the largest qualities, ties to the lower index."""
-    q_row = np.asarray(q_row, dtype=float)
-    if not (1 <= count <= q_row.size):
+    if not (1 <= count <= quality.shape[-1]):
         raise ValueError("replica count must lie in [1, num_slots]")
-    order = np.argsort(-q_row, kind="stable")
-    return set(order[:count].tolist())
+    top = np.argsort(-quality, axis=-1, kind="stable")[..., :count]
+    chosen = np.zeros(quality.shape, dtype=bool)
+    np.put_along_axis(chosen, top, True, axis=-1)
+    return chosen
 
 
-def crdsap_select(rng: np.random.Generator, num_slots: int) -> set[int]:
-    """Two distinct slots, uniform over all unordered pairs."""
-    if num_slots < 2:
-        raise ValueError("crdsap needs at least 2 slots")
-    first = int(rng.integers(num_slots))
-    second = int(rng.integers(num_slots - 1))
-    if second >= first:
-        second += 1
-    return {first, second}
+def crdsap_slots(first: np.ndarray, second: np.ndarray, num_slots: int) -> np.ndarray:
+    """Two distinct slots: `first` uniform on 0..S-1, `second` uniform on 0..S-2
+    and shifted past `first`, so the pair is uniform over all unordered pairs."""
+    second = second + (second >= first)
+    chosen = np.zeros((*first.shape, num_slots), dtype=bool)
+    np.put_along_axis(chosen, first[..., None], True, axis=-1)
+    np.put_along_axis(chosen, second[..., None], True, axis=-1)
+    return chosen
 
 
 def irsap_degree_pmf(num_slots: int) -> np.ndarray:
@@ -177,68 +135,52 @@ def irsap_sample_degrees(
     return np.minimum(2 + np.searchsorted(cdf, rng.random(count), side="right"), num_slots)
 
 
-def irsap_select(rng: np.random.Generator, num_slots: int) -> set[int]:
-    """Degree from the irsap distribution, then that many distinct slots uniformly."""
-    degree = int(irsap_sample_degrees(rng, 1, num_slots)[0])
-    pool = list(range(num_slots))
-    for i in range(degree):  # partial Fisher-Yates, O(degree)
-        j = i + int(rng.integers(num_slots - i))
-        pool[i], pool[j] = pool[j], pool[i]
-    return set(pool[:degree])
+def irsap_slots(degrees: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each device's `degrees` slots of smallest uniform `u`: a prefix of a random permutation."""
+    ranks = np.argsort(np.argsort(u, axis=-1), axis=-1)
+    return ranks < degrees[..., None]
 
 
-def decide_access(
-    policy: Policy,
-    quality: QualityMatrix | None,
-    rng: np.random.Generator,
-    num_devices: int,
-    num_slots: int,
-) -> AccessDecision:
-    """Apply one policy to all contending devices and return their slot sets.
+def _draws_noise(policy: Policy, noise_std: float) -> bool:
+    return policy.requires_training and noise_std > 0
 
-    carp and sscp require a quality matrix; crdsap and irsap ignore one (with
-    a warning) because their choices are independent of the channel.
+
+def draw_trial(
+    policy: Policy, noise_std: float, rng: np.random.Generator, k: int, s: int
+) -> tuple[np.ndarray, ...]:
+    """One trial's access draws, in stream order.
+
+    Estimation noise comes first (trained policies with noise_std > 0 only),
+    then the policy's own numbers: carp one uniform per device and slot,
+    crdsap two slot indices per device, irsap a degree per device and one
+    uniform per device and slot; sscp draws nothing.
+    """
+    noise = (rng.standard_normal((k, s)),) if _draws_noise(policy, noise_std) else ()
+    if policy.kind == "carp":
+        return (*noise, rng.random((k, s)))
+    if policy.kind == "crdsap":
+        return rng.integers(0, s, k), rng.integers(0, s - 1, k)
+    if policy.kind == "irsap":
+        return irsap_sample_degrees(rng, k, s), rng.random((k, s))
+    return noise
+
+
+def choose_slots(
+    policy: Policy, snr_values: np.ndarray, draws, c: float = 1.0, noise_std: float = 0.0
+) -> np.ndarray:
+    """Replica mask of one policy over an SNR grid of shape (..., k, s).
+
+    `draws` are `draw_trial`'s arrays, stacked along the same leading axes.
+    Untrained policies read only the grid's shape.
     """
     if policy.requires_training:
-        if quality is None:
-            raise ValueError(f"policy {policy.kind!r} requires a quality matrix")
-        q = quality.values
-        if q.shape != (num_devices, num_slots):
-            raise ValueError("quality matrix shape does not match (num_devices, num_slots)")
-    elif quality is not None:
-        warnings.warn(f"policy {policy.kind!r} ignores the quality matrix", stacklevel=2)
-
-    if policy.kind == "carp":
-        totals = q.sum(axis=1, keepdims=True)
-        probs = np.where(totals > 0.0, q / np.where(totals > 0.0, totals, 1.0), 1.0 / num_slots)
-        mask = rng.random((num_devices, num_slots)) < probs
-        best = np.argmax(q, axis=1)
-        sets = []
-        for k in range(num_devices):
-            idx = np.nonzero(mask[k])[0]
-            sets.append(frozenset(idx.tolist()) if idx.size else frozenset((int(best[k]),)))
-        return AccessDecision(num_slots, tuple(sets))
-
-    if policy.kind == "sscp":
-        if policy.sscp_s > num_slots:
-            raise ValueError("sscp replica count exceeds the number of slots")
-        order = np.argsort(-q, axis=1, kind="stable")[:, : policy.sscp_s]
-        return AccessDecision(num_slots, tuple(frozenset(row.tolist()) for row in order))
-
+        noise = None
+        if _draws_noise(policy, noise_std):
+            noise, *draws = draws
+        quality = measure_quality(snr_values, c, noise_std, noise)
+        if policy.kind == "carp":
+            return carp_slots(quality, *draws)
+        return sscp_slots(quality, policy.sscp_s)
     if policy.kind == "crdsap":
-        if num_slots < 2:
-            raise ValueError("crdsap needs at least 2 slots")
-        first = rng.integers(0, num_slots, num_devices)
-        second = rng.integers(0, num_slots - 1, num_devices)
-        second = second + (second >= first)
-        return AccessDecision(
-            num_slots, tuple(frozenset((int(a), int(b))) for a, b in zip(first, second))
-        )
-
-    # irsap: degrees by inverse CDF, slot subsets as prefixes of random permutations
-    degrees = irsap_sample_degrees(rng, num_devices, num_slots)
-    perm = np.argsort(rng.random((num_devices, num_slots)), axis=1)
-    return AccessDecision(
-        num_slots,
-        tuple(frozenset(perm[k, : degrees[k]].tolist()) for k in range(num_devices)),
-    )
+        return crdsap_slots(*draws, snr_values.shape[-1])
+    return irsap_slots(*draws)

@@ -9,13 +9,14 @@ fixed set of phase-shift configurations, one per time slot; a device's SNR
 therefore changes from slot to slot, which is what the access policies exploit.
 
 For a device at angle theta_k and surface configuration theta_s, the channel
-coefficient factors into
+power gain factors into
 
-    h = sqrt(path_loss) * exp(j * total_phase) * array_factor,
+    |h|^2 = path_loss * |array_factor|^2,
 
 with the array factor a sum of per-column phasors along the x-axis of the
 surface (reflection is modeled as independent of z, so the z-count enters as a
-plain multiplier). Only |h|^2 reaches the SNR.
+plain multiplier). The propagation phase of h never reaches the SNR, so it is
+not modeled.
 
 Everything in this module is linear (watts, power ratios, radians). dB values
 are converted once at config parsing. The dB helpers at the bottom are the
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class RisGeometry:
 
 @dataclass(slots=True)
 class NodePlacement:
-    """Polar placement of a node (AP or MTD) plus its linear antenna power gain."""
+    """Polar placement of the AP plus its linear antenna power gain."""
 
     distance_m: float
     angle_rad: float
@@ -126,47 +126,6 @@ def phase_shift_set(num_slots: int) -> PhaseShiftSet:
     return PhaseShiftSet(tuple(HALF_PI * (i / (num_slots - 1)) for i in range(num_slots)))
 
 
-def path_loss(ris: RisGeometry, ap: NodePlacement, mtd: NodePlacement) -> float:
-    """Two-hop path loss through the surface (linear power ratio).
-
-    Proportional to the squared element area over the squared hop distances,
-    weighted by the device's squared boresight cosine. Vanishes as the device
-    angle approaches pi/2 (grazing incidence).
-    """
-    area = ris.d_x_m * ris.d_z_m
-    return (
-        ap.antenna_gain
-        * mtd.antenna_gain
-        / (4 * math.pi) ** 2
-        * (area / (ap.distance_m * mtd.distance_m)) ** 2
-        * math.cos(mtd.angle_rad) ** 2
-    )
-
-
-def total_phase(ris: RisGeometry, ap: NodePlacement, mtd: NodePlacement) -> float:
-    """Propagation phase of the two-hop link, in radians, not wrapped mod 2*pi.
-
-    Only the phase of the channel coefficient depends on it; |h| does not.
-    """
-    return ris.wavenumber * (
-        ap.distance_m
-        + mtd.distance_m
-        - (math.sin(ap.angle_rad) - math.sin(mtd.angle_rad)) * (ris.n_x + 1) / 2 * ris.d_x_m
-    )
-
-
-def array_factor(ris: RisGeometry, theta_mtd: float, theta_cfg: float) -> complex:
-    """Surface array factor for a device angle and a configuration angle.
-
-    Direct term-by-term summation of the per-column phasors (reference path;
-    see array_factor_power for the closed form used in bulk evaluation).
-    |result| <= n_elements, with equality when the sines coincide.
-    """
-    x = ris.wavenumber * (math.sin(theta_mtd) - math.sin(theta_cfg)) * ris.d_x_m
-    terms = np.exp(1j * x * np.arange(1, ris.n_x + 1))
-    return ris.n_z * complex(terms.sum())
-
-
 def array_factor_power(ris: RisGeometry, theta_mtd, theta_cfg) -> np.ndarray:
     """|array factor|^2, vectorized over broadcastable angle arrays.
 
@@ -183,42 +142,25 @@ def array_factor_power(ris: RisGeometry, theta_mtd, theta_cfg) -> np.ndarray:
     return (ris.n_z * ratio) ** 2
 
 
-def channel_coefficient(
-    ris: RisGeometry, ap: NodePlacement, mtd: NodePlacement, theta_cfg: float
-) -> complex:
-    """Complex channel coefficient sqrt(path_loss) * e^{j phase} * array_factor."""
-    psi = total_phase(ris, ap, mtd)
-    return (
-        math.sqrt(path_loss(ris, ap, mtd))
-        * complex(math.cos(psi), math.sin(psi))
-        * array_factor(ris, mtd.angle_rad, theta_cfg)
-    )
-
-
-def snr(radio: RadioParams, h: complex) -> float:
-    """Received SNR of one device in one slot (linear ratio)."""
-    return radio.mtd_tx_power_w * abs(h) ** 2 / radio.noise_power_w
-
-
 def snr_matrix(
     ris: RisGeometry,
     radio: RadioParams,
     ap: NodePlacement,
-    placements: Sequence[NodePlacement],
+    mtd_gain: float,
+    distances: np.ndarray,
+    angles: np.ndarray,
     phases: PhaseShiftSet,
 ) -> np.ndarray:
-    """Per-device per-slot SNR grid, shape (num devices, num slots).
+    """SNR grid of devices at `distances` and `angles` (any shape (..., k)) over
+    the slots' configurations; shape (..., k, num slots).
 
-    Vectorized equivalent of composing path_loss, array_factor (via its closed
-    form), channel_coefficient and snr per element; the engine's hot path.
+    Each entry is P_tx / N0 * |h|^2 with |h|^2 = path loss * |array factor|^2,
+    the path loss being G_ap G_mtd / (4 pi)^2 * (d_x d_z / (d_ap d))^2 * cos(theta)^2.
     """
-    d = np.array([p.distance_m for p in placements])
-    theta = np.array([p.angle_rad for p in placements])
-    gain = np.array([p.antenna_gain for p in placements])
-    base = ap.antenna_gain * gain / (4 * math.pi) ** 2
-    beta = base * (ris.d_x_m * ris.d_z_m / (ap.distance_m * d)) ** 2 * np.cos(theta) ** 2
-    gain_sq = array_factor_power(ris, theta[:, None], np.asarray(phases.angles)[None, :])
-    return radio.mtd_tx_power_w / radio.noise_power_w * beta[:, None] * gain_sq
+    base = ap.antenna_gain * mtd_gain / (4 * math.pi) ** 2
+    beta = base * (ris.d_x_m * ris.d_z_m / (ap.distance_m * distances)) ** 2 * np.cos(angles) ** 2
+    gain_sq = array_factor_power(ris, angles[..., None], np.asarray(phases.angles))
+    return radio.mtd_tx_power_w / radio.noise_power_w * beta[..., None] * gain_sq
 
 
 def sample_mtd_placements(
@@ -226,9 +168,8 @@ def sample_mtd_placements(
     count: int,
     distance_range: tuple[float, float],
     angle_range: tuple[float, float] = (0.0, HALF_PI),
-    antenna_gain: float = 1.0,
-) -> list[NodePlacement]:
-    """Draw independent device placements, uniform in distance and in angle.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw independent device (distances, angles), uniform in each.
 
     Distances are drawn first, then angles, so the stream layout is part of
     the reproducibility contract.
@@ -241,12 +182,7 @@ def sample_mtd_placements(
         raise ValueError("distance range must satisfy 0 < d_min <= d_max")
     if not (0 <= a_min <= a_max <= HALF_PI):
         raise ValueError("angle range must be ordered and lie within [0, pi/2]")
-    distances = rng.uniform(d_min, d_max, count)
-    angles = rng.uniform(a_min, a_max, count)
-    return [
-        NodePlacement(float(di), float(ai), antenna_gain)
-        for di, ai in zip(distances, angles)
-    ]
+    return rng.uniform(d_min, d_max, count), rng.uniform(a_min, a_max, count)
 
 
 def db_to_linear(x_db: float) -> float:

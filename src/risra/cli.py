@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -92,29 +93,36 @@ def _manifest_base(command: str, resolved: dict[str, Any], policies: list[str]) 
 
 
 def parse_values(text: str) -> list:
-    """Parse '2:20:2' (inclusive range) or '2,4,6' into ints/floats."""
+    """Parse '2:20:2' (inclusive range) or '2,4,6' into ints/floats.
 
-    def num(token: str):
-        value = float(token)
-        return int(value) if value == int(value) else value
+    Tokens are read as exact decimals: value i of a range is start + i*step,
+    rounded once to a float, and stop is included exactly when
+    (stop - start) / step is whole. Integer-valued results are ints.
+    """
 
-    if ":" in text:
-        parts = [float(p) for p in text.split(":")]
-        if len(parts) == 2:
-            start, stop, step = parts[0], parts[1], 1.0
-        elif len(parts) == 3:
-            start, stop, step = parts
-        else:
-            raise ValueError(f"range {text!r} must be start:stop or start:stop:step")
-        if step <= 0 or stop < start:
-            raise ValueError(f"range {text!r} must be increasing with positive step")
-        values = []
-        x = start
-        while x <= stop + 1e-9 * max(1.0, abs(step)):
-            values.append(int(x) if x == int(x) else x)
-            x += step
-        return values
-    return [num(tok) for tok in text.split(",") if tok.strip()]
+    def exact(token: str) -> Decimal:
+        try:
+            value = Decimal(token)
+        except InvalidOperation:
+            raise ValueError(f"value {token!r} is not a number") from None
+        if not value.is_finite():
+            raise ValueError(f"value {token!r} is not finite")
+        return value
+
+    def number(value: Decimal) -> int | float:
+        return int(value) if value == value.to_integral_value() else float(value)
+
+    if ":" not in text:
+        return [number(exact(tok)) for tok in text.split(",") if tok.strip()]
+    parts = [exact(p) for p in text.split(":")]
+    if len(parts) == 2:
+        parts.append(Decimal(1))
+    if len(parts) != 3:
+        raise ValueError(f"range {text!r} must be start:stop or start:stop:step")
+    start, stop, step = parts
+    if step <= 0 or stop < start:
+        raise ValueError(f"range {text!r} must be increasing with positive step")
+    return [number(start + i * step) for i in range(int((stop - start) / step) + 1)]
 
 
 def _policies_arg(arg: str | None, resolved: dict[str, Any]) -> list[Policy]:
@@ -155,7 +163,9 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     rows = []
     trace_blocks = []
-    for policy in sorted(policies, key=lambda p: p.label):
+    progress = _progress(args.verbose)
+    ordered = sorted(policies, key=lambda p: p.label)
+    for i, policy in enumerate(ordered):
         run_cfg = with_policy(cfg, policy)
         if args.verbose:
             agg, traces = run_monte_carlo_with_traces(run_cfg)
@@ -165,6 +175,8 @@ def cmd_run(args) -> int:
         else:
             agg = run_monte_carlo(run_cfg)
         rows.append(_csv_row(policy.label, run_cfg, agg))
+        if progress is not None:
+            progress(i + 1, len(ordered))
     manifest = _manifest_base("run", resolved, [p.label for p in policies])
     _write_outputs(out, rows, manifest)
     if args.verbose and trace_blocks:

@@ -127,22 +127,23 @@ class ScenarioConfig:
 def _parse_value(key: str, raw: Any) -> Any:
     kind, _default = CONFIG_SCHEMA[key]
     if isinstance(raw, kind) and not (kind is int and isinstance(raw, bool)):
-        return raw
-    text = str(raw).strip()
-    if kind is bool:
-        if text.lower() in ("true", "1", "yes"):
+        value = raw
+    elif kind is bool:
+        text = str(raw).strip().lower()
+        if text in ("true", "1", "yes"):
             return True
-        if text.lower() in ("false", "0", "no"):
+        if text in ("false", "0", "no"):
             return False
         raise ValueError(f"config key {key!r} expects true/false, got {text!r}")
-    try:
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-    except ValueError:
-        raise ValueError(f"config key {key!r} expects {kind.__name__}, got {text!r}") from None
-    return text
+    else:
+        text = str(raw).strip()
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ValueError(f"config key {key!r} expects {kind.__name__}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
+    return value
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:

@@ -9,9 +9,11 @@ a given (config, seed) regardless of how trials are scheduled or how many
 worker processes run them. Because placement draws precede policy draws,
 different policies at the same seed contend over identical device drops.
 
-run_monte_carlo evaluates trials in vectorized batches; simulate_frame is the
-single-frame reference path composed from the public module operations, and
-the two are bit-identical (the suite asserts it).
+There is one frame pipeline, _simulate_batch. It draws each trial's numbers
+from that trial's own stream, then computes the SNR grid, the slot choice,
+the SIC peel and the frame metrics for the whole batch at once.
+run_monte_carlo feeds it batches of _BATCH trials; simulate_frame is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -86,151 +88,77 @@ def simulate_frame(
 ) -> TrialResult:
     """Run one frame end to end: drop devices, measure, contend, decode, meter.
 
-    Deterministic given (cfg, rng state). This is the reference path composed
-    from the public module operations; run_monte_carlo's batched evaluation
-    reproduces it bit for bit.
+    The frame pipeline on a batch of one stream, so it is deterministic given
+    (cfg, rng state) and equals trial t of run_monte_carlo when rng is
+    trial_rng(cfg.seed, t).
     """
     if phases is None:
         phases = phase_shift_set(cfg.s)
-    placements = channel.sample_mtd_placements(
-        rng,
-        cfg.k,
-        (cfg.mtd_d_min_m, cfg.mtd_d_max_m),
-        (cfg.mtd_angle_min_rad, cfg.mtd_angle_max_rad),
-        cfg.mtd_gain,
-    )
-    gamma = channel.snr_matrix(cfg.ris, cfg.radio, cfg.ap, placements, phases)
-    quality = None
-    if cfg.policy.requires_training:
-        quality = access.measure_quality(gamma, cfg.estimation_c, cfg.estimation_noise_std, rng)
-    decision = access.decide_access(cfg.policy, quality, rng, cfg.k, cfg.s)
-    occupancy = receiver.build_occupancy(decision, cfg.s)
-    decode = receiver.sic_decode(occupancy, gamma, cfg.radio.snr_threshold)
-    counts = decision.replica_counts
-    metrics = power_metrics.compute_frame_metrics(
-        cfg.power,
-        cfg.timing,
-        cfg.ris.n_elements,
-        counts,
-        receiver.count_successes(decode),
-        power_training_used=cfg.training_used,
-        frame_training_used=cfg.policy.requires_training,
-    )
+    a, g, p, counts, traces = _simulate_batch(cfg, [rng], phases, keep_trace)
     return TrialResult(
-        successes=metrics.successes,
-        replica_counts=counts,
-        throughput_pps=metrics.throughput_pps,
-        power_w=metrics.power_w,
-        energy_efficiency=metrics.energy_efficiency,
-        trace=decode.trace if keep_trace else None,
+        successes=int(a[0]),
+        replica_counts=counts[0],
+        throughput_pps=float(g[0]),
+        power_w=float(p[0]),
+        energy_efficiency=power_metrics.energy_efficiency(float(g[0]), float(p[0])),
+        trace=tuple(traces[0]) if keep_trace else None,
     )
 
 
 _BATCH = 256  # trials per vectorized batch; keeps the SNR block under ~2 MB
 
 
-def _simulate_batch(cfg: ScenarioConfig, trials: range, phases: PhaseShiftSet):
-    """Vectorized evaluation of a batch of trials.
+def _simulate_batch(
+    cfg: ScenarioConfig,
+    rngs: list[np.random.Generator],
+    phases: PhaseShiftSet,
+    keep_traces: bool,
+):
+    """The frame pipeline over a batch of trial streams.
 
-    All random draws still come from each trial's own substream in the
-    simulate_frame stage order; only the deterministic math runs batched.
-    Returns per-trial (successes, throughput, power) arrays.
+    Each stream yields its trial's placement, then its access draws, in the
+    stream order above; everything after the draws runs on (b, k, s) arrays.
+    Returns per-trial (successes, throughput, power, replica counts) arrays
+    and, with keep_traces, each trial's decode trace (else None).
     """
-    b = len(trials)
-    k, s = cfg.k, cfg.s
-    policy = cfg.policy
-    rngs = [trial_rng(cfg.seed, t) for t in trials]
-
-    distances = np.empty((b, k))
-    angles = np.empty((b, k))
-    noise = None
-    draw_noise = policy.requires_training and cfg.estimation_noise_std > 0
-    if draw_noise:
-        noise = np.empty((b, k, s))
-    carp_u = np.empty((b, k, s)) if policy.kind == "carp" else None
-    pick_first = pick_second = degrees = perm_u = None
-    if policy.kind == "crdsap":
-        pick_first = np.empty((b, k), dtype=np.int64)
-        pick_second = np.empty((b, k), dtype=np.int64)
-    elif policy.kind == "irsap":
-        degrees = np.empty((b, k), dtype=np.int64)
-        perm_u = np.empty((b, k, s))
-
-    for i, rng in enumerate(rngs):
-        distances[i] = rng.uniform(cfg.mtd_d_min_m, cfg.mtd_d_max_m, k)
-        angles[i] = rng.uniform(cfg.mtd_angle_min_rad, cfg.mtd_angle_max_rad, k)
-        if draw_noise:
-            noise[i] = rng.standard_normal((k, s))
-        if policy.kind == "carp":
-            carp_u[i] = rng.random((k, s))
-        elif policy.kind == "crdsap":
-            pick_first[i] = rng.integers(0, s, k)
-            pick_second[i] = rng.integers(0, s - 1, k)
-        elif policy.kind == "irsap":
-            degrees[i] = access.irsap_sample_degrees(rng, k, s)
-            perm_u[i] = rng.random((k, s))
-
-    # SNR grid, same elementwise formula as channel.snr_matrix
-    base = cfg.ap.antenna_gain * cfg.mtd_gain / (4 * math.pi) ** 2
-    beta = (
-        base
-        * (cfg.ris.d_x_m * cfg.ris.d_z_m / (cfg.ap.distance_m * distances)) ** 2
-        * np.cos(angles) ** 2
+    k, s, policy = cfg.k, cfg.s, cfg.policy
+    d_range = (cfg.mtd_d_min_m, cfg.mtd_d_max_m)
+    a_range = (cfg.mtd_angle_min_rad, cfg.mtd_angle_max_rad)
+    per_trial = [
+        (
+            *channel.sample_mtd_placements(rng, k, d_range, a_range),
+            *access.draw_trial(policy, cfg.estimation_noise_std, rng, k, s),
+        )
+        for rng in rngs
+    ]
+    distances, angles, *draws = (np.array(column) for column in zip(*per_trial))
+    gamma = channel.snr_matrix(
+        cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles, phases
     )
-    gain_sq = channel.array_factor_power(
-        cfg.ris, angles[:, :, None], np.asarray(phases.angles)[None, None, :]
+    chosen = access.choose_slots(
+        policy, gamma, draws, cfg.estimation_c, cfg.estimation_noise_std
     )
-    gamma = cfg.radio.mtd_tx_power_w / cfg.radio.noise_power_w * beta[:, :, None] * gain_sq
 
-    if policy.requires_training:
-        quality = cfg.estimation_c * gamma
-        if draw_noise:
-            quality = quality + cfg.estimation_noise_std * noise
-        quality = np.maximum(quality, 0.0)
-    else:
-        quality = None
-
-    # per-device slot sets, boolean (b, k, s)
-    if policy.kind == "carp":
-        totals = quality.sum(axis=2, keepdims=True)
-        probs = np.where(totals > 0.0, quality / np.where(totals > 0.0, totals, 1.0), 1.0 / s)
-        chosen = carp_u < probs
-        empty = ~chosen.any(axis=2)
-        if empty.any():
-            best = np.argmax(quality, axis=2)
-            rows, devs = np.nonzero(empty)
-            chosen[rows, devs, best[rows, devs]] = True
-    elif policy.kind == "sscp":
-        top = np.argsort(-quality, axis=2, kind="stable")[:, :, : policy.sscp_s]
-        chosen = np.zeros((b, k, s), dtype=bool)
-        np.put_along_axis(chosen, top, True, axis=2)
-    elif policy.kind == "crdsap":
-        pick_second = pick_second + (pick_second >= pick_first)
-        chosen = np.zeros((b, k, s), dtype=bool)
-        np.put_along_axis(chosen, pick_first[:, :, None], True, axis=2)
-        np.put_along_axis(chosen, pick_second[:, :, None], True, axis=2)
-    else:
-        order = np.argsort(perm_u, axis=2)
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.broadcast_to(np.arange(s), (b, k, s)), axis=2)
-        chosen = ranks < degrees[:, :, None]
-
-    counts = chosen.sum(axis=2)
     threshold = cfg.radio.snr_threshold
-    a = np.empty(b)
-    for i in range(b):
-        a[i] = receiver.peel(chosen[i], gamma[i], threshold)
-
-    # metrics, with the same floating-point op order as compute_frame_metrics
-    p_ap = power_metrics.ap_power(cfg.power, cfg.timing.slots, cfg.training_used)
-    p_ris = power_metrics.ris_power(cfg.ris.n_elements, cfg.power.phase_shifter_w)
-    p_mtd = (
-        counts * (cfg.power.mtd_pa_inverse_eff * cfg.power.mtd_tx_power_w)
-    ).sum(axis=1) + k * cfg.power.mtd_static_w
-    p = p_ap + p_ris + p_mtd
-    r_eff = cfg.timing.training_ratio if policy.requires_training else 0.0
-    g = a / ((1.0 + r_eff) * cfg.timing.slots * cfg.timing.access_slot_s)
-    return a, g, p
+    frames = zip(chosen, gamma)
+    if keep_traces:
+        traces = [receiver.peel_trace(mask, snr, threshold) for mask, snr in frames]
+        decoded = [len(trace) for trace in traces]
+    else:
+        traces = None
+        decoded = [receiver.peel(mask, snr, threshold) for mask, snr in frames]
+    a = np.array(decoded, dtype=float)
+    counts = chosen.sum(axis=-1)
+    p, g = power_metrics.frame_metrics(
+        cfg.power,
+        cfg.timing,
+        cfg.ris.n_elements,
+        counts,
+        a,
+        power_training_used=cfg.training_used,
+        frame_training_used=policy.requires_training,
+    )
+    return a, g, p, counts, traces
 
 
 def _simulate_range(
@@ -238,28 +166,17 @@ def _simulate_range(
 ):
     """Simulate trials [start, stop); returns per-trial metric arrays (and traces)."""
     phases = phase_shift_set(cfg.s)
-    if not keep_traces:
-        parts = [
-            _simulate_batch(cfg, range(lo, min(lo + _BATCH, stop)), phases)
-            for lo in range(start, stop, _BATCH)
-        ]
-        return (
-            np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]),
-            np.concatenate([part[2] for part in parts]),
-            None,
+    parts = [
+        _simulate_batch(
+            cfg,
+            [trial_rng(cfg.seed, t) for t in range(lo, min(lo + _BATCH, stop))],
+            phases,
+            keep_traces,
         )
-    n = stop - start
-    a = np.empty(n)
-    g = np.empty(n)
-    p = np.empty(n)
-    traces = []
-    for i, trial in enumerate(range(start, stop)):
-        result = simulate_frame(cfg, trial_rng(cfg.seed, trial), phases, keep_trace=True)
-        a[i] = result.successes
-        g[i] = result.throughput_pps
-        p[i] = result.power_w
-        traces.append(result.trace)
+        for lo in range(start, stop, _BATCH)
+    ]
+    a, g, p = (np.concatenate([part[i] for part in parts]) for i in range(3))
+    traces = [trace for part in parts for trace in part[4]] if keep_traces else None
     return a, g, p, traces
 
 
@@ -312,8 +229,8 @@ def run_monte_carlo(cfg: ScenarioConfig) -> AggregateResult:
 
 def run_monte_carlo_with_traces(
     cfg: ScenarioConfig,
-) -> tuple[AggregateResult, list[tuple[tuple[int, int, int], ...]]]:
-    """Serial debug variant of run_monte_carlo that also returns decode traces."""
+) -> tuple[AggregateResult, list[list[tuple[int, int, int]]]]:
+    """Single-process run_monte_carlo that also returns each trial's decode trace."""
     a, g, p, traces = _simulate_range(cfg, 0, cfg.trials, keep_traces=True)
     return _aggregate(cfg, a, g, p), traces
 

@@ -11,7 +11,6 @@ training block in that duration. Energy efficiency is throughput over power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +26,6 @@ class PowerParams:
     mtd_tx_power_w: float
     mtd_static_w: float
     phase_shifter_w: float
-    phase_shifter_bits: int = 3
 
     def __post_init__(self) -> None:
         if self.ap_pa_inverse_eff <= 1 or self.mtd_pa_inverse_eff <= 1:
@@ -60,19 +58,6 @@ class FrameTiming:
             raise ValueError("slots must be >= 1")
 
 
-@dataclass(slots=True)
-class FrameMetrics:
-    """One frame's decoded count, throughput, power breakdown and efficiency."""
-
-    successes: int
-    throughput_pps: float
-    power_w: float
-    power_ap_w: float
-    power_ris_w: float
-    power_mtd_w: float
-    energy_efficiency: float
-
-
 def ap_power(params: PowerParams, slots: int, training_used: bool) -> float:
     """AP power: static floor, plus one PA term per training slot when training runs."""
     if training_used:
@@ -87,21 +72,9 @@ def ris_power(n_elements: int, phase_shifter_w: float) -> float:
     return n_elements * phase_shifter_w
 
 
-def mtd_power(params: PowerParams, replica_count: int) -> float:
-    """One contending device's power: PA term per replica plus the static floor."""
-    if replica_count < 1:
-        raise ValueError("replica_count must be >= 1")
-    return replica_count * params.mtd_pa_inverse_eff * params.mtd_tx_power_w + params.mtd_static_w
-
-
-def total_power(ap_w: float, ris_w: float, mtd_w_list: Sequence[float]) -> float:
-    """Frame power consumed by the whole system."""
-    return ap_w + ris_w + float(sum(mtd_w_list))
-
-
-def throughput(successes: int, timing: FrameTiming, training_used: bool) -> float:
+def throughput(successes, timing: FrameTiming, training_used: bool):
     """Decoded packets per second over the frame; r drops to 0 without training."""
-    if successes < 0:
+    if np.any(np.asarray(successes) < 0):
         raise ValueError("successes must be nonnegative")
     r_eff = timing.training_ratio if training_used else 0.0
     return successes / ((1.0 + r_eff) * timing.slots * timing.access_slot_s)
@@ -114,37 +87,30 @@ def energy_efficiency(throughput_pps: float, power_w: float) -> float:
     return throughput_pps / power_w
 
 
-def compute_frame_metrics(
+def frame_metrics(
     params: PowerParams,
     timing: FrameTiming,
     n_elements: int,
     replica_counts: np.ndarray,
-    successes: int,
+    successes: np.ndarray,
     power_training_used: bool,
     frame_training_used: bool,
-) -> FrameMetrics:
-    """Assemble one frame's power breakdown, throughput and energy efficiency.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frame power and throughput, batched over the leading axes.
 
+    `replica_counts` has shape (..., k), one entry per contending device, and
+    `successes` shape (...). Returns (power_w, throughput_pps) of shape (...).
     The two flags usually coincide but are separate knobs: power_training_used
     says whether the AP's training transmissions are charged, while
     frame_training_used says whether the frame duration includes the training
     block (it never does for policies that skip training).
     """
+    counts = np.asarray(replica_counts)
+    if np.any(counts < 1):
+        raise ValueError("every contending device sends at least one replica")
     p_ap = ap_power(params, timing.slots, power_training_used)
     p_ris = ris_power(n_elements, params.phase_shifter_w)
-    counts = np.asarray(replica_counts)
-    p_mtd = float(
-        (counts * (params.mtd_pa_inverse_eff * params.mtd_tx_power_w)).sum()
-        + counts.size * params.mtd_static_w
-    )
-    power = p_ap + p_ris + p_mtd
-    tput = throughput(successes, timing, frame_training_used)
-    return FrameMetrics(
-        successes=successes,
-        throughput_pps=tput,
-        power_w=power,
-        power_ap_w=p_ap,
-        power_ris_w=p_ris,
-        power_mtd_w=p_mtd,
-        energy_efficiency=energy_efficiency(tput, power),
-    )
+    p_mtd = (counts * (params.mtd_pa_inverse_eff * params.mtd_tx_power_w)).sum(
+        axis=-1
+    ) + counts.shape[-1] * params.mtd_static_w
+    return p_ap + p_ris + p_mtd, throughput(successes, timing, frame_training_used)

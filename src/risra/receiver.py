@@ -11,110 +11,40 @@ not depend on scan order. Slot occupancy is assumed perfectly known
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .access import AccessDecision
 
+def peel_trace(
+    chosen: np.ndarray, snr_values: np.ndarray, threshold: float
+) -> list[tuple[int, int, int]]:
+    """Peel a boolean device-by-slot replica mask until a pass decodes nothing.
 
-@dataclass(slots=True)
-class SlotOccupancy:
-    """Per-slot sets of devices with an undecoded replica in that slot."""
-
-    slots: tuple[frozenset[int], ...]
-
-    @property
-    def total_replicas(self) -> int:
-        return sum(len(s) for s in self.slots)
-
-
-@dataclass(slots=True)
-class DecodeResult:
-    """Outcome of one frame's SIC run.
-
-    iterations counts productive passes (each decoded at least one device);
-    trace lists (iteration, slot, device) decode events in order.
+    Returns the decode events (pass, slot, device) in order, passes counted
+    from 1; each device appears at most once, so the events count the
+    decoded devices. Terminates after at most one pass per device.
     """
-
-    decoded: frozenset[int]
-    iterations: int
-    trace: tuple[tuple[int, int, int], ...]
-
-
-def build_occupancy(decision: AccessDecision, num_slots: int) -> SlotOccupancy:
-    """Invert per-device slot sets into per-slot device sets."""
-    if num_slots != decision.num_slots:
-        raise ValueError("num_slots does not match the access decision")
-    slots: list[set[int]] = [set() for _ in range(num_slots)]
-    for device, chosen in enumerate(decision.slots_per_device):
-        for s in chosen:
-            slots[s].add(device)
-    return SlotOccupancy(tuple(frozenset(s) for s in slots))
-
-
-def _peel_core(
-    live: list[set[int]],
-    device_slots: dict[int, list[int]],
-    snr_values: np.ndarray,
-    threshold: float,
-) -> tuple[set[int], int, list[tuple[int, int, int]]]:
-    """Shared peeling loop; mutates `live`, returns (decoded, iterations, trace)."""
-    decoded: set[int] = set()
-    trace: list[tuple[int, int, int]] = []
-    iterations = 0
-    while True:
-        decoded_this_pass = 0
-        for s, devs in enumerate(live):
-            if len(devs) == 1:
-                (k,) = devs
-                if snr_values[k, s] >= threshold:
-                    decoded.add(k)
-                    trace.append((iterations + 1, s, k))
-                    for s2 in device_slots[k]:
-                        live[s2].discard(k)
-                    decoded_this_pass += 1
-        if decoded_this_pass == 0:
-            break
-        iterations += 1
-    return decoded, iterations, trace
-
-
-def sic_decode(
-    occupancy: SlotOccupancy, snr_values: np.ndarray, threshold: float
-) -> DecodeResult:
-    """Peel singleton slots until a full pass decodes nothing.
-
-    A singleton's device is decoded only if its SNR in that slot meets the
-    threshold; decoding removes all of the device's replicas. Terminates after
-    at most one pass per device.
-    """
-    live = [set(devs) for devs in occupancy.slots]
-    device_slots: dict[int, list[int]] = {}
-    for s, devs in enumerate(occupancy.slots):
-        for k in devs:
-            device_slots.setdefault(k, []).append(s)
-    decoded, iterations, trace = _peel_core(live, device_slots, snr_values, threshold)
-    return DecodeResult(frozenset(decoded), iterations, tuple(trace))
-
-
-def peel(chosen: np.ndarray, snr_values: np.ndarray, threshold: float) -> int:
-    """Decoded-device count for a boolean device-by-slot replica mask.
-
-    Same fixed point as sic_decode on the equivalent occupancy; used by the
-    engine's batched runner where the mask already exists.
-    """
-    num_devices, num_slots = chosen.shape
-    live: list[set[int]] = [set() for _ in range(num_slots)]
+    live: list[set[int]] = [set() for _ in range(chosen.shape[1])]
     device_slots: dict[int, list[int]] = {}
     devs, slots = np.nonzero(chosen)
     for k, s in zip(devs.tolist(), slots.tolist()):
         live[s].add(k)
         device_slots.setdefault(k, []).append(s)
-    decoded, _iterations, _trace = _peel_core(live, device_slots, snr_values, threshold)
-    return len(decoded)
+    trace: list[tuple[int, int, int]] = []
+    iteration = 0
+    while True:
+        iteration += 1
+        decoded_before = len(trace)
+        for s, devs in enumerate(live):
+            if len(devs) == 1:
+                (k,) = devs
+                if snr_values[k, s] >= threshold:
+                    trace.append((iteration, s, k))
+                    for s2 in device_slots[k]:
+                        live[s2].discard(k)
+        if len(trace) == decoded_before:
+            return trace
 
 
-def count_successes(result: DecodeResult) -> int:
-    """Number of devices with a successfully decoded packet in the frame."""
-    return len(result.decoded)
+def peel(chosen: np.ndarray, snr_values: np.ndarray, threshold: float) -> int:
+    """Decoded-device count for a boolean device-by-slot replica mask."""
+    return len(peel_trace(chosen, snr_values, threshold))

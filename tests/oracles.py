@@ -25,6 +25,11 @@ def loop_array_factor(n_x: int, n_z: int, d_x_m: float, wavelength_m: float,
     return n_z * total
 
 
+def slot_sets(mask) -> list[set[int]]:
+    """Per-slot sets of the devices with a replica there, from a device x slot mask."""
+    return [{k for k in range(len(mask)) if mask[k][s]} for s in range(len(mask[0]))]
+
+
 def exhaustive_decode(slots: list[set[int]], ok) -> frozenset[int]:
     """Fixed point of peeling, by exploring every decode schedule.
 
@@ -112,7 +117,7 @@ def sscp_two_device_decoded(resolved: dict, ties: str, grid: int = 2048, nodes: 
     the two is a tie, broken by `ties`:
 
     - "lower": the lower slot index, as a stable sort of equal qualities
-      (`access.sscp_select`) breaks it. Every device makes the same choice.
+      (`access.sscp_slots`) breaks it. Every device makes the same choice.
     - "coin": either slot with probability 1/2, independently per device.
       This is the limit of vanishing estimation noise: Gaussian noise added
       to two equal qualities orders them either way with probability 1/2.

@@ -6,6 +6,7 @@ processes; everything is seeded, so reruns are bit-identical.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from risra import receiver as rx
 from risra.access import Policy
 from risra.config import parse_config
 from risra.engine import run_monte_carlo
-from oracles import exhaustive_decode, sscp_two_device_optimal_ee
+from oracles import exhaustive_decode, slot_sets, sscp_two_device_optimal_ee
 
 IRSAP_MEAN_DEGREE_S20 = 3.7344627969933493
 STATIC_9_DBW = 7.943282347242815
@@ -49,17 +50,14 @@ def test_c1_replica_count_exactness():
     rng = np.random.default_rng(101)
     k, s = 10, 20
     crdsap, sscp2, sscp3 = Policy("crdsap"), Policy("sscp", 2), Policy("sscp", 3)
-    ok = True
-    for _ in range(frames):
-        if ac.decide_access(crdsap, None, rng, k, s).total_replicas != 2 * k:
-            ok = False
-            break
+    first, second = ac.draw_trial(crdsap, 0.0, rng, frames * k, s)
+    draws = (first.reshape(frames, k), second.reshape(frames, k))
+    totals = ac.choose_slots(crdsap, np.empty((frames, k, s)), draws).sum(axis=(1, 2))
+    ok = bool(np.all(totals == 2 * k))
     for policy, count in ((sscp2, 2), (sscp3, 3)):
-        for _ in range(frames):
-            quality = ac.measure_quality(rng.uniform(0.0, 100.0, (k, s)))
-            if ac.decide_access(policy, quality, rng, k, s).total_replicas != count * k:
-                ok = False
-                break
+        snr = rng.uniform(0.0, 100.0, (frames, k, s))
+        totals = ac.choose_slots(policy, snr, ()).sum(axis=(1, 2))
+        ok = ok and bool(np.all(totals == count * k))
     report("1", ok, f"crdsap=2K and sscp(s)=sK replica totals over {frames} frames")
     assert ok
 
@@ -67,8 +65,9 @@ def test_c1_replica_count_exactness():
 def test_c2_irsap_degree_statistics():
     n, s = 100_000, 20
     rng = np.random.default_rng(202)
-    decision = ac.decide_access(Policy("irsap"), None, rng, n, s)
-    sizes = np.array([len(chosen) for chosen in decision.slots_per_device])
+    irsap = Policy("irsap")
+    chosen = ac.choose_slots(irsap, np.empty((n, s)), ac.draw_trial(irsap, 0.0, rng, n, s))
+    sizes = chosen.sum(axis=1)
 
     mean_ok = abs(sizes.mean() - IRSAP_MEAN_DEGREE_S20) <= 0.01 * IRSAP_MEAN_DEGREE_S20
     pmf = ac.irsap_degree_pmf(s)
@@ -105,7 +104,7 @@ def test_c4_array_factor_peak():
     for n_x, n_z in itertools.product((1, 2, 5, 10, 20), repeat=2):
         ris = ch.RisGeometry(n_x, n_z, 0.1, 0.1, 0.1)
         for theta in ch.phase_shift_set(5).angles:
-            value = abs(ch.array_factor(ris, theta, theta))
+            value = math.sqrt(float(ch.array_factor_power(ris, theta, theta)))
             worst = max(worst, abs(value - ris.n_elements) / ris.n_elements)
     ok = worst <= 1e-9
     report("4", ok, f"aligned |array factor| = N across 25 geometries, worst rel err {worst:.2e}")
@@ -124,17 +123,15 @@ def test_c5_sic_matches_exhaustive_oracle():
             if not mask[device].any():
                 mask[device, int(rng.integers(s))] = True
         snr = np.where(rng.random((k, s)) < 0.7, 2.0, 0.5)
-        slot_sets = [set(np.nonzero(mask[:, slot])[0].tolist()) for slot in range(s)]
-        occ = rx.SlotOccupancy(tuple(frozenset(devs) for devs in slot_sets))
-        decoded = rx.sic_decode(occ, snr, 1.0).decoded
+        decoded = {device for *_event, device in rx.peel_trace(mask, snr, 1.0)}
 
-        if decoded != exhaustive_decode(slot_sets, snr >= 1.0):
+        if decoded != exhaustive_decode(slot_sets(mask), snr >= 1.0):
             ok = False
             break
         # scan-order invariance: decode with slots relabeled by a random shuffle
         perm = rng.permutation(s)
-        shuffled = rx.SlotOccupancy(tuple(frozenset(slot_sets[j]) for j in perm))
-        if rx.sic_decode(shuffled, snr[:, perm], 1.0).decoded != decoded:
+        shuffled = rx.peel_trace(mask[:, perm], snr[:, perm], 1.0)
+        if {device for *_event, device in shuffled} != decoded:
             ok = False
             break
     report("5", ok, f"{instances} random instances equal the all-schedules oracle, any scan order")
@@ -182,10 +179,16 @@ def test_c6_closed_form_single_device_throughput():
 
 def test_c7_power_spot_values():
     params = pm.PowerParams(1.2, 0.1, ch.dbw_to_watts(9.0), 1.2, 0.01, 0.04, 0.0015)
+    timing = pm.FrameTiming(access_slot_s=1.0, training_ratio=0.2, slots=20)
     ris_ok = pm.ris_power(100, 0.0015) == pytest.approx(0.15, rel=1e-12)
     ap_value = pm.ap_power(params, 20, True)
     ap_ok = ap_value == pytest.approx(2.4 + STATIC_9_DBW, rel=1e-6)
-    mtd_ok = pm.mtd_power(params, 2) == pytest.approx(0.064, rel=1e-12)
+    # one device's share of the frame power: P(one device, 2 replicas) - P(no devices)
+    with_device, without = (
+        pm.frame_metrics(params, timing, 100, np.array(counts, dtype=int), 0, True, True)[0]
+        for counts in ([2], [])
+    )
+    mtd_ok = with_device - without == pytest.approx(0.064, rel=1e-12)
     ok = ris_ok and ap_ok and mtd_ok
     report(
         "7",
@@ -270,7 +273,7 @@ def sscp_two_to_four(points) -> tuple[bool, str]:
     Two sscp devices whose two strongest slots coincide form a loop that
     peeling cannot open, so the optimal efficiency at K=2 is low and rises
     at K=4 (README, "Known results"). The oracle's K=2 optimum is taken with
-    ties to the lower slot index, the rule `access.sscp_select` documents;
+    ties to the lower slot index, the rule `access.sscp_slots` documents;
     no tie rule decodes less. The step must rise, the K=2 fixture optimum
     must not lie below the oracle's by more than its CI, and the K=4 point
     must clear the oracle's optimum by its whole CI. A model change that

@@ -11,6 +11,17 @@ from risra import access as ac
 IRSAP_MEAN_DEGREE_S20 = 3.7344627969933493  # (1 + 1/19) * sum_{s=2..20} 1/(s-1)
 
 
+def select(kind, rng, k, s, snr=None):
+    """One trial of `kind` for k devices: draw in stream order, then choose."""
+    policy = ac.Policy(kind)
+    snr = np.zeros((k, s)) if snr is None else snr
+    return ac.choose_slots(policy, snr, ac.draw_trial(policy, 0.0, rng, k, s))
+
+
+def slot_set(mask_row):
+    return set(np.flatnonzero(mask_row).tolist())
+
+
 class TestPolicy:
     def test_training_requirements(self):
         assert ac.Policy("carp").requires_training
@@ -30,26 +41,25 @@ class TestPolicy:
 class TestMeasureQuality:
     def test_perfect_estimation_is_identity(self):
         snr = np.random.default_rng(0).uniform(0.0, 50.0, (4, 6))
-        quality = ac.measure_quality(snr)
-        assert np.array_equal(quality.values, snr)
+        assert np.array_equal(ac.measure_quality(snr), snr)
 
     def test_zero_snr_gives_zero_quality(self):
-        quality = ac.measure_quality(np.zeros((3, 5)))
-        assert np.all(quality.values == 0.0)
+        assert np.all(ac.measure_quality(np.zeros((3, 5))) == 0.0)
 
     def test_noisy_measurements_average_to_scaled_snr(self):
         rng = np.random.default_rng(3)
         n = 100_000
         snr = np.full((n, 1), 10.0)
-        quality = ac.measure_quality(snr, c=0.7, noise_std=2.0, rng=rng)
+        noise = rng.standard_normal(snr.shape)
+        quality = ac.measure_quality(snr, c=0.7, noise_std=2.0, noise=noise)
         se = 2.0 / math.sqrt(n)
-        assert abs(quality.values.mean() - 7.0) <= 3 * se
+        assert abs(quality.mean() - 7.0) <= 3 * se
 
     def test_negative_values_clamped(self):
-        quality = ac.measure_quality(np.ones((2, 3)), c=-1.0)
-        assert np.all(quality.values == 0.0)
+        assert np.all(ac.measure_quality(np.ones((2, 3)), c=-1.0) == 0.0)
 
     def test_noise_requires_rng(self):
+        # the noise is drawn from the trial's stream beforehand and passed in
         with pytest.raises(ValueError):
             ac.measure_quality(np.ones((2, 2)), noise_std=1.0)
 
@@ -81,46 +91,46 @@ class TestCarpProbabilities:
 
 class TestCarpSelect:
     def test_certain_slots_all_selected(self):
-        rng = np.random.default_rng(0)
-        assert ac.carp_select(rng, np.ones(6), np.ones(6)) == set(range(6))
+        # a zero uniform fires every slot of positive probability
+        assert ac.carp_slots(np.ones((1, 6)), np.zeros((1, 6))).all()
 
     def test_fallback_to_best_quality(self):
-        rng = np.random.default_rng(0)
-        assert ac.carp_select(rng, np.zeros(3), np.array([1.0, 5.0, 2.0])) == {1}
+        chosen = ac.carp_slots(np.array([[1.0, 5.0, 2.0]]), np.ones((1, 3)))
+        assert slot_set(chosen[0]) == {1}
 
     def test_replica_count_matches_enumeration_oracle(self):
-        # oracle: exact expectation over all 2^s outcomes of fair Bernoulli
-        # trials, counting the forced single replica when nothing fires
+        # oracle: exact expectation over all 2^s outcomes of the per-slot
+        # Bernoulli trials, counting the forced single replica when nothing fires
         s = 6
+        q = np.arange(1.0, s + 1)
+        p = q / q.sum()
         expected = 0.0
         for outcome in itertools.product((0, 1), repeat=s):
-            expected = expected + 0.5**s * max(sum(outcome), 1)
-        assert expected == pytest.approx(s / 2 + 0.5**s, rel=1e-12)
+            prob = math.prod(pj if fired else 1 - pj for pj, fired in zip(p, outcome))
+            expected += prob * max(sum(outcome), 1)
 
         rng = np.random.default_rng(12)
         n = 100_000
-        p = np.full(s, 0.5)
-        q = np.arange(1.0, s + 1)
-        sizes = np.array([len(ac.carp_select(rng, p, q)) for _ in range(n)])
+        sizes = ac.carp_slots(np.tile(q, (n, 1)), rng.random((n, s))).sum(axis=1)
         se = sizes.std(ddof=1) / math.sqrt(n)
         assert abs(sizes.mean() - expected) <= 3 * se
 
 
 class TestSscpSelect:
     def test_all_slots_when_count_is_s(self):
-        assert ac.sscp_select(np.array([5.0, 1.0, 3.0]), 3) == {0, 1, 2}
+        assert ac.sscp_slots(np.array([[5.0, 1.0, 3.0]]), 3).all()
 
     def test_top_two_by_value(self):
-        assert ac.sscp_select(np.array([3.0, 1.0, 2.0]), 2) == {0, 2}
+        assert slot_set(ac.sscp_slots(np.array([[3.0, 1.0, 2.0]]), 2)[0]) == {0, 2}
 
     def test_tie_breaks_to_lower_index(self):
-        assert ac.sscp_select(np.array([2.0, 2.0, 1.0]), 1) == {0}
+        assert slot_set(ac.sscp_slots(np.array([[2.0, 2.0, 1.0]]), 1)[0]) == {0}
 
     def test_count_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            ac.sscp_select(np.array([1.0, 2.0]), 3)
+            ac.sscp_slots(np.array([[1.0, 2.0]]), 3)
         with pytest.raises(ValueError):
-            ac.sscp_select(np.array([1.0, 2.0]), 0)
+            ac.sscp_slots(np.array([[1.0, 2.0]]), 0)
 
     @given(
         st.lists(st.floats(0.0, 100.0), min_size=1, max_size=20),
@@ -128,35 +138,31 @@ class TestSscpSelect:
     )
     def test_cardinality_and_determinism(self, q_row, data):
         count = data.draw(st.integers(1, len(q_row)))
-        first = ac.sscp_select(np.array(q_row), count)
-        second = ac.sscp_select(np.array(q_row), count)
-        assert first == second
-        assert len(first) == count
+        first = ac.sscp_slots(np.array([q_row]), count)
+        second = ac.sscp_slots(np.array([q_row]), count)
+        assert np.array_equal(first, second)
+        assert first.sum() == count
 
 
 class TestCrdsapSelect:
     def test_two_slots_always_both(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert ac.crdsap_select(rng, 2) == {0, 1}
+        assert select("crdsap", np.random.default_rng(0), 50, 2).all()
 
     def test_cardinality_exactly_two(self):
-        rng = np.random.default_rng(1)
-        assert all(len(ac.crdsap_select(rng, 7)) == 2 for _ in range(500))
+        assert np.all(select("crdsap", np.random.default_rng(1), 500, 7).sum(axis=1) == 2)
 
     def test_uniform_over_pairs(self):
-        rng = np.random.default_rng(2)
         n = 100_000
-        counts = {frozenset(pair): 0 for pair in itertools.combinations(range(5), 2)}
-        for _ in range(n):
-            counts[frozenset(ac.crdsap_select(rng, 5))] += 1
+        chosen = select("crdsap", np.random.default_rng(2), n, 5)
+        codes = np.bincount(chosen @ (1 << np.arange(5)), minlength=32)
         se = math.sqrt(0.1 * 0.9 / n)
-        for pair, count in counts.items():
+        for pair in itertools.combinations(range(5), 2):
+            count = codes[(1 << pair[0]) | (1 << pair[1])]
             assert abs(count / n - 0.1) <= 3 * se, pair
 
     def test_single_slot_rejected(self):
         with pytest.raises(ValueError):
-            ac.crdsap_select(np.random.default_rng(0), 1)
+            select("crdsap", np.random.default_rng(0), 3, 1)
 
 
 class TestIrsapDegrees:
@@ -186,68 +192,56 @@ class TestIrsapDegrees:
 
 class TestIrsapSelect:
     def test_cardinality_bounds(self):
-        rng = np.random.default_rng(0)
-        sizes = [len(ac.irsap_select(rng, 8)) for _ in range(2000)]
-        assert all(2 <= size <= 8 for size in sizes)
+        sizes = select("irsap", np.random.default_rng(0), 2000, 8).sum(axis=1)
+        assert np.all((2 <= sizes) & (sizes <= 8))
 
     def test_two_slots_always_both(self):
-        rng = np.random.default_rng(1)
-        assert all(ac.irsap_select(rng, 2) == {0, 1} for _ in range(100))
+        assert select("irsap", np.random.default_rng(1), 100, 2).all()
 
     def test_mean_replicas_per_device(self):
-        rng = np.random.default_rng(5)
         n = 50_000
-        sizes = np.array([len(ac.irsap_select(rng, 20)) for _ in range(n)])
+        sizes = select("irsap", np.random.default_rng(5), n, 20).sum(axis=1)
         se = sizes.std(ddof=1) / math.sqrt(n)
         assert abs(sizes.mean() - IRSAP_MEAN_DEGREE_S20) <= 3 * se
 
 
 class TestDecideAccess:
-    def quality(self, rng, k, s):
-        return ac.measure_quality(rng.uniform(0.0, 100.0, (k, s)))
+    """choose_slots over batches of (trial, device, slot) grids."""
 
     def test_crdsap_total_replicas_exact(self):
-        rng = np.random.default_rng(0)
-        decision = ac.decide_access(ac.Policy("crdsap"), None, rng, 10, 6)
-        assert decision.total_replicas == 20
+        assert select("crdsap", np.random.default_rng(0), 10, 6).sum() == 20
 
     def test_sscp_total_replicas_exact(self):
-        rng = np.random.default_rng(0)
-        decision = ac.decide_access(
-            ac.Policy("sscp", 2), self.quality(rng, 10, 6), rng, 10, 6
-        )
-        assert decision.total_replicas == 20
+        snr = np.random.default_rng(0).uniform(0.0, 100.0, (10, 6))
+        assert ac.choose_slots(ac.Policy("sscp", 2), snr, ()).sum() == 20
 
     def test_carp_matches_scalar_ops(self):
+        # per-row reference: normalize, one trial per slot, else the best slot
         rng = np.random.default_rng(9)
-        q = self.quality(rng, 12, 7)
-        decision = ac.decide_access(ac.Policy("carp"), q, np.random.default_rng(33), 12, 7)
-        reference = np.random.default_rng(33)
-        for k in range(12):
-            expected = ac.carp_select(
-                reference, ac.carp_probabilities(q.values[k]), q.values[k]
-            )
-            assert set(decision.slots_per_device[k]) == expected
+        q = rng.uniform(0.0, 100.0, (3, 12, 7))
+        q[0, 0] = 0.0  # an all-zero row falls back to uniform probabilities
+        u = rng.random((3, 12, 7))
+        chosen = ac.choose_slots(ac.Policy("carp"), q, (u,))
+        for b, k in itertools.product(range(3), range(12)):
+            row = q[b, k]
+            p = row / row.sum() if row.sum() > 0 else np.full(7, 1 / 7)
+            expected = set(np.flatnonzero(u[b, k] < p).tolist()) or {int(np.argmax(row))}
+            assert slot_set(chosen[b, k]) == expected
 
     def test_sscp_matches_scalar_ops(self):
         rng = np.random.default_rng(10)
-        q = self.quality(rng, 9, 5)
-        decision = ac.decide_access(ac.Policy("sscp", 3), q, rng, 9, 5)
-        for k in range(9):
-            assert set(decision.slots_per_device[k]) == ac.sscp_select(q.values[k], 3)
+        q = rng.integers(0, 4, (4, 9, 5)).astype(float)  # small integers: many ties
+        chosen = ac.choose_slots(ac.Policy("sscp", 3), q, ())
+        for b, k in itertools.product(range(4), range(9)):
+            expected = sorted(range(5), key=lambda j: (-q[b, k, j], j))[:3]
+            assert slot_set(chosen[b, k]) == set(expected)
 
     def test_carp_selection_law_with_equal_qualities(self):
         # with all-equal rows each slot fires with p = 1/s, and the fallback
         # (deterministic argmax, hence slot 0) adds (1 - 1/s)^s to slot 0 only;
         # the remaining slots stay exchangeable
         k, s = 20_000, 5
-        q = ac.measure_quality(np.ones((k, s)))
-        decision = ac.decide_access(ac.Policy("carp"), q, np.random.default_rng(4), k, s)
-        freq = np.zeros(s)
-        for chosen in decision.slots_per_device:
-            for slot in chosen:
-                freq[slot] += 1
-        freq /= k
+        freq = select("carp", np.random.default_rng(4), k, s, np.ones((k, s))).mean(axis=0)
         p = 1 / s
         p0 = p + (1 - p) ** s
         assert abs(freq[0] - p0) <= 3 * math.sqrt(p0 * (1 - p0) / k)
@@ -257,30 +251,14 @@ class TestDecideAccess:
     def test_every_selection_nonempty(self):
         rng = np.random.default_rng(2)
         for kind in ("carp", "sscp", "crdsap", "irsap"):
-            policy = ac.Policy(kind)
-            q = self.quality(rng, 15, 4) if policy.requires_training else None
-            decision = ac.decide_access(policy, q, rng, 15, 4)
-            assert all(len(chosen) >= 1 for chosen in decision.slots_per_device)
-
-    def test_missing_quality_rejected(self):
-        with pytest.raises(ValueError):
-            ac.decide_access(ac.Policy("carp"), None, np.random.default_rng(0), 4, 4)
-
-    def test_quality_ignored_with_warning(self):
-        rng = np.random.default_rng(1)
-        q = self.quality(rng, 4, 4)
-        with pytest.warns(UserWarning):
-            ac.decide_access(ac.Policy("crdsap"), q, rng, 4, 4)
+            chosen = select(kind, rng, 15, 4, rng.uniform(0.0, 100.0, (15, 4)))
+            assert chosen.any(axis=1).all()
 
     def test_untrained_policies_ignore_channel(self):
-        # same rng seed, wildly different qualities: identical decisions
+        # same draws, wildly different channels: identical decisions
         for kind in ("crdsap", "irsap"):
-            a = ac.decide_access(ac.Policy(kind), None, np.random.default_rng(6), 10, 8)
-            b = ac.decide_access(ac.Policy(kind), None, np.random.default_rng(6), 10, 8)
-            assert a.slots_per_device == b.slots_per_device
-
-    def test_decision_validation(self):
-        with pytest.raises(ValueError):
-            ac.AccessDecision(4, (frozenset(),))
-        with pytest.raises(ValueError):
-            ac.AccessDecision(4, (frozenset({4}),))
+            policy = ac.Policy(kind)
+            draws = ac.draw_trial(policy, 0.0, np.random.default_rng(6), 10, 8)
+            a = ac.choose_slots(policy, np.zeros((10, 8)), draws)
+            b = ac.choose_slots(policy, np.full((10, 8), 1e9), draws)
+            assert np.array_equal(a, b)

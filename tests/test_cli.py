@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -8,6 +10,10 @@ from risra.config import CONFIG_SCHEMA, parse_config
 
 NOISE_MINUS_94_DBM = 3.9810717055349725e-13
 STATIC_9_DBW = 7.943282347242815
+FLOAT_KEYS = sorted(key for key, (kind, _default) in CONFIG_SCHEMA.items() if kind is float)
+# `risra run --trials 50 --seed 1 --policies carp,sscp,crdsap,irsap --verbose`
+RUN_50_CSV_SHA256 = "742a1ed5bf3adb8fdf3ca8f4464ef67d6f5c7e39d15c4f434764ee8d0ce9383b"
+RUN_50_TRACE_SHA256 = "6bfca5e7ee40ff93da03002acb1c4e0e11e5c1478eb5882ba01ebfd2b0d0f1ae"
 
 
 class TestParseConfig:
@@ -75,6 +81,14 @@ class TestParseConfig:
         cfg, _ = parse_config(path, ["sim.k=7"])
         assert (cfg.k, cfg.s, cfg.policy.kind) == (7, 8, "crdsap")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_values_rejected(self, key, value, capsys):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            parse_config(None, [f"{key}={value}"])
+        assert cli.main(["validate", "--set", f"{key}={value}"]) == 2
+        assert key in capsys.readouterr().err
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("sim.k 5\n")
@@ -92,6 +106,16 @@ class TestParseValues:
     def test_comma_list_mixed(self):
         assert cli.parse_values("0.001,0.01,0.1") == [0.001, 0.01, 0.1]
         assert cli.parse_values("2,4") == [2, 4]
+
+    def test_decimal_ranges_are_exact(self):
+        assert cli.parse_values("0.001:0.01:0.001") == [
+            0.001, 0.002, 0.003, 0.004, 0.005, 0.006, 0.007, 0.008, 0.009, 0.01
+        ]
+        assert cli.parse_values("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
+        slots = cli.parse_values("2:40")
+        assert slots == list(range(2, 41)) and all(type(s) is int for s in slots)
+        # the stop is included only after a whole number of steps
+        assert cli.parse_values("0:1:0.3") == [0, 0.3, 0.6, 0.9]
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -147,6 +171,24 @@ class TestRunCommand:
         assert trace[0] == "# policy carp trial 0"
         data_lines = [line for line in trace if not line.startswith("#")]
         assert all(len(line.split(",")) == 3 for line in data_lines)
+
+    def test_verbose_output_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run_cli(
+            "run", "--out", str(out), "--trials", "50", "--seed", "1",
+            "--policies", "carp,sscp,crdsap,irsap", "--verbose",
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_50_CSV_SHA256
+        trace = (tmp_path / "run.csv.trace").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == RUN_50_TRACE_SHA256
+
+    def test_verbose_reports_progress_per_policy(self, tmp_path, capsys):
+        argv = ["run", "--out", str(tmp_path / "run.csv"), "--trials", "3",
+                "--policies", "crdsap,carp"]
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli(*argv, "--verbose") == 0
+        assert capsys.readouterr().err.splitlines() == ["point 1/2", "point 2/2"]
 
     def test_unwritable_output_fails_without_partial_file(self, tmp_path):
         out = tmp_path / "missing" / "run.csv"

@@ -96,6 +96,8 @@ class TestRunMonteCarlo:
         assert agg.ci95_power_w == 0.0
 
     def test_batched_runner_equals_frame_reference(self):
+        # simulate_frame is the pipeline on a batch of one: each trial's row
+        # must not depend on the batch it is evaluated in
         for kind in ("carp", "sscp", "crdsap", "irsap"):
             for extra in ((), ("estimation.noise_std=2.0",), ("estimation.c=0.5",)):
                 cfg = make_cfg(
@@ -147,27 +149,25 @@ class TestSscpSingleReplica:
 
         phases = channel.phase_shift_set(cfg.s)
         for trial in range(150):
-            rng = trial_rng(cfg.seed, trial)
-            placements = channel.sample_mtd_placements(
-                rng,
+            distances, angles = channel.sample_mtd_placements(
+                trial_rng(cfg.seed, trial),
                 cfg.k,
                 (cfg.mtd_d_min_m, cfg.mtd_d_max_m),
                 (cfg.mtd_angle_min_rad, cfg.mtd_angle_max_rad),
-                cfg.mtd_gain,
             )
-            gamma = channel.snr_matrix(cfg.ris, cfg.radio, cfg.ap, placements, phases)
-            quality = access.measure_quality(gamma)
-            decision = access.decide_access(cfg.policy, quality, rng, cfg.k, cfg.s)
-            occupancy = rx.build_occupancy(decision, cfg.s)
-            decoded = rx.sic_decode(occupancy, gamma, cfg.radio.snr_threshold).decoded
+            gamma = channel.snr_matrix(
+                cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles, phases
+            )
+            chosen = access.choose_slots(cfg.policy, gamma, ())
+            trace = rx.peel_trace(chosen, gamma, cfg.radio.snr_threshold)
 
-            slots = [next(iter(chosen)) for chosen in decision.slots_per_device]
+            slots = chosen.argmax(axis=1).tolist()
             direct = {
                 k
                 for k, slot in enumerate(slots)
                 if slots.count(slot) == 1 and gamma[k, slot] >= cfg.radio.snr_threshold
             }
-            assert set(decoded) == direct
+            assert {k for _it, _slot, k in trace} == direct
 
 
 class TestSweep:

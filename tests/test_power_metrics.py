@@ -26,6 +26,14 @@ def timing(slots=20, r=0.2, t_as=1.0):
     return pm.FrameTiming(access_slot_s=t_as, training_ratio=r, slots=slots)
 
 
+def frame_power(counts, params=None):
+    """Power of one trained frame on a 100-element surface with these replica counts."""
+    power, _g = pm.frame_metrics(
+        params or table_params(), timing(), 100, np.array(counts, dtype=int), 0, True, True
+    )
+    return float(power)
+
+
 class TestApPower:
     def test_training_spot_value(self):
         # 20 slots of 100 mW through a 1/1.2 efficient PA plus the 9 dBW floor
@@ -61,38 +69,31 @@ class TestRisPower:
 
 class TestMtdPower:
     def test_two_replica_spot_value(self):
-        assert pm.mtd_power(table_params(), 2) == pytest.approx(0.064, rel=1e-12)
+        assert frame_power([2]) - frame_power([]) == pytest.approx(0.064, rel=1e-12)
 
     def test_each_replica_adds_one_pa_term(self):
-        params = table_params()
-        delta = pm.mtd_power(params, 2) - pm.mtd_power(params, 1)
-        assert delta == pytest.approx(1.2 * 0.01, rel=1e-9)
+        assert frame_power([2]) - frame_power([1]) == pytest.approx(1.2 * 0.01, rel=1e-9)
 
     def test_vanishing_tx_power_leaves_static(self):
         params = table_params(mtd_tx_power_w=1e-12)
-        assert pm.mtd_power(params, 1) == pytest.approx(0.04, rel=1e-9)
+        assert frame_power([1], params) - frame_power([], params) == pytest.approx(0.04, rel=1e-9)
 
     def test_rejects_zero_replicas(self):
         with pytest.raises(ValueError):
-            pm.mtd_power(table_params(), 0)
+            frame_power([2, 0])
 
 
 class TestTotalPower:
     def test_no_devices(self):
-        assert pm.total_power(1.5, 0.2, []) == pytest.approx(1.7)
+        assert frame_power([]) == pytest.approx(2.4 + STATIC_9_DBW + 0.15, rel=1e-12)
 
     def test_table_composition(self):
-        params = table_params()
-        total = pm.total_power(
-            pm.ap_power(params, 20, True),
-            pm.ris_power(100, 0.0015),
-            [pm.mtd_power(params, 2)] * 10,
-        )
+        total = frame_power([2] * 10)
         assert total == pytest.approx(2.4 + STATIC_9_DBW + 0.15 + 0.64, rel=1e-9)
 
     def test_order_independent(self):
-        parts = [0.1, 0.25, 0.5, 0.125]
-        assert pm.total_power(1.0, 0.5, parts) == pm.total_power(1.0, 0.5, parts[::-1])
+        counts = [2, 1, 3, 2, 5]
+        assert frame_power(counts) == frame_power(counts[::-1])
 
 
 class TestThroughput:
@@ -132,36 +133,31 @@ class TestEnergyEfficiency:
 
 class TestFrameMetrics:
     def test_matches_individual_operations(self):
+        # two frames in one batch, each against the README formula
         params = table_params()
         t = timing()
-        counts = np.array([2, 1, 3, 2])
-        metrics = pm.compute_frame_metrics(
-            params, t, 100, counts, 3, power_training_used=True, frame_training_used=True
-        )
-        expected_power = pm.total_power(
-            pm.ap_power(params, 20, True),
-            pm.ris_power(100, params.phase_shifter_w),
-            [pm.mtd_power(params, int(c)) for c in counts],
-        )
-        assert metrics.power_w == pytest.approx(expected_power, rel=1e-12)
-        assert metrics.throughput_pps == pm.throughput(3, t, True)
-        assert metrics.energy_efficiency * metrics.power_w == pytest.approx(
-            metrics.throughput_pps, rel=1e-12
-        )
+        counts = np.array([[2, 1, 3, 2], [1, 1, 1, 4]])
+        successes = np.array([3, 0])
+        power, g = pm.frame_metrics(params, t, 100, counts, successes, True, True)
+        for row, a, p_frame, g_frame in zip(counts, successes, power, g):
+            expected = pm.ap_power(params, 20, True) + pm.ris_power(100, 0.0015) + sum(
+                int(c) * 1.2 * 0.01 + 0.04 for c in row
+            )
+            assert p_frame == pytest.approx(expected, rel=1e-12)
+            assert g_frame == pm.throughput(int(a), t, True)
+            assert pm.energy_efficiency(g_frame, p_frame) * p_frame == pytest.approx(
+                g_frame, rel=1e-12
+            )
 
     def test_power_only_training_charge(self):
         # charging the training block affects power but never the frame length
         params = table_params()
         t = timing()
         counts = np.array([2, 2])
-        charged = pm.compute_frame_metrics(
-            params, t, 100, counts, 2, power_training_used=True, frame_training_used=False
-        )
-        uncharged = pm.compute_frame_metrics(
-            params, t, 100, counts, 2, power_training_used=False, frame_training_used=False
-        )
-        assert charged.throughput_pps == uncharged.throughput_pps
-        assert charged.power_w - uncharged.power_w == pytest.approx(2.4, rel=1e-9)
+        p_charged, g_charged = pm.frame_metrics(params, t, 100, counts, 2, True, False)
+        p_uncharged, g_uncharged = pm.frame_metrics(params, t, 100, counts, 2, False, False)
+        assert g_charged == g_uncharged
+        assert p_charged - p_uncharged == pytest.approx(2.4, rel=1e-9)
 
     @given(
         st.integers(1, 40),
@@ -171,19 +167,10 @@ class TestFrameMetrics:
     def test_throughput_bound_and_ee_identity(self, slots, successes, r):
         params = table_params()
         t = timing(slots=slots, r=r)
-        counts = np.full(12, 2)
-        metrics = pm.compute_frame_metrics(
-            params, t, 64, counts, successes, True, True
-        )
+        power, g = pm.frame_metrics(params, t, 64, np.full(12, 2), successes, True, True)
         bound = 12 / ((1.0 + r) * slots * 1.0)
-        assert metrics.throughput_pps <= bound + 1e-15
-        assert metrics.energy_efficiency * metrics.power_w == pytest.approx(
-            metrics.throughput_pps, rel=1e-12
-        )
+        assert g <= bound + 1e-15
+        assert pm.energy_efficiency(g, power) * power == pytest.approx(g, rel=1e-12)
 
     def test_power_strictly_increasing_in_replicas(self):
-        params = table_params()
-        t = timing()
-        base = pm.compute_frame_metrics(params, t, 100, np.array([1, 1]), 1, True, True)
-        more = pm.compute_frame_metrics(params, t, 100, np.array([2, 1]), 1, True, True)
-        assert more.power_w > base.power_w
+        assert frame_power([2, 1]) > frame_power([1, 1])

@@ -1,19 +1,25 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risra import receiver as rx
-from risra.access import AccessDecision
-from oracles import exhaustive_decode, replay_trace
+from oracles import exhaustive_decode, replay_trace, slot_sets
 
 
-def decision_from(sets, num_slots):
-    return AccessDecision(num_slots, tuple(frozenset(s) for s in sets))
+def mask_of_slots(slots, num_devices):
+    """Device x slot replica mask from per-slot device sets."""
+    mask = np.zeros((num_devices, len(slots)), dtype=bool)
+    for s, devs in enumerate(slots):
+        mask[list(devs), s] = True
+    return mask
 
 
-def occupancy_from(slot_sets):
-    return rx.SlotOccupancy(tuple(frozenset(s) for s in slot_sets))
+def decoded(trace):
+    return frozenset(k for _iteration, _slot, k in trace)
+
+
+def passes(trace):
+    return trace[-1][0] if trace else 0
 
 
 def all_pass(k, s):
@@ -21,17 +27,13 @@ def all_pass(k, s):
 
 
 class TestBuildOccupancy:
+    """The slot_sets oracle, which the peeling tests compare against."""
+
     def test_disjoint_singletons(self):
-        occ = rx.build_occupancy(decision_from([{0}, {1}], 2), 2)
-        assert occ.slots == (frozenset({0}), frozenset({1}))
+        assert slot_sets(np.array([[True, False], [False, True]])) == [{0}, {1}]
 
     def test_full_collision(self):
-        occ = rx.build_occupancy(decision_from([{0, 1}, {0, 1}], 2), 2)
-        assert occ.slots == (frozenset({0, 1}), frozenset({0, 1}))
-
-    def test_slot_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            rx.build_occupancy(decision_from([{0}], 2), 3)
+        assert slot_sets(np.ones((2, 2), dtype=bool)) == [{0, 1}, {0, 1}]
 
     @given(st.data())
     @settings(max_examples=100)
@@ -42,41 +44,32 @@ class TestBuildOccupancy:
             data.draw(st.sets(st.integers(0, s - 1), min_size=1, max_size=s))
             for _ in range(k)
         ]
-        decision = decision_from(sets, s)
-        occ = rx.build_occupancy(decision, s)
-        assert occ.total_replicas == decision.total_replicas
+        mask = np.zeros((k, s), dtype=bool)
+        for device, chosen in enumerate(sets):
+            mask[device, list(chosen)] = True
+        assert sum(len(devs) for devs in slot_sets(mask)) == sum(len(c) for c in sets)
 
 
 class TestSicDecode:
     def test_peeling_chain_decodes_everyone(self):
-        occ = occupancy_from([{0}, {0, 1}, {1, 2}, {2}])
-        result = rx.sic_decode(occ, all_pass(3, 4), 1.0)
-        assert result.decoded == frozenset({0, 1, 2})
-        assert result.iterations <= 2
+        trace = rx.peel_trace(mask_of_slots([{0}, {0, 1}, {1, 2}, {2}], 3), all_pass(3, 4), 1.0)
+        assert decoded(trace) == frozenset({0, 1, 2})
+        assert passes(trace) <= 2
 
     def test_two_device_stopping_set(self):
-        occ = occupancy_from([{0, 1}, {0, 1}])
-        result = rx.sic_decode(occ, all_pass(2, 2), 1.0)
-        assert result.decoded == frozenset()
-        assert result.iterations == 0
+        assert rx.peel_trace(np.ones((2, 2), dtype=bool), all_pass(2, 2), 1.0) == []
 
     def test_singleton_below_threshold_stays_undecoded(self):
-        occ = occupancy_from([{0}])
-        snr = np.array([[0.5]])
-        result = rx.sic_decode(occ, snr, 1.0)
-        assert result.decoded == frozenset()
+        assert rx.peel_trace(np.ones((1, 1), dtype=bool), np.array([[0.5]]), 1.0) == []
 
     def test_low_snr_replica_rescued_through_other_slot(self):
         # device 0 fails in slot 0 but decodes alone in slot 1
-        occ = occupancy_from([{0}, {0}])
-        snr = np.array([[0.5, 5.0]])
-        result = rx.sic_decode(occ, snr, 1.0)
-        assert result.decoded == frozenset({0})
+        trace = rx.peel_trace(np.ones((1, 2), dtype=bool), np.array([[0.5, 5.0]]), 1.0)
+        assert trace == [(1, 1, 0)]
 
     def test_count_successes(self):
-        occ = occupancy_from([{0}, {0, 1}, {1, 2}, {2}])
-        assert rx.count_successes(rx.sic_decode(occ, all_pass(3, 4), 1.0)) == 3
-        assert rx.count_successes(rx.sic_decode(occupancy_from([{0, 1}, {0, 1}]), all_pass(2, 2), 1.0)) == 0
+        assert rx.peel(mask_of_slots([{0}, {0, 1}, {1, 2}, {2}], 3), all_pass(3, 4), 1.0) == 3
+        assert rx.peel(np.ones((2, 2), dtype=bool), all_pass(2, 2), 1.0) == 0
 
 
 def random_instance(rng, max_devices=6, max_slots=6):
@@ -87,75 +80,62 @@ def random_instance(rng, max_devices=6, max_slots=6):
         if not mask[device].any():
             mask[device, int(rng.integers(s))] = True
     ok = rng.random((k, s)) < 0.7
-    slot_sets = [set(np.nonzero(mask[:, slot])[0].tolist()) for slot in range(s)]
-    snr = np.where(ok, 2.0, 0.5)
-    return slot_sets, snr
+    return mask, np.where(ok, 2.0, 0.5)
 
 
 class TestPeelingProperties:
     def test_matches_exhaustive_schedule_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
-            slot_sets, snr = random_instance(rng)
-            result = rx.sic_decode(occupancy_from(slot_sets), snr, 1.0)
-            assert result.decoded == exhaustive_decode(slot_sets, snr >= 1.0)
+            mask, snr = random_instance(rng)
+            trace = rx.peel_trace(mask, snr, 1.0)
+            assert decoded(trace) == exhaustive_decode(slot_sets(mask), snr >= 1.0)
 
     def test_invariant_under_slot_and_device_relabeling(self):
         # new device n is old device dev_perm[n]; new slot i is old slot_perm[i]
         rng = np.random.default_rng(8)
         for _ in range(300):
-            slot_sets, snr = random_instance(rng)
+            mask, snr = random_instance(rng)
             k, s = snr.shape
             slot_perm = rng.permutation(s)
             dev_perm = rng.permutation(k)
             new_label = np.argsort(dev_perm)
-            permuted_slots = [
-                {int(new_label[k_]) for k_ in slot_sets[slot]} for slot in slot_perm
-            ]
-            permuted_snr = snr[np.ix_(dev_perm, slot_perm)]
-            base = rx.sic_decode(occupancy_from(slot_sets), snr, 1.0)
-            permuted = rx.sic_decode(occupancy_from(permuted_slots), permuted_snr, 1.0)
-            assert {int(new_label[k_]) for k_ in base.decoded} == set(permuted.decoded)
+            cells = np.ix_(dev_perm, slot_perm)
+            base = decoded(rx.peel_trace(mask, snr, 1.0))
+            permuted = decoded(rx.peel_trace(mask[cells], snr[cells], 1.0))
+            assert {int(new_label[k_]) for k_ in base} == set(permuted)
 
     def test_raising_threshold_never_helps(self):
         rng = np.random.default_rng(9)
         for _ in range(300):
-            slot_sets, snr = random_instance(rng)
-            low = rx.sic_decode(occupancy_from(slot_sets), snr, 0.6)
-            high = rx.sic_decode(occupancy_from(slot_sets), snr, 1.5)
-            assert high.decoded <= low.decoded
+            mask, snr = random_instance(rng)
+            low = decoded(rx.peel_trace(mask, snr, 0.6))
+            high = decoded(rx.peel_trace(mask, snr, 1.5))
+            assert high <= low
 
     def test_zero_threshold_decodes_every_dedicated_slot(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
-            slot_sets, snr = random_instance(rng)
-            result = rx.sic_decode(occupancy_from(slot_sets), snr, 0.0)
-            dedicated = {next(iter(devs)) for devs in slot_sets if len(devs) == 1}
-            assert dedicated <= set(result.decoded)
+            mask, snr = random_instance(rng)
+            dedicated = {next(iter(devs)) for devs in slot_sets(mask) if len(devs) == 1}
+            assert dedicated <= decoded(rx.peel_trace(mask, snr, 0.0))
 
     def test_trace_replay_reproduces_decoded_set(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
-            slot_sets, snr = random_instance(rng)
-            result = rx.sic_decode(occupancy_from(slot_sets), snr, 1.0)
-            assert replay_trace(slot_sets, result.trace) == set(result.decoded)
+            mask, snr = random_instance(rng)
+            trace = rx.peel_trace(mask, snr, 1.0)
+            assert replay_trace(slot_sets(mask), trace) == decoded(trace)
 
     def test_terminates_within_device_count_passes(self):
         rng = np.random.default_rng(12)
         for _ in range(300):
-            slot_sets, snr = random_instance(rng)
-            result = rx.sic_decode(occupancy_from(slot_sets), snr, 1.0)
-            assert result.iterations <= snr.shape[0]
+            mask, snr = random_instance(rng)
+            assert passes(rx.peel_trace(mask, snr, 1.0)) <= snr.shape[0]
 
     def test_mask_peel_agrees_with_sic_decode(self):
+        # the count the engine uses equals the oracle's decoded-set size
         rng = np.random.default_rng(13)
         for _ in range(300):
-            slot_sets, snr = random_instance(rng)
-            k, s = snr.shape
-            mask = np.zeros((k, s), dtype=bool)
-            for slot, devs in enumerate(slot_sets):
-                for device in devs:
-                    mask[device, slot] = True
-            assert rx.peel(mask, snr, 1.0) == len(
-                rx.sic_decode(occupancy_from(slot_sets), snr, 1.0).decoded
-            )
+            mask, snr = random_instance(rng)
+            assert rx.peel(mask, snr, 1.0) == len(exhaustive_decode(slot_sets(mask), snr >= 1.0))
