@@ -5,7 +5,7 @@ Library layout:
   access        quality measurement, per-trial access draws, the four policies
   receiver      singleton detection and SIC peeling
   power_metrics frame power model, throughput, energy efficiency
-  config        flat key=value schema, defaults, validation
+  config        flat key=value schema, defaults, validation, sweep cells
   engine        the batched frame pipeline (one frame is a batch of one),
                 Monte Carlo aggregation, sweeps
   cli           `risra` command-line front end

@@ -37,7 +37,9 @@ class Policy:
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}")
+            raise ValueError(
+                f"policy.kind must be one of {', '.join(POLICY_KINDS)}, got {self.kind!r}"
+            )
         if self.kind == "sscp" and self.sscp_s < 1:
             raise ValueError("sscp replica count must be >= 1")
 

@@ -78,29 +78,6 @@ class NodePlacement:
 
 
 @dataclass(slots=True)
-class PhaseShiftSet:
-    """The ordered surface configurations, one angle per time slot."""
-
-    angles: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.angles)
-        if n < 1:
-            raise ValueError("a phase-shift set needs at least one configuration")
-        for a in self.angles:
-            if not (0 <= a <= HALF_PI):
-                raise ValueError("configuration angles must lie in [0, pi/2]")
-        if n >= 2:
-            # HALF_PI * (i/(n-1)) is the uniform sweep with exact endpoints
-            expected = tuple(HALF_PI * (i / (n - 1)) for i in range(n))
-            if self.angles != expected:
-                raise ValueError("configuration angles must be the uniform sweep of [0, pi/2]")
-
-    def __len__(self) -> int:
-        return len(self.angles)
-
-
-@dataclass(slots=True)
 class RadioParams:
     """MTD transmit power, receiver noise power and the SIC decoding SNR threshold (all linear)."""
 
@@ -113,17 +90,18 @@ class RadioParams:
             raise ValueError("radio parameters must be strictly positive")
 
 
-def phase_shift_set(num_slots: int) -> PhaseShiftSet:
-    """Uniform sweep of [0, pi/2] with one configuration per slot.
+def phase_shift_set(num_slots: int) -> tuple[float, ...]:
+    """The surface configuration angles, one per slot: the uniform sweep of [0, pi/2].
 
-    A single-slot system gets the boresight configuration (angle 0), the limit
-    of the sweep's first element.
+    HALF_PI * (i / (S - 1)) keeps both endpoints exact. A single-slot system
+    gets the boresight configuration (angle 0), the limit of the sweep's
+    first element.
     """
     if num_slots < 1:
         raise ValueError("num_slots must be >= 1")
     if num_slots == 1:
-        return PhaseShiftSet((0.0,))
-    return PhaseShiftSet(tuple(HALF_PI * (i / (num_slots - 1)) for i in range(num_slots)))
+        return (0.0,)
+    return tuple(HALF_PI * (i / (num_slots - 1)) for i in range(num_slots))
 
 
 def array_factor_power(ris: RisGeometry, theta_mtd, theta_cfg) -> np.ndarray:
@@ -149,17 +127,17 @@ def snr_matrix(
     mtd_gain: float,
     distances: np.ndarray,
     angles: np.ndarray,
-    phases: PhaseShiftSet,
+    phases: tuple[float, ...],
 ) -> np.ndarray:
     """SNR grid of devices at `distances` and `angles` (any shape (..., k)) over
-    the slots' configurations; shape (..., k, num slots).
+    the slots' configuration angles `phases`; shape (..., k, num slots).
 
     Each entry is P_tx / N0 * |h|^2 with |h|^2 = path loss * |array factor|^2,
     the path loss being G_ap G_mtd / (4 pi)^2 * (d_x d_z / (d_ap d))^2 * cos(theta)^2.
     """
     base = ap.antenna_gain * mtd_gain / (4 * math.pi) ** 2
     beta = base * (ris.d_x_m * ris.d_z_m / (ap.distance_m * distances)) ** 2 * np.cos(angles) ** 2
-    gain_sq = array_factor_power(ris, angles[..., None], np.asarray(phases.angles))
+    gain_sq = array_factor_power(ris, angles[..., None], np.asarray(phases))
     return radio.mtd_tx_power_w / radio.noise_power_w * beta[..., None] * gain_sq
 
 

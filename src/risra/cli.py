@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -23,16 +24,9 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__
-from .access import POLICY_KINDS, Policy
-from .config import build_config, parse_config, with_policy
-from .engine import (
-    SweepSpec,
-    apply_axis_value,
-    optimal_over_s,
-    run_monte_carlo,
-    run_monte_carlo_with_traces,
-    sweep,
-)
+from .access import POLICY_KINDS
+from .config import SWEEP_AXES, cell_configs, parse_config
+from .engine import optimal_over_s, run_cells, run_monte_carlo_with_traces, sweep
 
 CSV_HEADER = (
     "policy,K,S,N,rho_mtd_w,trials,seed,mean_A,mean_G,ci95_G,mean_P_w,ci95_P_w,ee_rom,ee_mor"
@@ -43,10 +37,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _csv_row(policy_label: str, cfg, agg) -> str:
+def _csv_row(cfg, agg, tag: str = "") -> str:
     return ",".join(
         [
-            policy_label,
+            f"{cfg.policy.label}:{tag}" if tag else cfg.policy.label,
             str(cfg.k),
             str(cfg.s),
             str(cfg.ris.n_elements),
@@ -125,26 +119,17 @@ def parse_values(text: str) -> list:
     return [number(start + i * step) for i in range(int((stop - start) / step) + 1)]
 
 
-def _policies_arg(arg: str | None, resolved: dict[str, Any]) -> list[Policy]:
-    if not arg:
-        return [Policy(resolved["policy.kind"], resolved["policy.sscp_s"])]
-    policies = []
-    for kind in arg.split(","):
-        kind = kind.strip()
-        if kind not in POLICY_KINDS:
-            raise ValueError(f"--policies entries must be among {', '.join(POLICY_KINDS)}")
-        policies.append(Policy(kind, resolved["policy.sscp_s"]))
-    return policies
+def _resolve(args) -> dict[str, Any]:
+    """The resolved flat config; building it once validates the base scenario."""
+    flags = {"sim.trials": args.trials, "sim.seed": args.seed}
+    overrides = [*(args.set or []), *(f"{k}={v}" for k, v in flags.items() if v is not None)]
+    return parse_config(args.config, overrides)[1]
 
 
-def _resolve(args) -> tuple[Any, dict[str, Any]]:
-    cfg, resolved = parse_config(args.config, args.set or [])
-    if args.trials is not None:
-        resolved["sim.trials"] = int(args.trials)
-    if args.seed is not None:
-        resolved["sim.seed"] = int(args.seed)
-    cfg = build_config(resolved)
-    return cfg, resolved
+def _kinds(args, resolved: dict[str, Any]) -> list[str]:
+    if not args.policies:
+        return [resolved["policy.kind"]]
+    return [kind.strip() for kind in args.policies.split(",")]
 
 
 def _progress(verbose: bool):
@@ -157,73 +142,64 @@ def _progress(verbose: bool):
     return report
 
 
+def _rows(cfgs, results) -> list[str]:
+    return [_csv_row(cfg, agg) for cfg, agg in zip(cfgs, results)]
+
+
 def cmd_run(args) -> int:
-    cfg, resolved = _resolve(args)
-    policies = _policies_arg(args.policies, resolved)
+    resolved = _resolve(args)
+    kinds = _kinds(args, resolved)
+    cfgs = cell_configs(resolved, kinds)
     out = Path(args.out)
-    rows = []
-    trace_blocks = []
-    progress = _progress(args.verbose)
-    ordered = sorted(policies, key=lambda p: p.label)
-    for i, policy in enumerate(ordered):
-        run_cfg = with_policy(cfg, policy)
-        if args.verbose:
-            agg, traces = run_monte_carlo_with_traces(run_cfg)
-            for trial, trace in enumerate(traces):
-                trace_blocks.append(f"# policy {policy.label} trial {trial}")
-                trace_blocks.extend(f"{it},{slot},{dev}" for it, slot, dev in trace)
-        else:
-            agg = run_monte_carlo(run_cfg)
-        rows.append(_csv_row(policy.label, run_cfg, agg))
-        if progress is not None:
-            progress(i + 1, len(ordered))
-    manifest = _manifest_base("run", resolved, [p.label for p in policies])
-    _write_outputs(out, rows, manifest)
-    if args.verbose and trace_blocks:
-        _write_atomic(out.with_name(out.name + ".trace"), "\n".join(trace_blocks) + "\n")
+    if args.verbose:
+        results, traces = zip(*run_cells(cfgs, run_monte_carlo_with_traces, _progress(True)))
+    else:
+        results = sweep(cfgs)
+    _write_outputs(out, _rows(cfgs, results), _manifest_base("run", resolved, kinds))
+    if args.verbose:
+        lines = []
+        for cfg, cell_traces in zip(cfgs, traces):
+            for trial, trace in enumerate(cell_traces):
+                lines.append(f"# policy {cfg.policy.label} trial {trial}")
+                lines.extend(f"{it},{slot},{dev}" for it, slot, dev in trace)
+        _write_atomic(out.with_name(out.name + ".trace"), "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg, resolved = _resolve(args)
-    policies = _policies_arg(args.policies, resolved)
+    resolved = _resolve(args)
+    kinds = _kinds(args, resolved)
     values = parse_values(args.values)
-    spec = SweepSpec(axis=args.axis, values=tuple(values), base=cfg, policies=tuple(policies))
-    points = sweep(spec, progress=_progress(args.verbose))
-    rows = [_csv_row(pt.policy_label, pt.config, pt.result) for pt in points]
-    manifest = _manifest_base("sweep", resolved, [p.label for p in policies])
+    cfgs = cell_configs(resolved, kinds, args.axis, values)
+    results = sweep(cfgs, progress=_progress(args.verbose))
+    manifest = _manifest_base("sweep", resolved, kinds)
     manifest["axis"] = args.axis
     manifest["values"] = values
-    _write_outputs(Path(args.out), rows, manifest)
+    _write_outputs(Path(args.out), _rows(cfgs, results), manifest)
     return 0
 
 
 def cmd_optimal_s(args) -> int:
-    cfg, resolved = _resolve(args)
-    policies = _policies_arg(args.policies, resolved)
-    s_values = [int(v) for v in parse_values(args.s_values)]
+    resolved = _resolve(args)
+    kinds = _kinds(args, resolved)
+    s_values = parse_values(args.s_values)
+    cfgs = cell_configs(resolved, kinds, "S", s_values)
     rows = []
-    for policy in sorted(policies, key=lambda p: p.label):
-        report = optimal_over_s(with_policy(cfg, policy), s_values, progress=_progress(args.verbose))
-        by_s = dict(report.curve)
-        for s, agg in report.curve:
-            rows.append(_csv_row(policy.label, apply_s(cfg, policy, s), agg))
-        best_g_s = report.best_throughput[0]
-        best_ee_s = report.best_ee[0]
-        rows.append(_csv_row(f"{policy.label}:best_G", apply_s(cfg, policy, best_g_s), by_s[best_g_s]))
-        rows.append(_csv_row(f"{policy.label}:best_ee", apply_s(cfg, policy, best_ee_s), by_s[best_ee_s]))
-    manifest = _manifest_base("optimal-s", resolved, [p.label for p in policies])
+    for _kind, group in itertools.groupby(cfgs, key=lambda cfg: cfg.policy.kind):
+        group = list(group)
+        report = optimal_over_s(group, progress=_progress(args.verbose))
+        cells = {cfg.s: (cfg, agg) for cfg, (_s, agg) in zip(group, report.curve)}
+        rows += _rows(group, [agg for _s, agg in report.curve])
+        rows.append(_csv_row(*cells[report.best_throughput[0]], tag="best_G"))
+        rows.append(_csv_row(*cells[report.best_ee[0]], tag="best_ee"))
+    manifest = _manifest_base("optimal-s", resolved, kinds)
     manifest["s_values"] = s_values
     _write_outputs(Path(args.out), rows, manifest)
     return 0
 
 
-def apply_s(cfg, policy: Policy, s: int):
-    return with_policy(apply_axis_value(cfg, "S", s), policy)
-
-
 def cmd_validate(args) -> int:
-    _cfg, resolved = _resolve(args)
+    resolved = _resolve(args)
     for key in sorted(resolved):
         print(f"{key} = {resolved[key]}")
     return 0
@@ -280,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="sweep one axis per policy")
-    p_sweep.add_argument("--axis", required=True, choices=["K", "rho_mtd", "N", "S"])
+    p_sweep.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     p_sweep.add_argument(
         "--values", required=True, help="axis values: '2,4,6' or inclusive 'start:stop[:step]'"
     )

@@ -13,11 +13,11 @@ threshold, 20 slots, 10 contending devices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
-from .access import POLICY_KINDS, Policy
+from .access import Policy
 from .channel import (
     HALF_PI,
     NodePlacement,
@@ -65,6 +65,14 @@ CONFIG_SCHEMA: dict[str, tuple[type, Any]] = {
     "sim.trials": (int, 1000),
     "sim.seed": (int, 1),
     "sim.workers": (int, 1),
+}
+
+# sweep axis -> the flat keys one axis value sets
+SWEEP_AXES: dict[str, tuple[str, ...]] = {
+    "K": ("sim.k",),
+    "rho_mtd": ("radio.mtd_tx_power_w",),
+    "N": ("ris.n_x", "ris.n_z"),
+    "S": ("sim.s",),
 }
 
 
@@ -254,12 +262,37 @@ def parse_config(
     """
     file_items = read_config_file(path) if path is not None else None
     resolved = resolve_config(file_items, overrides)
-    if resolved["policy.kind"] not in POLICY_KINDS:
-        raise ValueError(
-            f"policy.kind must be one of {', '.join(POLICY_KINDS)}, got {resolved['policy.kind']!r}"
-        )
     return build_config(resolved), resolved
 
 
-def with_policy(cfg: ScenarioConfig, policy: Policy) -> ScenarioConfig:
-    return replace(cfg, policy=policy)
+def _axis_items(axis: str, value: Any) -> dict[str, Any]:
+    if axis == "N":
+        side = math.isqrt(value) if isinstance(value, int) and value > 0 else 0
+        if side * side != value:
+            raise ValueError(
+                f"axis N value {value!r} is not a perfect square; the surface keeps n_x = n_z"
+            )
+        value = side
+    return dict.fromkeys(SWEEP_AXES[axis], value)
+
+
+def cell_configs(
+    resolved: dict[str, Any], kinds: Iterable[str], axis: str | None = None, values: Iterable = ()
+) -> list[ScenarioConfig]:
+    """Every (policy, axis value) cell's config, each built from `resolved`.
+
+    Cells are sorted by (policy, value) with duplicates dropped; without an
+    axis there is one cell per policy. Every cell is built and validated
+    here, so a bad cell fails before any cell runs.
+    """
+    if axis is not None and axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {', '.join(SWEEP_AXES)}, got {axis!r}")
+    items = [{}] if axis is None else [_axis_items(axis, v) for v in sorted(set(values))]
+    cfgs = [
+        build_config(resolve_config({**resolved, "policy.kind": kind, **item}))
+        for kind in sorted(set(kinds))
+        for item in items
+    ]
+    if not cfgs:
+        raise ValueError("a run needs at least one policy and one axis value")
+    return cfgs

@@ -20,20 +20,16 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Iterable
 
 import numpy as np
 
 from . import access, channel, power_metrics, receiver
-from .access import Policy
-from .channel import PhaseShiftSet, phase_shift_set
-from .config import ScenarioConfig, with_policy
+from .channel import phase_shift_set
+from .config import ScenarioConfig
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-SWEEP_AXES = ("K", "rho_mtd", "N", "S")
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -81,10 +77,7 @@ class AggregateResult:
 
 
 def simulate_frame(
-    cfg: ScenarioConfig,
-    rng: np.random.Generator,
-    phases: PhaseShiftSet | None = None,
-    keep_trace: bool = False,
+    cfg: ScenarioConfig, rng: np.random.Generator, keep_trace: bool = False
 ) -> TrialResult:
     """Run one frame end to end: drop devices, measure, contend, decode, meter.
 
@@ -92,9 +85,7 @@ def simulate_frame(
     (cfg, rng state) and equals trial t of run_monte_carlo when rng is
     trial_rng(cfg.seed, t).
     """
-    if phases is None:
-        phases = phase_shift_set(cfg.s)
-    a, g, p, counts, traces = _simulate_batch(cfg, [rng], phases, keep_trace)
+    a, g, p, counts, traces = _simulate_batch(cfg, [rng], phase_shift_set(cfg.s), keep_trace)
     return TrialResult(
         successes=int(a[0]),
         replica_counts=counts[0],
@@ -111,7 +102,7 @@ _BATCH = 256  # trials per vectorized batch; keeps the SNR block under ~2 MB
 def _simulate_batch(
     cfg: ScenarioConfig,
     rngs: list[np.random.Generator],
-    phases: PhaseShiftSet,
+    phases: tuple[float, ...],
     keep_traces: bool,
 ):
     """The frame pipeline over a batch of trial streams.
@@ -161,9 +152,7 @@ def _simulate_batch(
     return a, g, p, counts, traces
 
 
-def _simulate_range(
-    cfg: ScenarioConfig, start: int, stop: int, keep_traces: bool = False
-):
+def _simulate_range(cfg: ScenarioConfig, start: int, stop: int, keep_traces: bool = False):
     """Simulate trials [start, stop); returns per-trial metric arrays (and traces)."""
     phases = phase_shift_set(cfg.s)
     parts = [
@@ -202,8 +191,8 @@ def _aggregate(cfg: ScenarioConfig, a: np.ndarray, g: np.ndarray, p: np.ndarray)
     )
 
 
-def run_monte_carlo(cfg: ScenarioConfig) -> AggregateResult:
-    """Run cfg.trials independent frames and aggregate.
+def _run(cfg: ScenarioConfig, keep_traces: bool):
+    """Run cfg.trials frames; returns the aggregate and, with keep_traces, each trial's trace.
 
     Trials are fanned out over cfg.workers forked processes when possible;
     per-trial substreams and index-ordered reduction make the result
@@ -211,106 +200,40 @@ def run_monte_carlo(cfg: ScenarioConfig) -> AggregateResult:
     """
     workers = min(cfg.workers, cfg.trials)
     if workers > 1 and os.name == "posix":
-        bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int)
-        jobs = [
-            (cfg, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
+        bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int).tolist()
+        jobs = [(cfg, lo, hi, keep_traces) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
         with get_context("fork").Pool(len(jobs)) as pool:
             parts = pool.starmap(_simulate_range, jobs)
-        a = np.concatenate([part[0] for part in parts])
-        g = np.concatenate([part[1] for part in parts])
-        p = np.concatenate([part[2] for part in parts])
     else:
-        a, g, p, _ = _simulate_range(cfg, 0, cfg.trials)
-    return _aggregate(cfg, a, g, p)
-
-
-def run_monte_carlo_with_traces(
-    cfg: ScenarioConfig,
-) -> tuple[AggregateResult, list[list[tuple[int, int, int]]]]:
-    """Single-process run_monte_carlo that also returns each trial's decode trace."""
-    a, g, p, traces = _simulate_range(cfg, 0, cfg.trials, keep_traces=True)
+        parts = [_simulate_range(cfg, 0, cfg.trials, keep_traces)]
+    a, g, p = (np.concatenate([part[i] for part in parts]) for i in range(3))
+    traces = [trace for part in parts for trace in part[3]] if keep_traces else None
     return _aggregate(cfg, a, g, p), traces
 
 
-@dataclass(slots=True)
-class SweepSpec:
-    """One sweep: vary `axis` over `values` for each policy, on top of `base`."""
-
-    axis: str
-    values: tuple
-    base: ScenarioConfig
-    policies: tuple[Policy, ...]
-
-    def __post_init__(self) -> None:
-        if self.axis not in SWEEP_AXES:
-            raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        if not self.values:
-            raise ValueError("sweep values must be nonempty")
-        if not self.policies:
-            raise ValueError("sweep needs at least one policy")
-        self.values = tuple(sorted(self.values))
+def run_monte_carlo(cfg: ScenarioConfig) -> AggregateResult:
+    """Run cfg.trials independent frames and aggregate."""
+    return _run(cfg, keep_traces=False)[0]
 
 
-@dataclass(slots=True)
-class SweepPoint:
-    """One evaluated (policy, axis value) cell of a sweep."""
-
-    policy_label: str
-    axis: str
-    value: float
-    config: ScenarioConfig
-    result: AggregateResult
+def run_monte_carlo_with_traces(cfg: ScenarioConfig) -> tuple[AggregateResult, list]:
+    """run_monte_carlo that also returns each trial's decode trace, in trial order."""
+    return _run(cfg, keep_traces=True)
 
 
-def apply_axis_value(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
-    """Substitute one axis value into a config, revalidating the result."""
-    if axis == "K":
-        k = int(value)
-        if k != value or k < 1:
-            raise ValueError(f"axis K value {value!r} must be a positive integer")
-        return replace(cfg, k=k)
-    if axis == "rho_mtd":
-        rho = float(value)
-        if rho <= 0:
-            raise ValueError("axis rho_mtd values must be positive watts")
-        return replace(
-            cfg,
-            radio=replace(cfg.radio, mtd_tx_power_w=rho),
-            power=replace(cfg.power, mtd_tx_power_w=rho),
-        )
-    if axis == "N":
-        n = int(value)
-        side = math.isqrt(n)
-        if n != value or side * side != n or n < 1:
-            raise ValueError(
-                f"axis N value {value!r} is not a perfect square; the surface keeps n_x = n_z"
-            )
-        return replace(cfg, ris=replace(cfg.ris, n_x=side, n_z=side))
-    if axis == "S":
-        s = int(value)
-        if s != value or s < 1:
-            raise ValueError(f"axis S value {value!r} must be a positive integer")
-        return replace(cfg, timing=replace(cfg.timing, slots=s))
-    raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-
-
-def sweep(spec: SweepSpec, progress=None) -> list[SweepPoint]:
-    """Evaluate every (policy, axis value) cell; rows sorted by (policy, value)."""
-    points = []
-    cells = [
-        (policy, value)
-        for policy in sorted(spec.policies, key=lambda p: p.label)
-        for value in spec.values
-    ]
-    for i, (policy, value) in enumerate(cells):
-        cfg = with_policy(apply_axis_value(spec.base, spec.axis, value), policy)
-        points.append(SweepPoint(policy.label, spec.axis, value, cfg, run_monte_carlo(cfg)))
+def run_cells(cfgs: list[ScenarioConfig], run, progress=None) -> list:
+    """run(cfg) for each cell in order, calling progress(done, total) after each."""
+    results = []
+    for done, cfg in enumerate(cfgs, start=1):
+        results.append(run(cfg))
         if progress is not None:
-            progress(i + 1, len(cells))
-    return points
+            progress(done, len(cfgs))
+    return results
+
+
+def sweep(cfgs: list[ScenarioConfig], progress=None) -> list[AggregateResult]:
+    """Each cell's Monte Carlo aggregate, in order."""
+    return run_cells(cfgs, run_monte_carlo, progress)
 
 
 @dataclass(slots=True)
@@ -322,23 +245,13 @@ class OptimalSReport:
     best_ee: tuple[int, float]
 
 
-def optimal_over_s(
-    cfg: ScenarioConfig, s_values: Iterable[int], progress=None
-) -> OptimalSReport:
-    """Grid-search the slot count; ties resolve to the smaller S."""
-    values = sorted(set(int(s) for s in s_values))
-    if not values:
-        raise ValueError("s_values must be nonempty")
-    curve = []
-    for i, s in enumerate(values):
-        result = run_monte_carlo(apply_axis_value(cfg, "S", s))
-        curve.append((s, result))
-        if progress is not None:
-            progress(i + 1, len(values))
-    best_g = max(curve, key=lambda item: item[1].mean_throughput)
-    best_ee = max(curve, key=lambda item: item[1].ee_ratio_of_means)
+def optimal_over_s(cfgs: list[ScenarioConfig], progress=None) -> OptimalSReport:
+    """Run one policy's cells over S and pick the best S; ties resolve to the smaller S."""
+    curve = tuple((cfg.s, agg) for cfg, agg in zip(cfgs, sweep(cfgs, progress)))
+    best_g = max(curve, key=lambda item: (item[1].mean_throughput, -item[0]))
+    best_ee = max(curve, key=lambda item: (item[1].ee_ratio_of_means, -item[0]))
     return OptimalSReport(
-        curve=tuple(curve),
+        curve=curve,
         best_throughput=(best_g[0], best_g[1].mean_throughput),
         best_ee=(best_ee[0], best_ee[1].ee_ratio_of_means),
     )

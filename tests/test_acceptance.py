@@ -103,7 +103,7 @@ def test_c4_array_factor_peak():
     worst = 0.0
     for n_x, n_z in itertools.product((1, 2, 5, 10, 20), repeat=2):
         ris = ch.RisGeometry(n_x, n_z, 0.1, 0.1, 0.1)
-        for theta in ch.phase_shift_set(5).angles:
+        for theta in ch.phase_shift_set(5):
             value = math.sqrt(float(ch.array_factor_power(ris, theta, theta)))
             worst = max(worst, abs(value - ris.n_elements) / ris.n_elements)
     ok = worst <= 1e-9

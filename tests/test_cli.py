@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 import json
 import math
 import re
 
 import pytest
 
-from risra import cli
+from risra import cli, engine
 from risra.config import CONFIG_SCHEMA, parse_config
 
 NOISE_MINUS_94_DBM = 3.9810717055349725e-13
@@ -14,6 +15,22 @@ FLOAT_KEYS = sorted(key for key, (kind, _default) in CONFIG_SCHEMA.items() if ki
 # `risra run --trials 50 --seed 1 --policies carp,sscp,crdsap,irsap --verbose`
 RUN_50_CSV_SHA256 = "742a1ed5bf3adb8fdf3ca8f4464ef67d6f5c7e39d15c4f434764ee8d0ce9383b"
 RUN_50_TRACE_SHA256 = "6bfca5e7ee40ff93da03002acb1c4e0e11e5c1478eb5882ba01ebfd2b0d0f1ae"
+# every function through which a command can start simulating a cell
+RUN_FUNCTIONS = ("run_monte_carlo", "run_monte_carlo_with_traces", "_run", "_simulate_range",
+                 "run_cells", "sweep", "optimal_over_s")
+
+
+@pytest.fixture
+def run_calls(monkeypatch):
+    """Names of the run functions called, in order, whether reached through engine or cli."""
+    calls = []
+    for module, name in itertools.product((engine, cli), RUN_FUNCTIONS):
+        if hasattr(module, name):
+            def counted(*args, _name=name, _run=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _run(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestParseConfig:
@@ -172,11 +189,12 @@ class TestRunCommand:
         data_lines = [line for line in trace if not line.startswith("#")]
         assert all(len(line.split(",")) == 3 for line in data_lines)
 
-    def test_verbose_output_bytes_are_pinned(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_verbose_output_bytes_are_pinned(self, tmp_path, workers):
         out = tmp_path / "run.csv"
         assert run_cli(
             "run", "--out", str(out), "--trials", "50", "--seed", "1",
-            "--policies", "carp,sscp,crdsap,irsap", "--verbose",
+            "--policies", "carp,sscp,crdsap,irsap", "--verbose", "--set", f"sim.workers={workers}",
         ) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_50_CSV_SHA256
         trace = (tmp_path / "run.csv.trace").read_bytes()
@@ -196,12 +214,15 @@ class TestRunCommand:
         assert code == 1
         assert not out.exists()
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         code = run_cli(
             "run", "--out", str(tmp_path / "x.csv"), "--set", "policy.kind=nope"
         )
         assert code == 2
         assert not (tmp_path / "x.csv").exists()
+        assert "policy.kind" in capsys.readouterr().err
+        assert run_cli("run", "--out", str(tmp_path / "x.csv"), "--policies", "carp,nope") == 2
+        assert "policy.kind" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -267,13 +288,39 @@ class TestOptimalSCommand:
         best_g = next(line for line in lines if line.startswith("crdsap:best_G"))
         assert best_g.split(",", 1)[1] == data[best_g.split(",")[2]]
 
-    def test_untrained_policy_with_single_slot_errors(self, tmp_path):
+    def test_untrained_policy_with_single_slot_errors(self, tmp_path, run_calls):
+        # carp sorts first and could run from S=1; crdsap's S=1 cell must stop it
         code = run_cli(
             "optimal-s", "--s-values", "1:4", "--out", str(tmp_path / "o.csv"),
-            "--trials", "2", "--policies", "crdsap",
+            "--trials", "2", "--policies", "carp,crdsap",
         )
         assert code == 2
         assert not (tmp_path / "o.csv").exists()
+        assert run_calls == []
+
+
+class TestCellList:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--set", "sim.s=1"],
+        ["run", "--set", "sim.s=1", "--verbose"],
+        ["sweep", "--axis", "S", "--values", "1,20"],
+    ])
+    def test_single_slot_cell_fails_before_any_run(self, tmp_path, run_calls, argv):
+        # carp could run at S=1 and sorts first, but crdsap cannot: nothing may run
+        out = tmp_path / "o.csv"
+        assert run_cli(*argv, "--out", str(out), "--trials", "2", "--policies", "carp,crdsap") == 2
+        assert not out.exists()
+        assert run_calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--policies", "carp,carp"],
+        ["sweep", "--axis", "K", "--values", "2,2"],
+    ])
+    def test_duplicate_cells_give_one_row(self, tmp_path, run_calls, argv):
+        out = tmp_path / "o.csv"
+        assert run_cli(*argv, "--out", str(out), "--trials", "2", "--set", "sim.k=2") == 0
+        assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [["carp", "2"]]
+        assert run_calls.count("run_monte_carlo") == 1
 
 
 class TestValidateCommand:

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from risra import receiver as rx
-from risra.access import Policy
-from risra.config import parse_config
+from risra.config import cell_configs, parse_config, resolve_config
 from risra.engine import (
-    SweepSpec,
     _simulate_range,
-    apply_axis_value,
     optimal_over_s,
     run_monte_carlo,
     run_monte_carlo_with_traces,
@@ -25,18 +22,28 @@ def make_cfg(*overrides):
     return cfg
 
 
+def make_resolved(*overrides):
+    return resolve_config(None, list(overrides))
+
+
+def policy_k(cfgs):
+    return [(cfg.policy.label, cfg.k) for cfg in cfgs]
+
+
+# single device parked on the boresight configuration; every slot of the
+# 5-slot sweep clears the 0 dB threshold there
+ALIGNED = (
+    "sim.k=1",
+    "sim.s=5",
+    "mtd.d_min_m=25",
+    "mtd.d_max_m=25",
+    "mtd.angle_min_rad=0",
+    "mtd.angle_max_rad=0",
+)
+
+
 def aligned_cfg(*overrides):
-    # single device parked on the boresight configuration; every slot of the
-    # 5-slot sweep clears the 0 dB threshold there
-    return make_cfg(
-        "sim.k=1",
-        "sim.s=5",
-        "mtd.d_min_m=25",
-        "mtd.d_max_m=25",
-        "mtd.angle_min_rad=0",
-        "mtd.angle_max_rad=0",
-        *overrides,
-    )
+    return make_cfg(*ALIGNED, *overrides)
 
 
 class TestSubstreams:
@@ -138,6 +145,8 @@ class TestRunMonteCarlo:
         agg, traces = run_monte_carlo_with_traces(cfg)
         assert agg == run_monte_carlo(cfg)
         assert len(traces) == 50
+        # the pooled path returns the same aggregate and the traces in trial order
+        assert run_monte_carlo_with_traces(dataclasses.replace(cfg, workers=2)) == (agg, traces)
 
 
 class TestSscpSingleReplica:
@@ -172,56 +181,56 @@ class TestSscpSingleReplica:
 
 class TestSweep:
     def test_cell_count_and_ordering(self):
-        base = make_cfg("sim.trials=5", "sim.s=6")
-        spec = SweepSpec(
-            axis="K",
-            values=(4, 2, 6),
-            base=base,
-            policies=(Policy("crdsap"), Policy("carp")),
-        )
-        points = sweep(spec)
-        assert [(pt.policy_label, pt.value) for pt in points] == [
-            ("carp", 2),
-            ("carp", 4),
-            ("carp", 6),
-            ("crdsap", 2),
-            ("crdsap", 4),
-            ("crdsap", 6),
+        base = make_resolved("sim.trials=5", "sim.s=6")
+        cfgs = cell_configs(base, ["crdsap", "carp"], "K", [4, 2, 6])
+        assert policy_k(cfgs) == [
+            ("carp", 2), ("carp", 4), ("carp", 6), ("crdsap", 2), ("crdsap", 4), ("crdsap", 6)
         ]
+        assert sweep(cfgs) == [run_monte_carlo(cfg) for cfg in cfgs]
+
+    def test_duplicate_cells_dropped(self):
+        cfgs = cell_configs(make_resolved(), ["carp", "sscp", "carp"], "K", [4, 2, 4])
+        assert policy_k(cfgs) == [("carp", 2), ("carp", 4), ("sscp", 2), ("sscp", 4)]
+        cfgs = cell_configs(make_resolved("sim.k=3"), ["irsap", "carp", "irsap"])
+        assert policy_k(cfgs) == [("carp", 3), ("irsap", 3)]
 
     def test_axis_n_keeps_square_surface(self):
-        cfg = apply_axis_value(make_cfg(), "N", 225)
+        [cfg] = cell_configs(make_resolved(), ["carp"], "N", [225])
         assert (cfg.ris.n_x, cfg.ris.n_z) == (15, 15)
 
     def test_axis_n_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            apply_axis_value(make_cfg(), "N", 10)
+        with pytest.raises(ValueError, match="perfect square"):
+            cell_configs(make_resolved(), ["carp"], "N", [10])
 
     def test_axis_rho_updates_both_radio_and_power(self):
-        cfg = apply_axis_value(make_cfg(), "rho_mtd", 0.05)
+        [cfg] = cell_configs(make_resolved(), ["carp"], "rho_mtd", [0.05])
         assert cfg.radio.mtd_tx_power_w == 0.05
         assert cfg.power.mtd_tx_power_w == 0.05
 
     def test_axis_s_revalidates_policy(self):
-        base = make_cfg("policy.kind=crdsap")
         with pytest.raises(ValueError):
-            apply_axis_value(base, "S", 1)
+            cell_configs(make_resolved(), ["crdsap"], "S", [1])
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
-            SweepSpec(axis="Q", values=(1,), base=make_cfg(), policies=(Policy("carp"),))
+            cell_configs(make_resolved(), ["carp"], "Q", [1])
+
+    def test_bad_value_fails_before_any_cell_is_built(self):
+        with pytest.raises(ValueError, match="sim.k"):
+            cell_configs(make_resolved(), ["carp"], "K", [2, 2.5])
+        with pytest.raises(ValueError, match="policy.kind"):
+            cell_configs(make_resolved(), ["carp", "aloha"])
 
 
 class TestOptimalOverS:
     def test_single_value_is_trivially_optimal(self):
-        cfg = make_cfg("sim.trials=20")
-        report = optimal_over_s(cfg, [8])
+        report = optimal_over_s(cell_configs(make_resolved("sim.trials=20"), ["carp"], "S", [8]))
         assert report.best_throughput[0] == 8
         assert report.best_ee[0] == 8
 
     def test_argmax_contract(self):
-        cfg = make_cfg("sim.trials=60", "sim.k=4")
-        report = optimal_over_s(cfg, [2, 5, 9])
+        resolved = make_resolved("sim.trials=60", "sim.k=4")
+        report = optimal_over_s(cell_configs(resolved, ["carp"], "S", [2, 5, 9]))
         best_g = report.best_throughput[1]
         best_ee = report.best_ee[1]
         for _s, agg in report.curve:
@@ -231,13 +240,21 @@ class TestOptimalOverS:
     def test_always_decodable_device_prefers_fewest_slots(self):
         # one aligned always-decoded device: throughput is 1/((1+r) S), so the
         # smallest S must win and every curve point matches the closed form
-        cfg = aligned_cfg("policy.kind=sscp", "policy.sscp_s=1", "sim.trials=40")
-        report = optimal_over_s(cfg, [2, 4, 8])
+        resolved = make_resolved(*ALIGNED, "policy.sscp_s=1", "sim.trials=40")
+        report = optimal_over_s(cell_configs(resolved, ["sscp"], "S", [2, 4, 8]))
         for s, agg in report.curve:
             assert agg.mean_a == 1.0
             assert agg.mean_throughput == 1.0 / ((1.0 + 0.2) * s * 1.0)
         assert report.best_throughput[0] == 2
         assert report.best_ee[0] == 2
+
+    def test_ties_go_to_the_smaller_s(self):
+        # nothing clears a 200 dB threshold: every S ties at zero, in any cell order
+        resolved = make_resolved("radio.snr_threshold_db=200", "sim.trials=5")
+        cfgs = cell_configs(resolved, ["carp"], "S", [5, 3, 4])
+        report = optimal_over_s(cfgs[::-1])
+        assert report.best_throughput == (3, 0.0)
+        assert report.best_ee == (3, 0.0)
 
 
 class TestAggregateBounds:
