@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 import sys
+import time
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -25,7 +26,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .access import POLICY_KINDS
-from .config import SWEEP_AXES, cell_configs, parse_config
+from .config import SWEEP_AXES, cell_configs, read_config_file, resolve_config
 from .engine import optimal_over_s, run_cells, run_monte_carlo_with_traces, sweep
 
 CSV_HEADER = (
@@ -120,10 +121,11 @@ def parse_values(text: str) -> list:
 
 
 def _resolve(args) -> dict[str, Any]:
-    """The resolved flat config; building it once validates the base scenario."""
+    """The resolved flat config; cell_configs builds and validates each cell from it."""
     flags = {"sim.trials": args.trials, "sim.seed": args.seed}
     overrides = [*(args.set or []), *(f"{k}={v}" for k, v in flags.items() if v is not None)]
-    return parse_config(args.config, overrides)[1]
+    file_items = read_config_file(args.config) if args.config is not None else None
+    return resolve_config(file_items, overrides)
 
 
 def _kinds(args, resolved: dict[str, Any]) -> list[str]:
@@ -132,12 +134,17 @@ def _kinds(args, resolved: dict[str, Any]) -> list[str]:
     return [kind.strip() for kind in args.policies.split(",")]
 
 
-def _progress(verbose: bool):
+def _progress(verbose: bool, cfgs):
+    """Reporter for run_cells over `cfgs`: cells done, elapsed seconds, frames/s so far."""
     if not verbose:
         return None
+    start = time.perf_counter()
 
     def report(done: int, total: int) -> None:
-        print(f"point {done}/{total}", file=sys.stderr)
+        elapsed = time.perf_counter() - start
+        frames = sum(cfg.trials for cfg in cfgs[:done])
+        rate = frames / elapsed
+        print(f"point {done}/{total} {elapsed:.2f} s {rate:.0f} frames/s", file=sys.stderr)
 
     return report
 
@@ -152,7 +159,8 @@ def cmd_run(args) -> int:
     cfgs = cell_configs(resolved, kinds)
     out = Path(args.out)
     if args.verbose:
-        results, traces = zip(*run_cells(cfgs, run_monte_carlo_with_traces, _progress(True)))
+        runs = run_cells(cfgs, run_monte_carlo_with_traces, _progress(True, cfgs))
+        results, traces = zip(*runs)
     else:
         results = sweep(cfgs)
     _write_outputs(out, _rows(cfgs, results), _manifest_base("run", resolved, kinds))
@@ -171,7 +179,7 @@ def cmd_sweep(args) -> int:
     kinds = _kinds(args, resolved)
     values = parse_values(args.values)
     cfgs = cell_configs(resolved, kinds, args.axis, values)
-    results = sweep(cfgs, progress=_progress(args.verbose))
+    results = sweep(cfgs, progress=_progress(args.verbose, cfgs))
     manifest = _manifest_base("sweep", resolved, kinds)
     manifest["axis"] = args.axis
     manifest["values"] = values
@@ -187,7 +195,7 @@ def cmd_optimal_s(args) -> int:
     rows = []
     for _kind, group in itertools.groupby(cfgs, key=lambda cfg: cfg.policy.kind):
         group = list(group)
-        report = optimal_over_s(group, progress=_progress(args.verbose))
+        report = optimal_over_s(group, progress=_progress(args.verbose, group))
         cells = {cfg.s: (cfg, agg) for cfg, (_s, agg) in zip(group, report.curve)}
         rows += _rows(group, [agg for _s, agg in report.curve])
         rows.append(_csv_row(*cells[report.best_throughput[0]], tag="best_G"))
@@ -200,6 +208,7 @@ def cmd_optimal_s(args) -> int:
 
 def cmd_validate(args) -> int:
     resolved = _resolve(args)
+    cell_configs(resolved, _kinds(args, resolved))
     for key in sorted(resolved):
         print(f"{key} = {resolved[key]}")
     return 0

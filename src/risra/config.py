@@ -102,8 +102,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("sim.k must be >= 1")
-        if self.trials < 1:
-            raise ValueError("sim.trials must be >= 1")
+        if not 1 <= self.trials <= 2**32:
+            # trial indices key the streams as one 32-bit word (engine.trial_streams)
+            raise ValueError(f"sim.trials must be between 1 and 2**32, got {self.trials}")
         if self.workers < 1:
             raise ValueError("sim.workers must be >= 1")
         if self.seed < 0:

@@ -2,18 +2,25 @@
 
 Reproducibility contract: every random number of trial t comes from one
 counter-based Philox stream keyed by SeedSequence(entropy=seed,
-spawn_key=(t,)), consumed in a fixed stage order: device placement first
-(distances, then angles), estimation noise second (only when the noise std is
-positive), access-policy draws last. Results are therefore bit-identical for
-a given (config, seed) regardless of how trials are scheduled or how many
-worker processes run them. Because placement draws precede policy draws,
-different policies at the same seed contend over identical device drops.
+spawn_key=(t,)).generate_state(2, uint64), consumed in a fixed stage order:
+device placement first (distances, then angles), estimation noise second
+(only when the noise std is positive), access-policy draws last. Results are
+therefore bit-identical for a given (config, seed) regardless of how trials
+are scheduled or how many worker processes run them. Because placement draws
+precede policy draws, different policies at the same seed contend over
+identical device drops.
+
+trial_streams derives those keys for a whole range of trials in one numpy
+pass, running SeedSequence's published hash on uint32 arrays, and re-keys one
+reused Philox generator per trial; a Philox stream is fixed by its key and
+counter alone, so this is the same stream as constructing it from the
+SeedSequence.
 
 There is one frame pipeline, _simulate_batch. It draws each trial's numbers
 from that trial's own stream, then computes the SNR grid, the slot choice,
-the SIC peel and the frame metrics for the whole batch at once.
-run_monte_carlo feeds it batches of _BATCH trials; simulate_frame is a batch
-of one.
+the SIC peel (receiver.peel_batch) and the frame metrics for the whole batch
+at once. run_monte_carlo feeds it batches of _BATCH trials; simulate_frame
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import math
 import os
 from dataclasses import dataclass
 from multiprocessing import get_context
+from typing import Iterable
 
 import numpy as np
 
@@ -32,16 +40,95 @@ from .config import ScenarioConfig
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator for the substream identified by (seed, *path)."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=tuple(path)))
-    )
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the pool
+# hash, the output hash of generate_state, and the pool mixing function
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _hash(value, const: int, mult: int):
+    """One step of SeedSequence's hash on ints or uint32 arrays; returns (hash, next const)."""
+    after = const * mult & _MASK32
+    value = (value ^ const) * after & _MASK32
+    return value ^ value >> 16, after
+
+
+def _mix(x, y):
+    out = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return out ^ out >> 16
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """SeedSequence's pool after mixing every word of `seed`, and the hash constant after it.
+
+    The seed's 32-bit words are zero-padded to the pool size, as SeedSequence
+    does when a spawn key follows; the spawn word is mixed in by _philox_keys.
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    const = _INIT_A
+    pool = []
+    for word in words[:_POOL]:
+        value, const = _hash(word, const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                value, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            value, const = _hash(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    return pool, const
+
+
+def _philox_keys(seed: int, trials: np.ndarray) -> np.ndarray:
+    """(n, 2) uint64 Philox keys: SeedSequence(seed, spawn_key=(t,)).generate_state(2, uint64)."""
+    pool, const = _seed_pool(seed)
+    mixed = []
+    for word in pool:
+        value, const = _hash(trials, const, _MULT_A)
+        mixed.append(_mix(word, value))
+    const = _INIT_B
+    state = []
+    for word in mixed:
+        value, const = _hash(word, const, _MULT_B)
+        state.append(value)
+    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def trial_streams(seed: int, start: int, stop: int):
+    """Yield the random stream of each trial start..stop-1, in order.
+
+    All keys are derived in one pass; one Generator is re-keyed before each
+    yield, with a zero counter and empty output buffers, so a consumer must be
+    done with a trial's stream before asking for the next. Trial indices are
+    one 32-bit spawn word, so stop must not exceed 2**32.
+    """
+    keys = _philox_keys(seed, np.arange(start, stop, dtype=np.uint32))
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0] * 4, "key": None},
+        "buffer": [0] * 4,
+        "buffer_pos": 4,  # the 4-word output buffer is spent
+        "has_uint32": 0,  # no half of a 64-bit draw is held back for 32-bit draws
+        "uinteger": 0,
+    }
+    for key in keys.tolist():
+        fresh["state"]["key"] = key
+        bit_generator.state = fresh
+        yield rng
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The random stream owned by one trial."""
-    return substream(seed, trial)
+    """The random stream owned by one trial, on a generator of its own."""
+    return next(trial_streams(seed, trial, trial + 1))
 
 
 @dataclass(slots=True)
@@ -101,14 +188,16 @@ _BATCH = 256  # trials per vectorized batch; keeps the SNR block under ~2 MB
 
 def _simulate_batch(
     cfg: ScenarioConfig,
-    rngs: list[np.random.Generator],
+    rngs: Iterable[np.random.Generator],
     phases: tuple[float, ...],
     keep_traces: bool,
 ):
     """The frame pipeline over a batch of trial streams.
 
     Each stream yields its trial's placement, then its access draws, in the
-    stream order above; everything after the draws runs on (b, k, s) arrays.
+    stream order above; the streams are consumed strictly one after another,
+    so they may be one re-keyed generator (trial_streams). Everything after
+    the draws runs on (b, k, s) arrays.
     Returns per-trial (successes, throughput, power, replica counts) arrays
     and, with keep_traces, each trial's decode trace (else None).
     """
@@ -130,15 +219,8 @@ def _simulate_batch(
         policy, gamma, draws, cfg.estimation_c, cfg.estimation_noise_std
     )
 
-    threshold = cfg.radio.snr_threshold
-    frames = zip(chosen, gamma)
-    if keep_traces:
-        traces = [receiver.peel_trace(mask, snr, threshold) for mask, snr in frames]
-        decoded = [len(trace) for trace in traces]
-    else:
-        traces = None
-        decoded = [receiver.peel(mask, snr, threshold) for mask, snr in frames]
-    a = np.array(decoded, dtype=float)
+    decoded, traces = receiver.peel_batch(chosen, gamma, cfg.radio.snr_threshold, keep_traces)
+    a = decoded.astype(float)
     counts = chosen.sum(axis=-1)
     p, g = power_metrics.frame_metrics(
         cfg.power,
@@ -158,7 +240,7 @@ def _simulate_range(cfg: ScenarioConfig, start: int, stop: int, keep_traces: boo
     parts = [
         _simulate_batch(
             cfg,
-            [trial_rng(cfg.seed, t) for t in range(lo, min(lo + _BATCH, stop))],
+            trial_streams(cfg.seed, lo, min(lo + _BATCH, stop)),
             phases,
             keep_traces,
         )
@@ -195,7 +277,7 @@ def _run(cfg: ScenarioConfig, keep_traces: bool):
     """Run cfg.trials frames; returns the aggregate and, with keep_traces, each trial's trace.
 
     Trials are fanned out over cfg.workers forked processes when possible;
-    per-trial substreams and index-ordered reduction make the result
+    per-trial streams and index-ordered reduction make the result
     independent of the worker count.
     """
     workers = min(cfg.workers, cfg.trials)

@@ -7,6 +7,11 @@ which may expose new singletons. Passes repeat until one decodes nothing.
 This is peeling on the device/slot bipartite graph, so the fixed point does
 not depend on scan order. Slot occupancy is assumed perfectly known
 (ideal preamble recognition) and cancellation is ideal.
+
+The order still fixes the decode trace, so there is one: each pass visits the
+slots in index order and a decode cancels before the next slot is looked at.
+peel_batch runs it on a whole batch of frames at once, one slot at a time
+across every frame still peeling; peel_trace and peel are a batch of one.
 """
 
 from __future__ import annotations
@@ -14,37 +19,65 @@ from __future__ import annotations
 import numpy as np
 
 
+def peel_batch(
+    chosen: np.ndarray, snr_values: np.ndarray, threshold: float, keep_traces: bool = False
+) -> tuple[np.ndarray, list[list[tuple[int, int, int]]] | None]:
+    """Peel a batch of boolean (b, k, s) replica masks until a pass decodes nothing.
+
+    Each pass visits slots 0..s-1 in order. At each slot, every frame still
+    peeling whose slot holds one live replica with SNR at least `threshold`
+    decodes that device and cancels its replicas from every slot. A frame
+    stops after a pass that decodes nothing, so it takes at most one pass
+    per device plus one. Returns the decoded-device count per frame and,
+    with keep_traces, each frame's decode events (pass, slot, device) in
+    order, passes counted from 1 (else None).
+    """
+    batch, k, slots = chosen.shape
+    # each slot of each frame is one integer: its live replicas times `unit`,
+    # plus per live replica its device index if it meets the threshold, else k.
+    # The second part stays below unit, so a slot reads unit + d exactly when
+    # its one live replica is device d and decodes.
+    unit = k * k + 1
+    weight = chosen * (unit + k - (snr_values >= threshold) * (k - np.arange(k)[:, None]))
+    load = weight.sum(axis=1)
+    decoded = np.zeros(batch, dtype=np.int64)
+    events = []
+    iteration, progress = 0, True
+    # a frame whose pass decodes nothing has no decodable slot left, so it
+    # needs no bookkeeping to stay out of later passes
+    while progress:
+        iteration += 1
+        progress = False
+        for slot in range(slots):
+            column = load[:, slot]
+            frames = np.flatnonzero((column >= unit) & (column < unit + k))
+            if not frames.size:
+                continue
+            devices = column[frames] - unit
+            load[frames] -= weight[frames, devices]
+            decoded[frames] += 1
+            progress = True
+            if keep_traces:
+                events.append((iteration, slot, frames.tolist(), devices.tolist()))
+    if not keep_traces:
+        return decoded, None
+    traces: list[list[tuple[int, int, int]]] = [[] for _ in range(batch)]
+    for iteration, slot, frames, devices in events:
+        for frame, device in zip(frames, devices):
+            traces[frame].append((iteration, slot, device))
+    return decoded, traces
+
+
 def peel_trace(
     chosen: np.ndarray, snr_values: np.ndarray, threshold: float
 ) -> list[tuple[int, int, int]]:
-    """Peel a boolean device-by-slot replica mask until a pass decodes nothing.
+    """Decode events (pass, slot, device) of one device-by-slot mask; see peel_batch.
 
-    Returns the decode events (pass, slot, device) in order, passes counted
-    from 1; each device appears at most once, so the events count the
-    decoded devices. Terminates after at most one pass per device.
+    Each device appears at most once, so the events count the decoded devices.
     """
-    live: list[set[int]] = [set() for _ in range(chosen.shape[1])]
-    device_slots: dict[int, list[int]] = {}
-    devs, slots = np.nonzero(chosen)
-    for k, s in zip(devs.tolist(), slots.tolist()):
-        live[s].add(k)
-        device_slots.setdefault(k, []).append(s)
-    trace: list[tuple[int, int, int]] = []
-    iteration = 0
-    while True:
-        iteration += 1
-        decoded_before = len(trace)
-        for s, devs in enumerate(live):
-            if len(devs) == 1:
-                (k,) = devs
-                if snr_values[k, s] >= threshold:
-                    trace.append((iteration, s, k))
-                    for s2 in device_slots[k]:
-                        live[s2].discard(k)
-        if len(trace) == decoded_before:
-            return trace
+    return peel_batch(chosen[None], snr_values[None], threshold, keep_traces=True)[1][0]
 
 
 def peel(chosen: np.ndarray, snr_values: np.ndarray, threshold: float) -> int:
     """Decoded-device count for a boolean device-by-slot replica mask."""
-    return len(peel_trace(chosen, snr_values, threshold))
+    return int(peel_batch(chosen[None], snr_values[None], threshold)[0][0])

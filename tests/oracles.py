@@ -1,9 +1,11 @@
 """Independent reference oracles used by the test suite.
 
 These deliberately avoid the library's own code paths: the decoder oracle
-explores every legal decode schedule, the array-factor oracle sums terms
-one by one with cmath, and the two-device sscp oracle integrates the model's
-formulas by quadrature without importing the simulator.
+explores every legal decode schedule, the loop peel runs the receiver's scan
+order on Python sets one frame at a time, the stream oracle builds each
+trial's generator from numpy's own SeedSequence, the array-factor oracle sums
+terms one by one with cmath, and the two-device sscp oracle integrates the
+model's formulas by quadrature without importing the simulator.
 """
 
 from __future__ import annotations
@@ -23,6 +25,42 @@ def loop_array_factor(n_x: int, n_z: int, d_x_m: float, wavelength_m: float,
     for n in range(1, n_x + 1):
         total += cmath.exp(1j * x * n)
     return n_z * total
+
+
+def substream(seed: int, *path: int) -> np.random.Generator:
+    """Philox generator keyed by numpy's SeedSequence(entropy=seed, spawn_key=path)."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=tuple(path)))
+    )
+
+
+def loop_peel_trace(chosen, snr_values, threshold: float) -> list[tuple[int, int, int]]:
+    """Decode events (pass, slot, device) of one device x slot mask, peeled on Python sets.
+
+    Each pass scans slots in index order; a singleton whose replica meets the
+    threshold decodes and its device leaves every slot at once. Passes repeat
+    until one decodes nothing.
+    """
+    live: list[set[int]] = [set() for _ in range(chosen.shape[1])]
+    device_slots: dict[int, list[int]] = {}
+    devs, slots = np.nonzero(chosen)
+    for k, s in zip(devs.tolist(), slots.tolist()):
+        live[s].add(k)
+        device_slots.setdefault(k, []).append(s)
+    trace: list[tuple[int, int, int]] = []
+    iteration = 0
+    while True:
+        iteration += 1
+        decoded_before = len(trace)
+        for s, devs in enumerate(live):
+            if len(devs) == 1:
+                (k,) = devs
+                if snr_values[k, s] >= threshold:
+                    trace.append((iteration, s, k))
+                    for s2 in device_slots[k]:
+                        live[s2].discard(k)
+        if len(trace) == decoded_before:
+            return trace
 
 
 def slot_sets(mask) -> list[set[int]]:

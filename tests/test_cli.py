@@ -206,7 +206,27 @@ class TestRunCommand:
         assert run_cli(*argv) == 0
         assert capsys.readouterr().err == ""
         assert run_cli(*argv, "--verbose") == 0
-        assert capsys.readouterr().err.splitlines() == ["point 1/2", "point 2/2"]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for done, line in enumerate(lines, start=1):
+            match = re.fullmatch(rf"point {done}/2 (\d+\.\d\d) s (\d+) frames/s", line)
+            assert match, line
+            assert int(match[2]) > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "K", "--values", "2,3"],
+        ["optimal-s", "--s-values", "2,3"],
+    ])
+    def test_sweeps_report_rate_per_point(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        assert run_cli(*argv, "--out", str(out), "--trials", "3", "--verbose") == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for done, line in enumerate(lines, start=1):
+            assert re.fullmatch(rf"point {done}/2 \d+\.\d\d s \d+ frames/s", line), line
+        plain = tmp_path / "plain.csv"
+        assert run_cli(*argv, "--out", str(plain), "--trials", "3") == 0
+        assert out.read_bytes() == plain.read_bytes()
 
     def test_unwritable_output_fails_without_partial_file(self, tmp_path):
         out = tmp_path / "missing" / "run.csv"
@@ -313,6 +333,26 @@ class TestCellList:
         assert run_calls == []
 
     @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "S", "--values", "2:5"],
+        ["optimal-s", "--s-values", "2:5"],
+    ])
+    def test_invalid_base_with_valid_cells_runs(self, tmp_path, argv):
+        # the base sim.s=1 is no crdsap scenario, but every cell sets S >= 2
+        out = tmp_path / "o.csv"
+        assert run_cli(*argv, "--out", str(out), "--trials", "10",
+                       "--set", "sim.s=1", "--set", "policy.kind=crdsap") == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[2] for row in rows if row[0] == "crdsap"] == ["2", "3", "4", "5"]
+
+    def test_invalid_base_run_fails_before_any_run(self, tmp_path, run_calls, capsys):
+        out = tmp_path / "o.csv"
+        assert run_cli("run", "--out", str(out), "--trials", "2",
+                       "--set", "sim.s=1", "--set", "policy.kind=crdsap") == 2
+        assert "sim.s" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_calls == []
+
+    @pytest.mark.parametrize("argv", [
         ["run", "--policies", "carp,carp"],
         ["sweep", "--axis", "K", "--values", "2,2"],
     ])
@@ -333,6 +373,17 @@ class TestValidateCommand:
     def test_rejects_bad_config(self, capsys):
         assert run_cli("validate", "--set", "sim.k=0") == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_trial_count_bounded_by_one_stream_word(self, capsys):
+        cfg, _ = parse_config(None, [f"sim.trials={2**32}"])
+        assert cfg.trials == 2**32
+        assert run_cli("validate", "--set", f"sim.trials={2**32}") == 0
+        capsys.readouterr()
+        for trials in (2**32 + 1, 2**64, 0):
+            with pytest.raises(ValueError, match="sim.trials"):
+                parse_config(None, [f"sim.trials={trials}"])
+            assert run_cli("validate", "--set", f"sim.trials={trials}") == 2
+            assert "sim.trials" in capsys.readouterr().err
 
 
 class TestNumberFormat:

@@ -11,10 +11,11 @@ from risra.engine import (
     run_monte_carlo,
     run_monte_carlo_with_traces,
     simulate_frame,
-    substream,
     sweep,
     trial_rng,
+    trial_streams,
 )
+from oracles import substream
 
 
 def make_cfg(*overrides):
@@ -46,11 +47,34 @@ def aligned_cfg(*overrides):
     return make_cfg(*ALIGNED, *overrides)
 
 
+# seeds of one, two and three 32-bit words, including the held-out benchmark seed
+KEY_SEEDS = (0, 1, 20261017, 2**32 + 5, 2**70 + 123)
+
+
+def draw_sequence(rng):
+    """Every draw kind the frame pipeline uses; the odd integer count leaves
+    a buffered 32-bit half word behind, which the next trial must not see."""
+    return [
+        rng.integers(0, 19, 3),
+        rng.uniform(25.0, 100.0, 4),
+        rng.standard_normal((2, 3)),
+        rng.integers(0, 19, 5),
+        rng.random(3),
+        rng.integers(0, 19, 1),
+    ]
+
+
 class TestSubstreams:
     def test_same_path_same_draws(self):
         a = substream(123, 7).random(5)
         b = substream(123, 7).random(5)
         assert np.array_equal(a, b)
+
+    def test_trial_rng_is_the_seed_sequence_stream(self):
+        for seed, trial in ((123, 7), (1, 0), (2**70 + 123, 4)):
+            got = draw_sequence(trial_rng(seed, trial))
+            want = draw_sequence(substream(seed, trial))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_different_trials_different_draws(self):
         a = trial_rng(123, 0).random(5)
@@ -61,6 +85,40 @@ class TestSubstreams:
         a = trial_rng(1, 0).random(5)
         b = trial_rng(2, 0).random(5)
         assert not np.array_equal(a, b)
+
+
+class TestTrialStreams:
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_keys_match_seed_sequence(self, seed):
+        keys = [rng.bit_generator.state["state"]["key"] for rng in trial_streams(seed, 0, 3000)]
+        for trial, key in enumerate(keys):
+            spawned = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+            assert np.array_equal(key, spawned.generate_state(2, np.uint64)), trial
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_last_trial_index_matches_seed_sequence(self, seed):
+        last = 2**32 - 1
+        [rng] = trial_streams(seed, last, last + 1)
+        key = rng.bit_generator.state["state"]["key"]
+        spawned = np.random.SeedSequence(entropy=seed, spawn_key=(last,))
+        assert np.array_equal(key, spawned.generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_rekeyed_draws_match_oracle(self, seed):
+        # one reused generator, drawn from in every way, must equal a fresh
+        # SeedSequence-keyed generator per trial
+        for trial, rng in enumerate(trial_streams(seed, 40, 300), start=40):
+            got, want = draw_sequence(rng), draw_sequence(substream(seed, trial))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), trial
+
+    def test_streams_depend_only_on_the_trial_index(self):
+        whole = [rng.random(2) for rng in trial_streams(5, 0, 20)]
+        chunks = ((0, 7), (7, 8), (8, 20))
+        parts = [rng.random(2) for lo, hi in chunks for rng in trial_streams(5, lo, hi)]
+        assert np.array_equal(whole, parts)
+
+    def test_empty_range_yields_nothing(self):
+        assert list(trial_streams(1, 9, 9)) == []
 
 
 class TestSimulateFrame:

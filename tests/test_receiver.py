@@ -1,9 +1,10 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from risra import receiver as rx
-from oracles import exhaustive_decode, replay_trace, slot_sets
+from oracles import exhaustive_decode, loop_peel_trace, replay_trace, slot_sets
 
 
 def mask_of_slots(slots, num_devices):
@@ -139,3 +140,58 @@ class TestPeelingProperties:
         for _ in range(300):
             mask, snr = random_instance(rng)
             assert rx.peel(mask, snr, 1.0) == len(exhaustive_decode(slot_sets(mask), snr >= 1.0))
+
+
+def assert_matches_loop(chosen, snr, threshold):
+    counts, traces = rx.peel_batch(chosen, snr, threshold, keep_traces=True)
+    plain, no_traces = rx.peel_batch(chosen, snr, threshold)
+    assert no_traces is None
+    for frame in range(chosen.shape[0]):
+        want = loop_peel_trace(chosen[frame], snr[frame], threshold)
+        assert traces[frame] == want
+        assert counts[frame] == plain[frame] == len(want)
+
+
+@st.composite
+def peel_batches(draw):
+    b, k, s = (draw(st.integers(1, 8)) for _ in range(3))
+    chosen = draw(hnp.arrays(bool, (b, k, s)))
+    # values on both sides of and at the threshold 1.0
+    snr = draw(hnp.arrays(float, (b, k, s), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+    return chosen, snr
+
+
+class TestPeelBatch:
+    @given(peel_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracle(self, batch):
+        assert_matches_loop(*batch, 1.0)
+
+    @given(peel_batches())
+    @settings(max_examples=50, deadline=None)
+    def test_all_below_threshold_decodes_nothing(self, batch):
+        chosen, snr = batch
+        counts, traces = rx.peel_batch(chosen, snr, 3.0, keep_traces=True)
+        assert not counts.any() and traces == [[]] * chosen.shape[0]
+        assert_matches_loop(chosen, snr, 3.0)
+
+    def test_mixed_finished_and_unfinished_frames(self):
+        # a stopping set (done after pass 1), a three-pass chain, a lone
+        # singleton and an empty frame share one batch
+        chain = mask_of_slots([{0, 1}, {1, 2}, {2}, set()], 3)
+        frames = [np.zeros((3, 4), dtype=bool) for _ in range(4)]
+        frames[0][:2, :2] = True
+        frames[1] = chain
+        frames[2][1, 3] = True
+        chosen = np.stack(frames)
+        snr = np.full(chosen.shape, 2.0)
+        counts, traces = rx.peel_batch(chosen, snr, 1.0, keep_traces=True)
+        assert counts.tolist() == [0, 3, 1, 0]
+        assert traces[1] == [(1, 2, 2), (2, 1, 1), (3, 0, 0)]
+        assert_matches_loop(chosen, snr, 1.0)
+
+    def test_frame_of_one_equals_peel_trace(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            mask, snr = random_instance(rng)
+            assert rx.peel_trace(mask, snr, 1.0) == loop_peel_trace(mask, snr, 1.0)
