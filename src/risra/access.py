@@ -13,8 +13,9 @@ and each device transmits packet replicas in the slots chosen by its policy:
           distribution, then that many distinct slots uniformly (no training)
 
 Every policy works on arrays of shape (..., k, s): any leading batch shape,
-then devices, then slots. Its random numbers are drawn beforehand, one trial
-at a time, by `draw_trial`, so the slot choice itself is deterministic. The
+then devices, then slots. Its random numbers are decoded beforehand from each
+trial's raw 64-bit stream words by `decode_draws`, exactly as numpy's
+Generator would draw them, so the slot choice itself is deterministic. The
 result is a boolean replica mask of the same shape. Slot indices are 0-based
 throughout.
 """
@@ -24,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .channel import unit_doubles
 
 POLICY_KINDS = ("carp", "sscp", "crdsap", "irsap")
 
@@ -129,12 +132,10 @@ def irsap_mean_degree(num_slots: int) -> float:
     return (1.0 + 1.0 / (num_slots - 1)) * sum(1.0 / (s - 1) for s in range(2, num_slots + 1))
 
 
-def irsap_sample_degrees(
-    rng: np.random.Generator, count: int, num_slots: int
-) -> np.ndarray:
-    """Draw replica counts by inverse CDF; the last bin absorbs float residue."""
+def irsap_sample_degrees(u: np.ndarray, num_slots: int) -> np.ndarray:
+    """Replica counts from unit doubles `u` by inverse CDF; the last bin absorbs float residue."""
     cdf = np.cumsum(irsap_degree_pmf(num_slots))
-    return np.minimum(2 + np.searchsorted(cdf, rng.random(count), side="right"), num_slots)
+    return np.minimum(2 + np.searchsorted(cdf, u, side="right"), num_slots)
 
 
 def irsap_slots(degrees: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -143,28 +144,78 @@ def irsap_slots(degrees: np.ndarray, u: np.ndarray) -> np.ndarray:
     return ranks < degrees[..., None]
 
 
-def _draws_noise(policy: Policy, noise_std: float) -> bool:
+def draws_noise(policy: Policy, noise_std: float) -> bool:
+    """Whether a trial draws estimation noise: trained policies with noise_std > 0."""
     return policy.requires_training and noise_std > 0
 
 
-def draw_trial(
-    policy: Policy, noise_std: float, rng: np.random.Generator, k: int, s: int
-) -> tuple[np.ndarray, ...]:
-    """One trial's access draws, in stream order.
+def policy_words(policy: Policy, k: int, s: int) -> int:
+    """Raw 64-bit stream words one trial's access draws take, for k devices and s slots.
 
-    Estimation noise comes first (trained policies with noise_std > 0 only),
-    then the policy's own numbers: carp one uniform per device and slot,
-    crdsap two slot indices per device, irsap a degree per device and one
-    uniform per device and slot; sscp draws nothing.
+    carp takes one uniform per device and slot, irsap one uniform per device
+    for its degree and then one per device and slot, crdsap one 32-bit half
+    word per slot index (two indices per device, the second free at s = 2),
+    sscp none. A Lemire rejection makes crdsap take more (see decode_draws).
     """
-    noise = (rng.standard_normal((k, s)),) if _draws_noise(policy, noise_std) else ()
     if policy.kind == "carp":
-        return (*noise, rng.random((k, s)))
-    if policy.kind == "crdsap":
-        return rng.integers(0, s, k), rng.integers(0, s - 1, k)
+        return k * s
     if policy.kind == "irsap":
-        return irsap_sample_degrees(rng, k, s), rng.random((k, s))
-    return noise
+        return k + k * s
+    if policy.kind == "crdsap":
+        return (k + k * (s > 2) + 1) // 2
+    return 0
+
+
+def bounded_integers(halves: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's integers(0, n) decoded from 32-bit words by Lemire's method.
+
+    Each value is (h * n) >> 32. The second array flags the words numpy
+    rejects, those with (h * n) mod 2**32 < (2**32 - n) mod n; numpy then
+    draws another word, so every later value of its sequence shifts.
+    """
+    m = halves.astype(np.uint64) * np.uint64(n)
+    return (m >> np.uint64(32)).astype(np.intp), (m & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n
+
+
+def crdsap_indices(rng: np.random.Generator, k: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """crdsap's two slot indices per device drawn by numpy itself, from `rng`
+    positioned at the policy's first word: the fallback for rows that
+    decode_draws flags."""
+    return rng.integers(0, s, k), rng.integers(0, s - 1, k)
+
+
+def decode_draws(
+    policy: Policy, words: np.ndarray, k: int, s: int
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """A batch's access draws from its raw words, shape (b, policy_words(policy, k, s)).
+
+    The draws equal numpy's Generator on the same words: carp `random((k, s))`;
+    crdsap `integers(0, s, k)` then `integers(0, s - 1, k)` on the words'
+    32-bit halves, low half first; irsap `random(k)` through
+    irsap_sample_degrees, then `random((k, s))`; sscp nothing. Estimation
+    noise is not among them. Returns the draws, stacked along the batch axis
+    as choose_slots takes them, and a (b,) flag of the rows with a Lemire
+    rejection, whose draws need words beyond `words`.
+    """
+    b = words.shape[0]
+    clean = np.zeros(b, dtype=bool)
+    if policy.kind == "carp":
+        return (unit_doubles(words).reshape(b, k, s),), clean
+    if policy.kind == "irsap":
+        u = unit_doubles(words)
+        return (irsap_sample_degrees(u[:, :k], s), u[:, k:].reshape(b, k, s)), clean
+    if policy.kind == "crdsap":
+        if s < 2:
+            raise ValueError("crdsap needs at least 2 slots")
+        halves = words.astype("<u8", copy=False).view("<u4")
+        first, rejected = bounded_integers(halves[:, :k], s)
+        if s == 2:
+            second = np.zeros_like(first)  # integers(0, 1) is 0 and takes no word
+        else:
+            second, more = bounded_integers(halves[:, k:2 * k], s - 1)
+            rejected = rejected | more
+        return (first, second), rejected.any(axis=1)
+    return (), clean
 
 
 def choose_slots(
@@ -172,12 +223,13 @@ def choose_slots(
 ) -> np.ndarray:
     """Replica mask of one policy over an SNR grid of shape (..., k, s).
 
-    `draws` are `draw_trial`'s arrays, stacked along the same leading axes.
+    `draws` are decode_draws' arrays, after the estimation noise (trained
+    policies with noise_std > 0 only), stacked along the same leading axes.
     Untrained policies read only the grid's shape.
     """
     if policy.requires_training:
         noise = None
-        if _draws_noise(policy, noise_std):
+        if draws_noise(policy, noise_std):
             noise, *draws = draws
         quality = measure_quality(snr_values, c, noise_std, noise)
         if policy.kind == "carp":

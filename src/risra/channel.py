@@ -3,8 +3,9 @@
 The scene: a rectangular reconfigurable surface sits in the xz-plane, centered
 at the origin. The access point (AP) and the machine-type devices (MTDs) live
 in the xy-plane on opposite sides of a blockage, so every link goes through
-the surface. A node is described by its distance from the origin, its angle
-from the surface boresight, and its antenna gain. The surface cycles through a
+the surface. A device is described by its distance from the origin, its angle
+from the surface boresight, and its antenna gain; the AP by its distance and
+gain alone, since its angle never reaches the SNR. The surface cycles through a
 fixed set of phase-shift configurations, one per time slot; a device's SNR
 therefore changes from slot to slot, which is what the access policies exploit.
 
@@ -62,17 +63,14 @@ class RisGeometry:
 
 @dataclass(slots=True)
 class NodePlacement:
-    """Polar placement of the AP plus its linear antenna power gain."""
+    """The AP's distance from the surface center plus its linear antenna power gain."""
 
     distance_m: float
-    angle_rad: float
     antenna_gain: float
 
     def __post_init__(self) -> None:
         if self.distance_m <= 0:
             raise ValueError("distance_m must be positive")
-        if not (0 <= self.angle_rad <= HALF_PI):
-            raise ValueError("angle_rad must lie in [0, pi/2]")
         if self.antenna_gain <= 0:
             raise ValueError("antenna_gain must be positive (linear ratio)")
 
@@ -141,26 +139,34 @@ def snr_matrix(
     return radio.mtd_tx_power_w / radio.noise_power_w * beta[..., None] * gain_sq
 
 
+def unit_doubles(words: np.ndarray) -> np.ndarray:
+    """numpy's Generator.random of each raw 64-bit word: its top 53 bits times 2**-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
 def sample_mtd_placements(
-    rng: np.random.Generator,
-    count: int,
+    words: np.ndarray,
     distance_range: tuple[float, float],
     angle_range: tuple[float, float] = (0.0, HALF_PI),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw independent device (distances, angles), uniform in each.
+    """Independent device (distances, angles), uniform in each, from raw stream words.
 
-    Distances are drawn first, then angles, so the stream layout is part of
-    the reproducibility contract.
+    `words` has shape (..., 2 * count): the first count words give the
+    distances, the rest the angles, each as numpy's Generator.uniform(a, b)
+    gives it, a + (b - a) * u with u = unit_doubles(word). The stream layout
+    is part of the reproducibility contract.
     """
     d_min, d_max = distance_range
     a_min, a_max = angle_range
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count, odd = divmod(words.shape[-1], 2)
+    if count < 1 or odd:
+        raise ValueError("placement needs two words per device and at least one device")
     if not (0 < d_min <= d_max):
         raise ValueError("distance range must satisfy 0 < d_min <= d_max")
     if not (0 <= a_min <= a_max <= HALF_PI):
         raise ValueError("angle range must be ordered and lie within [0, pi/2]")
-    return rng.uniform(d_min, d_max, count), rng.uniform(a_min, a_max, count)
+    u = unit_doubles(words)
+    return d_min + (d_max - d_min) * u[..., :count], a_min + (a_max - a_min) * u[..., count:]
 
 
 def db_to_linear(x_db: float) -> float:

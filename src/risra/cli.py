@@ -26,7 +26,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .access import POLICY_KINDS
-from .config import SWEEP_AXES, cell_configs, read_config_file, resolve_config
+from .config import REMOVED_KEYS, SWEEP_AXES, cell_configs, read_config_file, resolve_config
 from .engine import optimal_over_s, run_cells, run_monte_carlo_with_traces, sweep
 
 CSV_HEADER = (
@@ -135,16 +135,24 @@ def _kinds(args, resolved: dict[str, Any]) -> list[str]:
 
 
 def _progress(verbose: bool, cfgs):
-    """Reporter for run_cells over `cfgs`: cells done, elapsed seconds, frames/s so far."""
+    """Progress reporter over all of a command's `cfgs`, called once per finished cell.
+
+    It counts the cells itself rather than reading run_cells' (done, total),
+    so one reporter spans several run_cells calls: each line gives cells done
+    of all, seconds since the first cell started and frames per second so far.
+    """
     if not verbose:
         return None
     start = time.perf_counter()
+    done = 0
 
-    def report(done: int, total: int) -> None:
+    def report(*_counts) -> None:
+        nonlocal done
+        done += 1
         elapsed = time.perf_counter() - start
         frames = sum(cfg.trials for cfg in cfgs[:done])
         rate = frames / elapsed
-        print(f"point {done}/{total} {elapsed:.2f} s {rate:.0f} frames/s", file=sys.stderr)
+        print(f"point {done}/{len(cfgs)} {elapsed:.2f} s {rate:.0f} frames/s", file=sys.stderr)
 
     return report
 
@@ -193,9 +201,10 @@ def cmd_optimal_s(args) -> int:
     s_values = parse_values(args.s_values)
     cfgs = cell_configs(resolved, kinds, "S", s_values)
     rows = []
+    progress = _progress(args.verbose, cfgs)
     for _kind, group in itertools.groupby(cfgs, key=lambda cfg: cfg.policy.kind):
         group = list(group)
-        report = optimal_over_s(group, progress=_progress(args.verbose, group))
+        report = optimal_over_s(group, progress=progress)
         cells = {cfg.s: (cfg, agg) for cfg, (_s, agg) in zip(group, report.curve)}
         rows += _rows(group, [agg for _s, agg in report.curve])
         rows.append(_csv_row(*cells[report.best_throughput[0]], tag="best_G"))
@@ -218,13 +227,15 @@ def replay_manifest(manifest_path: str | Path, out: str | Path) -> Path:
     """Re-run the command recorded in a manifest, writing the CSV to `out`.
 
     The resolved config stored in the manifest fully determines the result, so
-    the regenerated CSV is byte-identical to the original.
+    the regenerated CSV is byte-identical to the original. Keys this version
+    removed (config.REMOVED_KEYS) are skipped; no output read them.
     """
     manifest = json.loads(Path(manifest_path).read_text())
     resolved = manifest["config"]
     argv = [manifest["command"], "--out", str(out), "--policies", ",".join(manifest["policies"])]
     for key, value in resolved.items():
-        argv += ["--set", f"{key}={value}"]
+        if key not in REMOVED_KEYS:
+            argv += ["--set", f"{key}={value}"]
     if manifest["command"] == "sweep":
         argv += ["--axis", manifest["axis"], "--values", ",".join(str(v) for v in manifest["values"])]
     elif manifest["command"] == "optimal-s":

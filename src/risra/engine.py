@@ -16,20 +16,24 @@ reused Philox generator per trial; a Philox stream is fixed by its key and
 counter alone, so this is the same stream as constructing it from the
 SeedSequence.
 
-There is one frame pipeline, _simulate_batch. It draws each trial's numbers
-from that trial's own stream, then computes the SNR grid, the slot choice,
-the SIC peel (receiver.peel_batch) and the frame metrics for the whole batch
-at once. run_monte_carlo feeds it batches of _BATCH trials; simulate_frame
-is a batch of one.
+There is one frame pipeline, _simulate_batch. It reads each trial's stream as
+raw 64-bit words, 2k for the placement and access.policy_words for the
+policy, with one random_raw call per trial, and decodes them on the whole
+batch exactly as numpy's Generator would decode them (_batch_draws). It then
+computes the SNR grid, the slot choice, the SIC peel (receiver.peel_batch)
+and the frame metrics for the whole batch at once. run_monte_carlo feeds it
+batches of _BATCH trials; simulate_frame is a batch of one and, like the
+batches, expects a fresh trial stream such as trial_rng gives.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -170,9 +174,13 @@ def simulate_frame(
 
     The frame pipeline on a batch of one stream, so it is deterministic given
     (cfg, rng state) and equals trial t of run_monte_carlo when rng is
-    trial_rng(cfg.seed, t).
+    trial_rng(cfg.seed, t). rng must be a fresh trial stream: the pipeline
+    reads it from its first word.
     """
-    a, g, p, counts, traces = _simulate_batch(cfg, [rng], phase_shift_set(cfg.s), keep_trace)
+    start = copy.deepcopy(rng)
+    a, g, p, counts, traces = _simulate_batch(
+        cfg, [rng], lambda _row: start, phase_shift_set(cfg.s), keep_trace
+    )
     return TrialResult(
         successes=int(a[0]),
         replica_counts=counts[0],
@@ -186,32 +194,70 @@ def simulate_frame(
 _BATCH = 256  # trials per vectorized batch; keeps the SNR block under ~2 MB
 
 
+def _batch_draws(
+    cfg: ScenarioConfig,
+    rngs: Iterable[np.random.Generator],
+    restart: Callable[[int], np.random.Generator],
+):
+    """Each trial's placement and access draws, decoded on the batch from raw words.
+
+    Every trial takes its words with one random_raw call: the placement's 2k,
+    then the policy's access.policy_words. A trained policy with estimation
+    noise draws its standard normals between the two, on the same stream
+    (numpy does not expose its ziggurat tables). The streams are consumed
+    strictly one after another, so they may be one re-keyed generator
+    (trial_streams). A row whose bounded integers hit a Lemire rejection
+    needs more words than were read; it is drawn again from restart(row), a
+    fresh copy of its stream.
+    Returns device distances and angles (b, k) and the draws choose_slots takes.
+    """
+    k, s, policy = cfg.k, cfg.s, cfg.policy
+    lead, n = 2 * k, access.policy_words(policy, k, s)
+    noise = ()
+    if access.draws_noise(policy, cfg.estimation_noise_std):
+        parts = [
+            (rng.bit_generator.random_raw(lead), rng.standard_normal((k, s)),
+             rng.bit_generator.random_raw(n))
+            for rng in rngs
+        ]
+        heads, normals, tails = (np.array(column) for column in zip(*parts))
+        words, noise = np.concatenate((heads, tails), axis=1), (normals,)
+    else:
+        words = np.array([rng.bit_generator.random_raw(lead + n) for rng in rngs])
+    distances, angles = channel.sample_mtd_placements(
+        words[:, :lead],
+        (cfg.mtd_d_min_m, cfg.mtd_d_max_m),
+        (cfg.mtd_angle_min_rad, cfg.mtd_angle_max_rad),
+    )
+    draws, rejected = access.decode_draws(policy, words[:, lead:], k, s)
+    _redraw_rows(cfg, draws, np.flatnonzero(rejected).tolist(), restart)
+    return distances, angles, (*noise, *draws)
+
+
+def _redraw_rows(cfg: ScenarioConfig, draws, rows: list[int], restart) -> None:
+    """Draw crdsap's slot indices of `rows` again with numpy, on fresh copies of their streams."""
+    for row in rows:
+        rng = restart(row)
+        rng.bit_generator.random_raw(2 * cfg.k)  # the placement's words
+        for draw, redrawn in zip(draws, access.crdsap_indices(rng, cfg.k, cfg.s)):
+            draw[row] = redrawn
+
+
 def _simulate_batch(
     cfg: ScenarioConfig,
     rngs: Iterable[np.random.Generator],
+    restart: Callable[[int], np.random.Generator],
     phases: tuple[float, ...],
     keep_traces: bool,
 ):
-    """The frame pipeline over a batch of trial streams.
+    """The frame pipeline over a batch of fresh trial streams (see _batch_draws).
 
-    Each stream yields its trial's placement, then its access draws, in the
-    stream order above; the streams are consumed strictly one after another,
-    so they may be one re-keyed generator (trial_streams). Everything after
-    the draws runs on (b, k, s) arrays.
+    Everything after the draws runs on (b, k, s) arrays.
     Returns per-trial (successes, throughput, power, replica counts) arrays
     and, with keep_traces, each trial's decode trace (else None).
     """
-    k, s, policy = cfg.k, cfg.s, cfg.policy
-    d_range = (cfg.mtd_d_min_m, cfg.mtd_d_max_m)
-    a_range = (cfg.mtd_angle_min_rad, cfg.mtd_angle_max_rad)
-    per_trial = [
-        (
-            *channel.sample_mtd_placements(rng, k, d_range, a_range),
-            *access.draw_trial(policy, cfg.estimation_noise_std, rng, k, s),
-        )
-        for rng in rngs
-    ]
-    distances, angles, *draws = (np.array(column) for column in zip(*per_trial))
+    policy = cfg.policy
+    distances, angles, draws = _batch_draws(cfg, rngs, restart)
     gamma = channel.snr_matrix(
         cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles, phases
     )
@@ -241,6 +287,7 @@ def _simulate_range(cfg: ScenarioConfig, start: int, stop: int, keep_traces: boo
         _simulate_batch(
             cfg,
             trial_streams(cfg.seed, lo, min(lo + _BATCH, stop)),
+            lambda row, lo=lo: trial_rng(cfg.seed, lo + row),
             phases,
             keep_traces,
         )

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: the decoder oracle
 explores every legal decode schedule, the loop peel runs the receiver's scan
 order on Python sets one frame at a time, the stream oracle builds each
-trial's generator from numpy's own SeedSequence, the array-factor oracle sums
+trial's generator from numpy's own SeedSequence, the draw oracle takes a
+trial's numbers through numpy's Generator methods, the array-factor oracle sums
 terms one by one with cmath, and the two-device sscp oracle integrates the
 model's formulas by quadrature without importing the simulator.
 """
@@ -32,6 +33,40 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=tuple(path)))
     )
+
+
+# seeds of one, two and three 32-bit words, including the held-out benchmark seed
+KEY_SEEDS = (0, 1, 20261017, 2**32 + 5, 2**70 + 123)
+
+
+def generator_trial_draws(rng, kind: str, noise_std: float, k: int, s: int,
+                          distance_range, angle_range) -> list[np.ndarray]:
+    """One trial's numbers drawn through numpy's Generator methods, in stream order.
+
+    The sequence the frame pipeline decodes from raw words: device distances
+    and angles (`uniform`), then, for a trained policy with noise_std > 0, a
+    standard normal per device and slot, then the policy's own draws: carp a
+    uniform per device and slot; crdsap `integers(0, s, k)` and
+    `integers(0, s - 1, k)`; irsap a degree per device by inverse CDF of the
+    README's distribution, then a uniform per device and slot; sscp nothing.
+    """
+    out = [rng.uniform(*distance_range, k), rng.uniform(*angle_range, k)]
+    if kind in ("carp", "sscp") and noise_std > 0:
+        out.append(rng.standard_normal((k, s)))
+    if kind == "carp":
+        out.append(rng.random((k, s)))
+    elif kind == "crdsap":
+        out += [rng.integers(0, s, k), rng.integers(0, s - 1, k)]
+    elif kind == "irsap":
+        scale = 1.0 + 1.0 / (s - 1)
+        cdf, total = [], 0.0
+        for degree in range(2, s + 1):
+            total += scale / ((degree - 1) * degree)
+            cdf.append(total)
+        # the first degree whose cdf exceeds u; the last absorbs float residue
+        out.append(np.array([min(2 + sum(c <= u for c in cdf), s) for u in rng.random(k)]))
+        out.append(rng.random((k, s)))
+    return out
 
 
 def loop_peel_trace(chosen, snr_values, threshold: float) -> list[tuple[int, int, int]]:

@@ -50,7 +50,9 @@ def test_c1_replica_count_exactness():
     rng = np.random.default_rng(101)
     k, s = 10, 20
     crdsap, sscp2, sscp3 = Policy("crdsap"), Policy("sscp", 2), Policy("sscp", 3)
-    first, second = ac.draw_trial(crdsap, 0.0, rng, frames * k, s)
+    # one trial of frames * k devices takes the same words numpy's integers would
+    words = rng.bit_generator.random_raw((1, ac.policy_words(crdsap, frames * k, s)))
+    (first, second), _rejected = ac.decode_draws(crdsap, words, frames * k, s)
     draws = (first.reshape(frames, k), second.reshape(frames, k))
     totals = ac.choose_slots(crdsap, np.empty((frames, k, s)), draws).sum(axis=(1, 2))
     ok = bool(np.all(totals == 2 * k))
@@ -66,8 +68,9 @@ def test_c2_irsap_degree_statistics():
     n, s = 100_000, 20
     rng = np.random.default_rng(202)
     irsap = Policy("irsap")
-    chosen = ac.choose_slots(irsap, np.empty((n, s)), ac.draw_trial(irsap, 0.0, rng, n, s))
-    sizes = chosen.sum(axis=1)
+    words = rng.bit_generator.random_raw((1, ac.policy_words(irsap, n, s)))
+    draws, _rejected = ac.decode_draws(irsap, words, n, s)
+    sizes = ac.choose_slots(irsap, np.empty((1, n, s)), draws)[0].sum(axis=1)
 
     mean_ok = abs(sizes.mean() - IRSAP_MEAN_DEGREE_S20) <= 0.01 * IRSAP_MEAN_DEGREE_S20
     pmf = ac.irsap_degree_pmf(s)

@@ -7,15 +7,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from risra import access as ac
+from risra import engine
+from risra.config import parse_config
+from oracles import KEY_SEEDS, generator_trial_draws, substream
 
 IRSAP_MEAN_DEGREE_S20 = 3.7344627969933493  # (1 + 1/19) * sum_{s=2..20} 1/(s-1)
+DECODE_POINTS = ((1, 20), (7, 2), (7, 3), (10, 5), (10, 20))  # (k, s)
+FIRST_TRIAL, STOP_TRIAL = 40, 300
+
+
+def trial_draws(kind, rng, k, s):
+    """One trial's access draws for k devices, decoded from the stream's next raw words."""
+    policy = ac.Policy(kind)
+    words = rng.bit_generator.random_raw((1, ac.policy_words(policy, k, s)))
+    draws, rejected = ac.decode_draws(policy, words, k, s)
+    assert not rejected.any()
+    return draws
 
 
 def select(kind, rng, k, s, snr=None):
-    """One trial of `kind` for k devices: draw in stream order, then choose."""
-    policy = ac.Policy(kind)
-    snr = np.zeros((k, s)) if snr is None else snr
-    return ac.choose_slots(policy, snr, ac.draw_trial(policy, 0.0, rng, k, s))
+    """One trial of `kind` for k devices: decode its draws, then choose."""
+    snr = np.zeros((1, k, s)) if snr is None else snr[None]
+    return ac.choose_slots(ac.Policy(kind), snr, trial_draws(kind, rng, k, s))[0]
 
 
 def slot_set(mask_row):
@@ -258,7 +271,96 @@ class TestDecideAccess:
         # same draws, wildly different channels: identical decisions
         for kind in ("crdsap", "irsap"):
             policy = ac.Policy(kind)
-            draws = ac.draw_trial(policy, 0.0, np.random.default_rng(6), 10, 8)
-            a = ac.choose_slots(policy, np.zeros((10, 8)), draws)
-            b = ac.choose_slots(policy, np.full((10, 8), 1e9), draws)
+            draws = trial_draws(kind, np.random.default_rng(6), 10, 8)
+            a = ac.choose_slots(policy, np.zeros((1, 10, 8)), draws)
+            b = ac.choose_slots(policy, np.full((1, 10, 8), 1e9), draws)
             assert np.array_equal(a, b)
+
+
+def decode_cfg(kind, k, s, noise_std):
+    cfg, _ = parse_config(None, [f"policy.kind={kind}", f"sim.k={k}", f"sim.s={s}",
+                                 f"estimation.noise_std={noise_std}"])
+    return cfg
+
+
+def batch_draws(cfg, seed):
+    """Trials FIRST_TRIAL..STOP_TRIAL-1 of `seed` through the engine's batch decode."""
+    restart = lambda row: engine.trial_rng(seed, FIRST_TRIAL + row)
+    distances, angles, draws = engine._batch_draws(
+        cfg, engine.trial_streams(seed, FIRST_TRIAL, STOP_TRIAL), restart
+    )
+    return [distances, angles, *draws], restart
+
+
+def assert_matches_generator(cfg, seed, got):
+    for row, trial in enumerate(range(FIRST_TRIAL, STOP_TRIAL)):
+        want = generator_trial_draws(
+            substream(seed, trial), cfg.policy.kind, cfg.estimation_noise_std, cfg.k, cfg.s,
+            (cfg.mtd_d_min_m, cfg.mtd_d_max_m), (cfg.mtd_angle_min_rad, cfg.mtd_angle_max_rad),
+        )
+        assert len(got) == len(want)
+        for decoded, drawn in zip(got, want):
+            assert decoded[row].dtype.kind == drawn.dtype.kind
+            assert np.array_equal(decoded[row], drawn), (seed, trial)
+
+
+class TestDecodeDraws:
+    """Draws decoded from raw words against numpy's Generator on the same streams."""
+
+    @pytest.mark.parametrize("noise_std", [0.0, 2.0])
+    @pytest.mark.parametrize("kind", ac.POLICY_KINDS)
+    def test_batch_decode_equals_generator_draws(self, kind, noise_std):
+        for (k, s), seed in itertools.product(DECODE_POINTS, KEY_SEEDS):
+            if kind == "sscp" and s < 2:
+                continue
+            cfg = decode_cfg(kind, k, s, noise_std)
+            got, _restart = batch_draws(cfg, seed)
+            assert_matches_generator(cfg, seed, got)
+
+    def test_word_counts(self):
+        counts = {kind: ac.policy_words(ac.Policy(kind), 7, 3) for kind in ac.POLICY_KINDS}
+        assert counts == {"carp": 21, "sscp": 0, "crdsap": 7, "irsap": 28}
+        assert ac.policy_words(ac.Policy("crdsap"), 7, 2) == 4  # second index is free at s = 2
+        assert ac.policy_words(ac.Policy("crdsap"), 10, 20) == 10
+
+    def test_forced_rejections_match_numpy(self):
+        # n = 3 * 2**30: numpy rejects a half word h exactly when h % 4 == 0
+        n, m = 3 * 2**30, 4000
+        for key in ((1, 2), (2**63 + 5, 7), (0, 0)):
+            words = np.random.Philox(key=key).random_raw(m // 2)
+            halves = words.astype("<u8").view("<u4")
+            values, rejected = ac.bounded_integers(halves, n)
+            assert np.array_equal(rejected, halves % 4 == 0)
+            assert 0.2 < rejected.mean() < 0.3
+            accepted = values[~rejected]
+            want = np.random.Generator(np.random.Philox(key=key)).integers(0, n, accepted.size)
+            assert np.array_equal(accepted, want)
+
+    def test_no_rejection_below_threshold_power_of_two(self):
+        # a power-of-two range never rejects: (2**32 - n) % n == 0
+        halves = np.random.Philox(key=3).random_raw(500).view("<u4")
+        assert not ac.bounded_integers(halves, 16)[1].any()
+
+    def test_redraw_reproduces_numpy_on_any_row(self):
+        for (k, s), seed in itertools.product(((7, 3), (10, 20), (1, 20)), KEY_SEEDS[:3]):
+            cfg = decode_cfg("crdsap", k, s, 0.0)
+            got, restart = batch_draws(cfg, seed)
+            decoded = [draw.copy() for draw in got[2:]]
+            redrawn = [np.full_like(draw, -1) for draw in decoded]
+            engine._redraw_rows(cfg, redrawn, list(range(STOP_TRIAL - FIRST_TRIAL)), restart)
+            assert all(np.array_equal(a, b) for a, b in zip(redrawn, decoded))
+
+    def test_rejected_rows_are_drawn_again(self, monkeypatch):
+        # flag every row: each is redrawn through numpy and must still equal the oracle
+        exact = ac.bounded_integers
+        monkeypatch.setattr(
+            ac, "bounded_integers", lambda halves, n: (exact(halves, n)[0] * 0, halves >= 0)
+        )
+        for k, s in ((7, 2), (7, 3), (10, 20)):
+            cfg = decode_cfg("crdsap", k, s, 0.0)
+            got, _restart = batch_draws(cfg, KEY_SEEDS[2])
+            assert_matches_generator(cfg, KEY_SEEDS[2], got)
+
+    def test_crdsap_needs_two_slots(self):
+        with pytest.raises(ValueError):
+            ac.decode_draws(ac.Policy("crdsap"), np.zeros((1, 3), np.uint64), 3, 1)

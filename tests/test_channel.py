@@ -23,7 +23,7 @@ def make_ris(n_x=10, n_z=10, d_x=0.1, d_z=0.1, wavelength=0.1):
 
 
 def make_ap():
-    return ch.NodePlacement(20.0, math.pi / 4, GAIN_5_DB)
+    return ch.NodePlacement(20.0, GAIN_5_DB)
 
 
 def make_radio(tx_power=0.01):
@@ -99,11 +99,11 @@ class TestGeometryValidation:
 
     def test_placement_validation(self):
         with pytest.raises(ValueError):
-            ch.NodePlacement(0.0, 0.1, 1.0)
+            ch.NodePlacement(0.0, 1.0)
         with pytest.raises(ValueError):
-            ch.NodePlacement(10.0, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            ch.NodePlacement(10.0, 0.1, 0.0)
+            ch.NodePlacement(10.0, 0.0)
+        with pytest.raises(TypeError):  # the AP angle is gone: no output read it
+            ch.NodePlacement(10.0, 0.1, 1.0)
 
 
 class TestPathLoss:
@@ -216,7 +216,8 @@ class TestChannelCoefficientAndSnr:
         ris = make_ris()
         radio = make_radio()
         phases = ch.phase_shift_set(7)
-        distances, angles = ch.sample_mtd_placements(np.random.default_rng(11), 6, (25.0, 100.0))
+        words = np.random.default_rng(11).bit_generator.random_raw(12)
+        distances, angles = ch.sample_mtd_placements(words, (25.0, 100.0))
         grid = ch.snr_matrix(
             ris, radio, make_ap(), GAIN_5_DB, distances.reshape(2, 3), angles.reshape(2, 3), phases
         )
@@ -229,34 +230,56 @@ class TestChannelCoefficientAndSnr:
 
 
 class TestPlacementSampling:
+    """Placements decoded from raw words (two per device: distances, then angles)."""
+
     def test_degenerate_ranges(self):
-        rng = np.random.default_rng(0)
-        distances, angles = ch.sample_mtd_placements(rng, 8, (50.0, 50.0), (0.3, 0.3))
+        words = np.random.default_rng(0).bit_generator.random_raw(16)
+        distances, angles = ch.sample_mtd_placements(words, (50.0, 50.0), (0.3, 0.3))
         assert np.all(distances == 50.0)
         assert np.all(angles == 0.3)
 
     def test_same_seed_same_placements(self):
-        draw = lambda: ch.sample_mtd_placements(np.random.default_rng(42), 20, (25.0, 100.0))
+        draw = lambda: ch.sample_mtd_placements(
+            np.random.default_rng(42).bit_generator.random_raw(40), (25.0, 100.0)
+        )
         (d1, a1), (d2, a2) = draw(), draw()
         assert np.array_equal(d1, d2) and np.array_equal(a1, a2)
 
     def test_uniform_mean_distance(self):
-        rng = np.random.default_rng(7)
         n = 100_000
-        distances, _angles = ch.sample_mtd_placements(rng, n, (25.0, 100.0))
+        words = np.random.default_rng(7).bit_generator.random_raw(2 * n)
+        distances, _angles = ch.sample_mtd_placements(words, (25.0, 100.0))
         se = (100.0 - 25.0) / math.sqrt(12 * n)
         assert abs(distances.mean() - 62.5) <= 3 * se
 
     def test_invalid_ranges_rejected(self):
-        rng = np.random.default_rng(0)
+        words = np.random.default_rng(0).bit_generator.random_raw(6)
         with pytest.raises(ValueError):
-            ch.sample_mtd_placements(rng, 3, (0.0, 10.0))
+            ch.sample_mtd_placements(words, (0.0, 10.0))
         with pytest.raises(ValueError):
-            ch.sample_mtd_placements(rng, 3, (30.0, 10.0))
+            ch.sample_mtd_placements(words, (30.0, 10.0))
         with pytest.raises(ValueError):
-            ch.sample_mtd_placements(rng, 3, (10.0, 30.0), (0.5, 0.1))
+            ch.sample_mtd_placements(words, (10.0, 30.0), (0.5, 0.1))
         with pytest.raises(ValueError):
-            ch.sample_mtd_placements(rng, 0, (10.0, 30.0))
+            ch.sample_mtd_placements(words[:0], (10.0, 30.0))
+        with pytest.raises(ValueError):
+            ch.sample_mtd_placements(words[:5], (10.0, 30.0))
+
+    @pytest.mark.parametrize("key", [(1, 2), (2**63 + 5, 9), (0, 0)])
+    def test_matches_generator_uniform(self, key):
+        # a batch of (3, 2k) words decodes as numpy's uniform on each row's stream
+        ranges = ((25.0, 100.0), (0.1, ch.HALF_PI))
+        words = np.random.Philox(key=key).random_raw((3, 18))
+        distances, angles = ch.sample_mtd_placements(words, *ranges)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        for row in range(3):
+            assert np.array_equal(distances[row], rng.uniform(*ranges[0], 9))
+            assert np.array_equal(angles[row], rng.uniform(*ranges[1], 9))
+
+    def test_unit_doubles_match_generator_random(self):
+        words = np.random.Philox(key=11).random_raw((4, 25))
+        want = np.random.Generator(np.random.Philox(key=11)).random((4, 25))
+        assert np.array_equal(ch.unit_doubles(words), want)
 
 
 class TestDecibelHelpers:

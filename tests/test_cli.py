@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import math
 import re
 
 import pytest
@@ -15,6 +14,16 @@ FLOAT_KEYS = sorted(key for key, (kind, _default) in CONFIG_SCHEMA.items() if ki
 # `risra run --trials 50 --seed 1 --policies carp,sscp,crdsap,irsap --verbose`
 RUN_50_CSV_SHA256 = "742a1ed5bf3adb8fdf3ca8f4464ef67d6f5c7e39d15c4f434764ee8d0ce9383b"
 RUN_50_TRACE_SHA256 = "6bfca5e7ee40ff93da03002acb1c4e0e11e5c1478eb5882ba01ebfd2b0d0f1ae"
+# `risra run --trials 300 --seed 1` CSVs outside the benchmark goldens (estimation
+# noise, odd K, S < 5), recorded before the draws were decoded from raw words
+EDGE_RUNS = {
+    ("--policies", "carp,sscp", "--set", "estimation.noise_std=2.0", "--set", "sim.k=7",
+     "--set", "sim.s=9"): "ff29ab9f15945fc2a746bf33c93449b5d8f73559e8ca7d02ddd85312409dee9f",
+    ("--policies", "crdsap,irsap", "--set", "sim.k=7", "--set", "sim.s=2"):
+        "06faeebbe5a00363d10f2b279b6e5a82ef098fa5b70e2ca011455e2feed4d8f2",
+    ("--policies", "crdsap,irsap", "--set", "sim.k=7", "--set", "sim.s=3"):
+        "074a750b33582db0176abba3443863a4b8da048489211ae88d65e092b7045c66",
+}
 # every function through which a command can start simulating a cell
 RUN_FUNCTIONS = ("run_monte_carlo", "run_monte_carlo_with_traces", "_run", "_simulate_range",
                  "run_cells", "sweep", "optimal_over_s")
@@ -43,7 +52,8 @@ class TestParseConfig:
         assert cfg.radio.mtd_tx_power_w == 0.01
         assert cfg.radio.noise_power_w == pytest.approx(NOISE_MINUS_94_DBM, rel=1e-12)
         assert cfg.radio.snr_threshold == 1.0
-        assert (cfg.ap.distance_m, cfg.ap.angle_rad) == (20.0, math.pi / 4)
+        assert cfg.ap.distance_m == 20.0
+        assert not hasattr(cfg.ap, "angle_rad")
         assert cfg.ap.antenna_gain == pytest.approx(10**0.5, rel=1e-12)
         assert (cfg.mtd_d_min_m, cfg.mtd_d_max_m) == (25.0, 100.0)
         assert cfg.mtd_gain == pytest.approx(10**0.5, rel=1e-12)
@@ -200,6 +210,29 @@ class TestRunCommand:
         trace = (tmp_path / "run.csv.trace").read_bytes()
         assert hashlib.sha256(trace).hexdigest() == RUN_50_TRACE_SHA256
 
+    @pytest.mark.parametrize("argv", list(EDGE_RUNS))
+    def test_edge_run_bytes_are_pinned(self, tmp_path, argv):
+        out = tmp_path / "run.csv"
+        assert run_cli("run", "--out", str(out), "--trials", "300", "--seed", "1", *argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == EDGE_RUNS[argv]
+
+    def test_removed_ap_angle_key(self, tmp_path, capsys):
+        # ap.angle_rad never reached an output: --set rejects it as unknown, and
+        # a manifest written while it existed still replays to the same bytes
+        out = tmp_path / "run.csv"
+        assert run_cli("run", "--out", str(out), "--set", "ap.angle_rad=0.5") == 2
+        assert "unknown config key 'ap.angle_rad'" in capsys.readouterr().err
+        assert run_cli("run", "--out", str(out), "--trials", "15", "--set", "sim.k=3") == 0
+        manifest_path = tmp_path / "run.csv.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "ap.angle_rad" not in manifest["config"]
+        manifest["config"]["ap.angle_rad"] = 0.7853981633974483
+        old = tmp_path / "old.manifest.json"
+        old.write_text(json.dumps(manifest))
+        replayed = tmp_path / "replayed.csv"
+        cli.replay_manifest(old, replayed)
+        assert replayed.read_bytes() == out.read_bytes()
+
     def test_verbose_reports_progress_per_policy(self, tmp_path, capsys):
         argv = ["run", "--out", str(tmp_path / "run.csv"), "--trials", "3",
                 "--policies", "crdsap,carp"]
@@ -216,14 +249,21 @@ class TestRunCommand:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--axis", "K", "--values", "2,3"],
         ["optimal-s", "--s-values", "2,3"],
+        ["optimal-s", "--s-values", "2,3,5", "--policies", "sscp,crdsap"],
     ])
     def test_sweeps_report_rate_per_point(self, tmp_path, capsys, argv):
+        # one point sequence over every cell of the command, across policies
+        cells = 6 if "--policies" in argv else 2
         out = tmp_path / "o.csv"
         assert run_cli(*argv, "--out", str(out), "--trials", "3", "--verbose") == 0
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 2
+        assert len(lines) == cells
+        elapsed = []
         for done, line in enumerate(lines, start=1):
-            assert re.fullmatch(rf"point {done}/2 \d+\.\d\d s \d+ frames/s", line), line
+            match = re.fullmatch(rf"point {done}/{cells} (\d+\.\d\d) s \d+ frames/s", line)
+            assert match, line
+            elapsed.append(float(match[1]))
+        assert elapsed == sorted(elapsed)
         plain = tmp_path / "plain.csv"
         assert run_cli(*argv, "--out", str(plain), "--trials", "3") == 0
         assert out.read_bytes() == plain.read_bytes()

@@ -2,10 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from risra import access, channel
 from risra import receiver as rx
 from risra.config import cell_configs, parse_config, resolve_config
 from risra.engine import (
+    _batch_draws,
     _simulate_range,
     optimal_over_s,
     run_monte_carlo,
@@ -15,7 +19,7 @@ from risra.engine import (
     trial_rng,
     trial_streams,
 )
-from oracles import substream
+from oracles import KEY_SEEDS, substream
 
 
 def make_cfg(*overrides):
@@ -45,10 +49,6 @@ ALIGNED = (
 
 def aligned_cfg(*overrides):
     return make_cfg(*ALIGNED, *overrides)
-
-
-# seeds of one, two and three 32-bit words, including the held-out benchmark seed
-KEY_SEEDS = (0, 1, 20261017, 2**32 + 5, 2**70 + 123)
 
 
 def draw_sequence(rng):
@@ -212,13 +212,10 @@ class TestSscpSingleReplica:
         # with one replica per device, the decoded set is exactly the devices
         # whose chosen slot is an initial singleton passing the threshold
         cfg = make_cfg("policy.kind=sscp", "policy.sscp_s=1", "sim.k=12", "sim.s=6")
-        from risra import access, channel
-
         phases = channel.phase_shift_set(cfg.s)
         for trial in range(150):
             distances, angles = channel.sample_mtd_placements(
-                trial_rng(cfg.seed, trial),
-                cfg.k,
+                trial_rng(cfg.seed, trial).bit_generator.random_raw(2 * cfg.k),
                 (cfg.mtd_d_min_m, cfg.mtd_d_max_m),
                 (cfg.mtd_angle_min_rad, cfg.mtd_angle_max_rad),
             )
@@ -235,6 +232,48 @@ class TestSscpSingleReplica:
                 if slots.count(slot) == 1 and gamma[k, slot] >= cfg.radio.snr_threshold
             }
             assert {k for _it, _slot, k in trace} == direct
+
+
+def masks_and_decoded(cfg):
+    """Every trial's replica mask, composed from the pipeline's stages, and its
+    decoded count from the pipeline itself."""
+    restart = lambda row: trial_rng(cfg.seed, row)
+    distances, angles, draws = _batch_draws(cfg, trial_streams(cfg.seed, 0, cfg.trials), restart)
+    gamma = channel.snr_matrix(
+        cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles,
+        channel.phase_shift_set(cfg.s),
+    )
+    chosen = access.choose_slots(
+        cfg.policy, gamma, draws, cfg.estimation_c, cfg.estimation_noise_std
+    )
+    a, _g, _p, _traces = _simulate_range(cfg, 0, cfg.trials)
+    assert np.array_equal(rx.peel_batch(chosen, gamma, cfg.radio.snr_threshold)[0], a)
+    return chosen, a
+
+
+class TestPowerScaling:
+    """Metamorphic: scaling the device transmit power by 2**m scales every SNR exactly."""
+
+    @given(
+        st.integers(0, 2**64),
+        st.sampled_from([(10, 20), (20, 20), (10, 5)]),
+        st.sampled_from(access.POLICY_KINDS),
+    )
+    @settings(max_examples=24, deadline=None)
+    def test_masks_fixed_and_decodes_never_fall(self, seed, point, kind):
+        # every policy's choice is invariant under an exact scale of the grid,
+        # and a stronger signal can only pass the threshold more often
+        k, s = point
+        cfg = make_cfg(f"sim.k={k}", f"sim.s={s}", f"policy.kind={kind}", "sim.trials=48",
+                       f"sim.seed={seed}")
+        runs = [
+            masks_and_decoded(dataclasses.replace(cfg, radio=dataclasses.replace(
+                cfg.radio, mtd_tx_power_w=cfg.radio.mtd_tx_power_w * 2.0**m)))
+            for m in range(-3, 4)
+        ]
+        masks, decoded = zip(*runs)
+        assert all(np.array_equal(mask, masks[0]) for mask in masks[1:])
+        assert np.all(np.diff(np.stack(decoded), axis=0) >= 0)
 
 
 class TestSweep:

@@ -195,3 +195,18 @@ class TestPeelBatch:
         for _ in range(200):
             mask, snr = random_instance(rng)
             assert rx.peel_trace(mask, snr, 1.0) == loop_peel_trace(mask, snr, 1.0)
+
+    @given(peel_batches(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_invariant_under_relabeling(self, batch, seed):
+        # a peel reaches the same decoded set in any scan order: relabelling the
+        # devices or permuting the slots of each frame leaves its count unchanged
+        chosen, snr = batch
+        b, k, s = chosen.shape
+        counts, _ = rx.peel_batch(chosen, snr, 1.0)
+        rng = np.random.default_rng(seed)
+        devices = rng.permuted(np.tile(np.arange(k), (b, 1)), axis=1)[:, :, None]
+        slots = rng.permuted(np.tile(np.arange(s), (b, 1)), axis=1)[:, None, :]
+        for order, axis in ((devices, 1), (slots, 2)):
+            moved = [np.take_along_axis(a, order, axis=axis) for a in (chosen, snr)]
+            assert np.array_equal(rx.peel_batch(*moved, 1.0)[0], counts)
