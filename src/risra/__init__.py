@@ -6,8 +6,9 @@ Library layout:
   receiver      singleton detection and SIC peeling
   power_metrics frame power model, throughput, energy efficiency
   config        flat key=value schema, defaults, validation, sweep cells
-  engine        the batched frame pipeline (one frame is a batch of one),
-                Monte Carlo aggregation, sweeps
+  engine        the batched frame pipeline over cell groups (one cell is a
+                group of one, one frame a batch of one), Monte Carlo
+                aggregation, the best-S choice
   cli           `risra` command-line front end
 """
 

@@ -2,7 +2,9 @@
 
 Every command that produces a CSV also writes `<out>.manifest.json` holding
 the fully resolved configuration and the command parameters; replaying a
-manifest regenerates the CSV byte for byte. CSV columns are fixed:
+manifest regenerates the CSV byte for byte. The manifest's `stats` hold the
+run's timings per cell group (engine.run_groups), which no CSV byte depends
+on. CSV columns are fixed:
 
   policy,K,S,N,rho_mtd_w,trials,seed,mean_A,mean_G,ci95_G,mean_P_w,ci95_P_w,ee_rom,ee_mor
 
@@ -27,7 +29,7 @@ from typing import Any, Sequence
 from . import __version__
 from .access import POLICY_KINDS
 from .config import REMOVED_KEYS, SWEEP_AXES, cell_configs, read_config_file, resolve_config
-from .engine import optimal_over_s, run_cells, run_monte_carlo_with_traces, sweep
+from .engine import optimal_over_s, run_groups
 
 CSV_HEADER = (
     "policy,K,S,N,rho_mtd_w,trials,seed,mean_A,mean_G,ci95_G,mean_P_w,ci95_P_w,ee_rom,ee_mor"
@@ -76,7 +78,9 @@ def _write_outputs(out: Path, rows: list[str], manifest: dict[str, Any]) -> None
     )
 
 
-def _manifest_base(command: str, resolved: dict[str, Any], policies: list[str]) -> dict[str, Any]:
+def _manifest_base(
+    command: str, resolved: dict[str, Any], policies: list[str], stats: dict[str, Any]
+) -> dict[str, Any]:
     return {
         "tool": "risra",
         "version": __version__,
@@ -84,6 +88,7 @@ def _manifest_base(command: str, resolved: dict[str, Any], policies: list[str]) 
         "command": command,
         "policies": policies,
         "config": resolved,
+        "stats": stats,
     }
 
 
@@ -134,31 +139,45 @@ def _kinds(args, resolved: dict[str, Any]) -> list[str]:
     return [kind.strip() for kind in args.policies.split(",")]
 
 
-def _progress(verbose: bool, cfgs):
-    """Progress reporter over all of a command's `cfgs`, called once per finished cell.
+def _run_cells(cfgs, verbose: bool, keep_traces: bool = False):
+    """Run a command's cells group by group (engine.run_groups); returns the runs and stats.
 
-    It counts the cells itself rather than reading run_cells' (done, total),
-    so one reporter spans several run_cells calls: each line gives cells done
-    of all, seconds since the first cell started and frames per second so far.
+    The stats go to the manifest: the total wall time and, per group, its
+    cells (indices into cfgs), their policies, its trials, wall time and
+    policy-frames per second. With verbose, one stderr line per finished cell
+    gives cells done of all, seconds since the first group started and
+    frames per second so far, counting the frames of the finished cells; a
+    group's cells finish together, so they share a time.
     """
-    if not verbose:
-        return None
     start = time.perf_counter()
-    done = 0
+    groups = []
+    done = frames = 0
 
-    def report(*_counts) -> None:
-        nonlocal done
-        done += 1
+    def finished(indices: list[int], seconds: float) -> None:
+        nonlocal done, frames
+        members = [cfgs[i] for i in indices]
+        trials = members[0].trials
+        groups.append({
+            "cells": indices,
+            "policies": [cfg.policy.label for cfg in members],
+            "trials": trials,
+            "wall_s": seconds,
+            "policy_frames_per_s": len(members) * trials / seconds,
+        })
         elapsed = time.perf_counter() - start
-        frames = sum(cfg.trials for cfg in cfgs[:done])
-        rate = frames / elapsed
-        print(f"point {done}/{len(cfgs)} {elapsed:.2f} s {rate:.0f} frames/s", file=sys.stderr)
+        for cfg in members:
+            done += 1
+            frames += cfg.trials
+            if verbose:
+                print(f"point {done}/{len(cfgs)} {elapsed:.2f} s {frames / elapsed:.0f} frames/s",
+                      file=sys.stderr)
 
-    return report
+    runs = run_groups(cfgs, keep_traces, finished)
+    return runs, {"wall_s": time.perf_counter() - start, "groups": groups}
 
 
-def _rows(cfgs, results) -> list[str]:
-    return [_csv_row(cfg, agg) for cfg, agg in zip(cfgs, results)]
+def _rows(cfgs, runs) -> list[str]:
+    return [_csv_row(cfg, agg) for cfg, (agg, _traces) in zip(cfgs, runs)]
 
 
 def cmd_run(args) -> int:
@@ -166,15 +185,11 @@ def cmd_run(args) -> int:
     kinds = _kinds(args, resolved)
     cfgs = cell_configs(resolved, kinds)
     out = Path(args.out)
-    if args.verbose:
-        runs = run_cells(cfgs, run_monte_carlo_with_traces, _progress(True, cfgs))
-        results, traces = zip(*runs)
-    else:
-        results = sweep(cfgs)
-    _write_outputs(out, _rows(cfgs, results), _manifest_base("run", resolved, kinds))
+    runs, stats = _run_cells(cfgs, args.verbose, keep_traces=args.verbose)
+    _write_outputs(out, _rows(cfgs, runs), _manifest_base("run", resolved, kinds, stats))
     if args.verbose:
         lines = []
-        for cfg, cell_traces in zip(cfgs, traces):
+        for cfg, (_agg, cell_traces) in zip(cfgs, runs):
             for trial, trace in enumerate(cell_traces):
                 lines.append(f"# policy {cfg.policy.label} trial {trial}")
                 lines.extend(f"{it},{slot},{dev}" for it, slot, dev in trace)
@@ -187,11 +202,11 @@ def cmd_sweep(args) -> int:
     kinds = _kinds(args, resolved)
     values = parse_values(args.values)
     cfgs = cell_configs(resolved, kinds, args.axis, values)
-    results = sweep(cfgs, progress=_progress(args.verbose, cfgs))
-    manifest = _manifest_base("sweep", resolved, kinds)
+    runs, stats = _run_cells(cfgs, args.verbose)
+    manifest = _manifest_base("sweep", resolved, kinds, stats)
     manifest["axis"] = args.axis
     manifest["values"] = values
-    _write_outputs(Path(args.out), _rows(cfgs, results), manifest)
+    _write_outputs(Path(args.out), _rows(cfgs, runs), manifest)
     return 0
 
 
@@ -200,16 +215,17 @@ def cmd_optimal_s(args) -> int:
     kinds = _kinds(args, resolved)
     s_values = parse_values(args.s_values)
     cfgs = cell_configs(resolved, kinds, "S", s_values)
+    runs, stats = _run_cells(cfgs, args.verbose)
     rows = []
-    progress = _progress(args.verbose, cfgs)
-    for _kind, group in itertools.groupby(cfgs, key=lambda cfg: cfg.policy.kind):
-        group = list(group)
-        report = optimal_over_s(group, progress=progress)
-        cells = {cfg.s: (cfg, agg) for cfg, (_s, agg) in zip(group, report.curve)}
-        rows += _rows(group, [agg for _s, agg in report.curve])
-        rows.append(_csv_row(*cells[report.best_throughput[0]], tag="best_G"))
-        rows.append(_csv_row(*cells[report.best_ee[0]], tag="best_ee"))
-    manifest = _manifest_base("optimal-s", resolved, kinds)
+    cells = [(cfg, agg) for cfg, (agg, _traces) in zip(cfgs, runs)]
+    for _kind, curve in itertools.groupby(cells, key=lambda cell: cell[0].policy.kind):
+        curve = list(curve)
+        report = optimal_over_s((cfg.s, agg) for cfg, agg in curve)
+        by_s = {cfg.s: (cfg, agg) for cfg, agg in curve}
+        rows += [_csv_row(cfg, agg) for cfg, agg in curve]
+        rows.append(_csv_row(*by_s[report.best_throughput[0]], tag="best_G"))
+        rows.append(_csv_row(*by_s[report.best_ee[0]], tag="best_ee"))
+    manifest = _manifest_base("optimal-s", resolved, kinds, stats)
     manifest["s_values"] = s_values
     _write_outputs(Path(args.out), rows, manifest)
     return 0
@@ -228,7 +244,8 @@ def replay_manifest(manifest_path: str | Path, out: str | Path) -> Path:
 
     The resolved config stored in the manifest fully determines the result, so
     the regenerated CSV is byte-identical to the original. Keys this version
-    removed (config.REMOVED_KEYS) are skipped; no output read them.
+    removed (config.REMOVED_KEYS) are skipped; no output read them. The
+    manifest's `stats` are timings of the recorded run and are not read.
     """
     manifest = json.loads(Path(manifest_path).read_text())
     resolved = manifest["config"]

@@ -1,4 +1,4 @@
-"""Frame simulation, Monte Carlo aggregation, parameter sweeps, optimal slot search.
+"""Frame simulation, Monte Carlo aggregation over cell groups, optimal slot choice.
 
 Reproducibility contract: every random number of trial t comes from one
 counter-based Philox stream keyed by SeedSequence(entropy=seed,
@@ -16,22 +16,34 @@ reused Philox generator per trial; a Philox stream is fixed by its key and
 counter alone, so this is the same stream as constructing it from the
 SeedSequence.
 
-There is one frame pipeline, _simulate_batch. It reads each trial's stream as
-raw 64-bit words, 2k for the placement and access.policy_words for the
-policy, with one random_raw call per trial, and decodes them on the whole
-batch exactly as numpy's Generator would decode them (_batch_draws). It then
-computes the SNR grid, the slot choice, the SIC peel (receiver.peel_batch)
-and the frame metrics for the whole batch at once. run_monte_carlo feeds it
-batches of _BATCH trials; simulate_frame is a batch of one and, like the
-batches, expects a fresh trial stream such as trial_rng gives.
+Cells run in groups: a group is the cells of one run that differ only in
+their policy (policy.*), so they share every trial's stream and device drop.
+There is one frame pipeline, _simulate_batch, and it runs a group over a
+batch of trials. It reads each trial's stream as raw 64-bit words with one
+random_raw call: 2k for the placement, then as many as the group's members
+take at most (access.policy_words). It decodes the placement and builds the
+SNR grid once for the batch, and each member decodes its own prefix of the
+words after the placement exactly as numpy's Generator would (_batch_draws),
+then makes its slot choice, SIC peel (receiver.peel_batch) and frame metrics
+on the shared grid. A Philox stream is fixed by its key and counter and
+every policy's words start at offset 2k, so a member reads exactly the words
+it would read alone: a group's results equal its cells run one by one. A
+trained member with estimation noise draws its normals between the placement
+and its policy words with a variable number of words, so it reads the batch's
+streams again on a pass of its own; its placement and grid still come from
+the group. run_groups runs a command's cells group by group; run_monte_carlo
+is a group of one cell, and simulate_frame a batch of one trial of it, which
+like the batches expects a fresh trial stream such as trial_rng gives.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import os
-from dataclasses import dataclass
+import multiprocessing
+import sys
+import time
+from dataclasses import dataclass, fields
 from multiprocessing import get_context
 from typing import Callable, Iterable
 
@@ -172,14 +184,18 @@ def simulate_frame(
 ) -> TrialResult:
     """Run one frame end to end: drop devices, measure, contend, decode, meter.
 
-    The frame pipeline on a batch of one stream, so it is deterministic given
-    (cfg, rng state) and equals trial t of run_monte_carlo when rng is
-    trial_rng(cfg.seed, t). rng must be a fresh trial stream: the pipeline
-    reads it from its first word.
+    The frame pipeline on a group of one cell and a batch of one stream, so it
+    is deterministic given (cfg, rng state) and equals trial t of
+    run_monte_carlo when rng is trial_rng(cfg.seed, t). rng must be a fresh
+    trial stream: the pipeline reads it from its first word.
     """
     start = copy.deepcopy(rng)
-    a, g, p, counts, traces = _simulate_batch(
-        cfg, [rng], lambda _row: start, phase_shift_set(cfg.s), keep_trace
+    [(a, g, p, counts, traces)] = _simulate_batch(
+        [cfg],
+        lambda: [copy.deepcopy(start)],
+        lambda _row: copy.deepcopy(start),
+        phase_shift_set(cfg.s),
+        keep_trace,
     )
     return TrialResult(
         successes=int(a[0]),
@@ -195,43 +211,58 @@ _BATCH = 256  # trials per vectorized batch; keeps the SNR block under ~2 MB
 
 
 def _batch_draws(
-    cfg: ScenarioConfig,
-    rngs: Iterable[np.random.Generator],
+    cfgs: list[ScenarioConfig],
+    streams: Callable[[], Iterable[np.random.Generator]],
     restart: Callable[[int], np.random.Generator],
 ):
-    """Each trial's placement and access draws, decoded on the batch from raw words.
+    """A group's placement and every member's access draws, decoded on the batch from raw words.
 
-    Every trial takes its words with one random_raw call: the placement's 2k,
-    then the policy's access.policy_words. A trained policy with estimation
-    noise draws its standard normals between the two, on the same stream
-    (numpy does not expose its ziggurat tables). The streams are consumed
-    strictly one after another, so they may be one re-keyed generator
-    (trial_streams). A row whose bounded integers hit a Lemire rejection
-    needs more words than were read; it is drawn again from restart(row), a
-    fresh copy of its stream.
-    Returns device distances and angles (b, k) and the draws choose_slots takes.
+    streams() gives the batch's fresh trial streams, one after another, so
+    they may be one re-keyed generator (trial_streams). One pass takes each
+    trial's words with one random_raw call: the placement's 2k, then as many
+    as the members without estimation noise take at most
+    (access.policy_words); each of them decodes its own prefix of the words
+    after the placement. A trained member with estimation noise draws its
+    standard normals between the placement and its policy words, through
+    numpy (which does not expose its ziggurat tables), so it takes a pass of
+    its own. A row whose bounded integers hit a Lemire rejection needs more
+    words than were read; it is drawn again from restart(row), a fresh copy
+    of its stream.
+    Returns device distances and angles (b, k) and, per member, the draws
+    choose_slots takes.
     """
-    k, s, policy = cfg.k, cfg.s, cfg.policy
-    lead, n = 2 * k, access.policy_words(policy, k, s)
-    noise = ()
-    if access.draws_noise(policy, cfg.estimation_noise_std):
-        parts = [
-            (rng.bit_generator.random_raw(lead), rng.standard_normal((k, s)),
-             rng.bit_generator.random_raw(n))
-            for rng in rngs
-        ]
-        heads, normals, tails = (np.array(column) for column in zip(*parts))
-        words, noise = np.concatenate((heads, tails), axis=1), (normals,)
-    else:
-        words = np.array([rng.bit_generator.random_raw(lead + n) for rng in rngs])
+    cfg = cfgs[0]
+    k, s = cfg.k, cfg.s
+    lead = 2 * k
+    sizes = [access.policy_words(member.policy, k, s) for member in cfgs]
+    noisy = [access.draws_noise(member.policy, member.estimation_noise_std) for member in cfgs]
+    shared = [n for n, own in zip(sizes, noisy) if not own]
+    words = None
+    if shared:
+        count = lead + max(shared)
+        words = np.array([rng.bit_generator.random_raw(count) for rng in streams()])
+    members = []
+    for member, n, own in zip(cfgs, sizes, noisy):
+        if own:
+            parts = [
+                (rng.bit_generator.random_raw(lead), rng.standard_normal((k, s)),
+                 rng.bit_generator.random_raw(n))
+                for rng in streams()
+            ]
+            heads, normals, tails = (np.array(column) for column in zip(*parts))
+            words = heads if words is None else words
+            draws, rejected = access.decode_draws(member.policy, tails, k, s)
+            draws = (normals, *draws)
+        else:
+            draws, rejected = access.decode_draws(member.policy, words[:, lead:lead + n], k, s)
+        _redraw_rows(member, draws, np.flatnonzero(rejected).tolist(), restart)
+        members.append(draws)
     distances, angles = channel.sample_mtd_placements(
         words[:, :lead],
         (cfg.mtd_d_min_m, cfg.mtd_d_max_m),
         (cfg.mtd_angle_min_rad, cfg.mtd_angle_max_rad),
     )
-    draws, rejected = access.decode_draws(policy, words[:, lead:], k, s)
-    _redraw_rows(cfg, draws, np.flatnonzero(rejected).tolist(), restart)
-    return distances, angles, (*noise, *draws)
+    return distances, angles, members
 
 
 def _redraw_rows(cfg: ScenarioConfig, draws, rows: list[int], restart) -> None:
@@ -244,57 +275,69 @@ def _redraw_rows(cfg: ScenarioConfig, draws, rows: list[int], restart) -> None:
 
 
 def _simulate_batch(
-    cfg: ScenarioConfig,
-    rngs: Iterable[np.random.Generator],
+    cfgs: list[ScenarioConfig],
+    streams: Callable[[], Iterable[np.random.Generator]],
     restart: Callable[[int], np.random.Generator],
     phases: tuple[float, ...],
     keep_traces: bool,
 ):
-    """The frame pipeline over a batch of fresh trial streams (see _batch_draws).
+    """The frame pipeline of a group over a batch of trial streams (see _batch_draws).
 
-    Everything after the draws runs on (b, k, s) arrays.
-    Returns per-trial (successes, throughput, power, replica counts) arrays
-    and, with keep_traces, each trial's decode trace (else None).
+    The members share one placement and one SNR grid; everything after the
+    draws runs on (b, k, s) arrays. Returns per member the per-trial
+    (successes, throughput, power, replica counts) arrays and, with
+    keep_traces, each trial's decode trace (else None).
     """
-    policy = cfg.policy
-    distances, angles, draws = _batch_draws(cfg, rngs, restart)
+    cfg = cfgs[0]
+    distances, angles, members = _batch_draws(cfgs, streams, restart)
     gamma = channel.snr_matrix(
         cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles, phases
     )
-    chosen = access.choose_slots(
-        policy, gamma, draws, cfg.estimation_c, cfg.estimation_noise_std
-    )
+    out = []
+    for member, draws in zip(cfgs, members):
+        policy = member.policy
+        chosen = access.choose_slots(
+            policy, gamma, draws, member.estimation_c, member.estimation_noise_std
+        )
+        decoded, traces = receiver.peel_batch(
+            chosen, gamma, member.radio.snr_threshold, keep_traces
+        )
+        a = decoded.astype(float)
+        counts = chosen.sum(axis=-1)
+        p, g = power_metrics.frame_metrics(
+            member.power,
+            member.timing,
+            member.ris.n_elements,
+            counts,
+            a,
+            power_training_used=member.training_used,
+            frame_training_used=policy.requires_training,
+        )
+        out.append((a, g, p, counts, traces))
+    return out
 
-    decoded, traces = receiver.peel_batch(chosen, gamma, cfg.radio.snr_threshold, keep_traces)
-    a = decoded.astype(float)
-    counts = chosen.sum(axis=-1)
-    p, g = power_metrics.frame_metrics(
-        cfg.power,
-        cfg.timing,
-        cfg.ris.n_elements,
-        counts,
-        a,
-        power_training_used=cfg.training_used,
-        frame_training_used=policy.requires_training,
-    )
-    return a, g, p, counts, traces
 
-
-def _simulate_range(cfg: ScenarioConfig, start: int, stop: int, keep_traces: bool = False):
-    """Simulate trials [start, stop); returns per-trial metric arrays (and traces)."""
-    phases = phase_shift_set(cfg.s)
+def _simulate_range(cfgs: list[ScenarioConfig], start: int, stop: int, keep_traces: bool = False):
+    """Simulate a group's trials [start, stop); per member, per-trial metric arrays (and traces)."""
+    seed = cfgs[0].seed
+    phases = phase_shift_set(cfgs[0].s)
     parts = [
         _simulate_batch(
-            cfg,
-            trial_streams(cfg.seed, lo, min(lo + _BATCH, stop)),
-            lambda row, lo=lo: trial_rng(cfg.seed, lo + row),
+            cfgs,
+            lambda lo=lo: trial_streams(seed, lo, min(lo + _BATCH, stop)),
+            lambda row, lo=lo: trial_rng(seed, lo + row),
             phases,
             keep_traces,
         )
         for lo in range(start, stop, _BATCH)
     ]
+    return [_join([part[member] for part in parts], keep_traces) for member in range(len(cfgs))]
+
+
+def _join(parts, keep_traces: bool):
+    """One member's (a, g, p, traces) from its parts over consecutive trial ranges."""
     a, g, p = (np.concatenate([part[i] for part in parts]) for i in range(3))
-    traces = [trace for part in parts for trace in part[4]] if keep_traces else None
+    traces = [trace for part in parts for trace in part[-1]] if keep_traces else None
     return a, g, p, traces
 
 
@@ -320,49 +363,73 @@ def _aggregate(cfg: ScenarioConfig, a: np.ndarray, g: np.ndarray, p: np.ndarray)
     )
 
 
-def _run(cfg: ScenarioConfig, keep_traces: bool):
-    """Run cfg.trials frames; returns the aggregate and, with keep_traces, each trial's trace.
+def _run_group(cfgs: list[ScenarioConfig], keep_traces: bool, fork: bool):
+    """Each member's aggregate and, with keep_traces, its traces (else None).
 
-    Trials are fanned out over cfg.workers forked processes when possible;
-    per-trial streams and index-ordered reduction make the result
-    independent of the worker count.
+    With fork, the trials are split over min(workers, trials) forked
+    processes, each running every member on its chunk; per-trial streams and
+    trial-ordered reduction make the result independent of the worker count.
     """
-    workers = min(cfg.workers, cfg.trials)
-    if workers > 1 and os.name == "posix":
+    cfg = cfgs[0]
+    workers = min(cfg.workers, cfg.trials) if fork else 1
+    if workers > 1:
         bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int).tolist()
-        jobs = [(cfg, lo, hi, keep_traces) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        jobs = [(cfgs, lo, hi, keep_traces) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
         with get_context("fork").Pool(len(jobs)) as pool:
             parts = pool.starmap(_simulate_range, jobs)
     else:
-        parts = [_simulate_range(cfg, 0, cfg.trials, keep_traces)]
-    a, g, p = (np.concatenate([part[i] for part in parts]) for i in range(3))
-    traces = [trace for part in parts for trace in part[3]] if keep_traces else None
-    return _aggregate(cfg, a, g, p), traces
+        parts = [_simulate_range(cfgs, 0, cfg.trials, keep_traces)]
+    runs = []
+    for index, member in enumerate(cfgs):
+        a, g, p, traces = _join([part[index] for part in parts], keep_traces)
+        runs.append((_aggregate(member, a, g, p), traces))
+    return runs
+
+
+def _groups(cfgs: list[ScenarioConfig]) -> list[list[int]]:
+    """Indices of the cells that differ only in their policy, groups in order of first cell."""
+    groups: dict[str, list[int]] = {}
+    for index, cfg in enumerate(cfgs):
+        shared = tuple(getattr(cfg, f.name) for f in fields(cfg) if f.name != "policy")
+        groups.setdefault(repr(shared), []).append(index)
+    return list(groups.values())
+
+
+def run_groups(
+    cfgs: list[ScenarioConfig],
+    keep_traces: bool = False,
+    finished: Callable[[list[int], float], None] | None = None,
+) -> list[tuple[AggregateResult, list | None]]:
+    """Every cell's aggregate and, with keep_traces, its traces (else None), in the order of cfgs.
+
+    Cells that differ only in their policy run as one group (module
+    docstring), each group after the one before; finished(indices, seconds)
+    is called after each group with the indices of its cells and its wall
+    time. Where the fork start method is missing, every group runs in this
+    process and one note says so on stderr.
+    """
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    if not fork and any(min(cfg.workers, cfg.trials) > 1 for cfg in cfgs):
+        print("note: no fork start method here; sim.workers > 1 runs in one process",
+              file=sys.stderr)
+    runs: list = [None] * len(cfgs)
+    for indices in _groups(cfgs):
+        start = time.perf_counter()
+        for index, run in zip(indices, _run_group([cfgs[i] for i in indices], keep_traces, fork)):
+            runs[index] = run
+        if finished is not None:
+            finished(indices, time.perf_counter() - start)
+    return runs
 
 
 def run_monte_carlo(cfg: ScenarioConfig) -> AggregateResult:
-    """Run cfg.trials independent frames and aggregate."""
-    return _run(cfg, keep_traces=False)[0]
+    """Run cfg.trials independent frames and aggregate: a group of one cell."""
+    return run_groups([cfg])[0][0]
 
 
 def run_monte_carlo_with_traces(cfg: ScenarioConfig) -> tuple[AggregateResult, list]:
     """run_monte_carlo that also returns each trial's decode trace, in trial order."""
-    return _run(cfg, keep_traces=True)
-
-
-def run_cells(cfgs: list[ScenarioConfig], run, progress=None) -> list:
-    """run(cfg) for each cell in order, calling progress(done, total) after each."""
-    results = []
-    for done, cfg in enumerate(cfgs, start=1):
-        results.append(run(cfg))
-        if progress is not None:
-            progress(done, len(cfgs))
-    return results
-
-
-def sweep(cfgs: list[ScenarioConfig], progress=None) -> list[AggregateResult]:
-    """Each cell's Monte Carlo aggregate, in order."""
-    return run_cells(cfgs, run_monte_carlo, progress)
+    return run_groups([cfg], keep_traces=True)[0]
 
 
 @dataclass(slots=True)
@@ -374,9 +441,9 @@ class OptimalSReport:
     best_ee: tuple[int, float]
 
 
-def optimal_over_s(cfgs: list[ScenarioConfig], progress=None) -> OptimalSReport:
-    """Run one policy's cells over S and pick the best S; ties resolve to the smaller S."""
-    curve = tuple((cfg.s, agg) for cfg, agg in zip(cfgs, sweep(cfgs, progress)))
+def optimal_over_s(curve: Iterable[tuple[int, AggregateResult]]) -> OptimalSReport:
+    """The best S of one policy's finished (S, aggregate) curve; ties resolve to the smaller S."""
+    curve = tuple(curve)
     best_g = max(curve, key=lambda item: (item[1].mean_throughput, -item[0]))
     best_ee = max(curve, key=lambda item: (item[1].ee_ratio_of_means, -item[0]))
     return OptimalSReport(

@@ -5,13 +5,16 @@ explores every legal decode schedule, the loop peel runs the receiver's scan
 order on Python sets one frame at a time, the stream oracle builds each
 trial's generator from numpy's own SeedSequence, the draw oracle takes a
 trial's numbers through numpy's Generator methods, the array-factor oracle sums
-terms one by one with cmath, and the two-device sscp oracle integrates the
-model's formulas by quadrature without importing the simulator.
+terms one by one with cmath, the two-device sscp oracle integrates the
+model's formulas by quadrature without importing the simulator, and the
+fixed-grid oracle enumerates every slot choice of every device on a given SNR
+grid.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -339,3 +342,64 @@ def sscp_two_device_optimal_ee(resolved: dict, ties: str) -> tuple[int, float, i
             best_s, best_ee = s, value
         s += 1
     return best_s, best_ee, s - 1
+
+
+def slot_choice_distribution(kind: str, snr_row, sscp_s: int = 2) -> list[tuple[frozenset, float]]:
+    """One device's exact distribution over its replica slot sets, given its
+    SNR per slot, with perfect estimation (quality = SNR).
+
+    The policies as the `access` module docstring states them:
+    - crdsap: two distinct slots, every unordered pair equally likely;
+    - irsap: degree d in 2..S with probability (1 + 1/(S-1)) / ((d-1) d),
+      then every d-subset equally likely;
+    - carp: each slot on its own with probability quality / row sum (1/S
+      each on an all-zero row); an empty pattern falls back to the
+      best-quality slot, the lowest index among equals;
+    - sscp: the sscp_s best-quality slots, ties to the lower index.
+    """
+    s = len(snr_row)
+    quality = [max(float(q), 0.0) for q in snr_row]
+    if kind == "crdsap":
+        pairs = list(itertools.combinations(range(s), 2))
+        return [(frozenset(pair), 1.0 / len(pairs)) for pair in pairs]
+    if kind == "irsap":
+        out = []
+        for degree in range(2, s + 1):
+            mass = (1.0 + 1.0 / (s - 1)) / ((degree - 1) * degree)
+            subsets = list(itertools.combinations(range(s), degree))
+            out += [(frozenset(subset), mass / len(subsets)) for subset in subsets]
+        return out
+    if kind == "carp":
+        total = sum(quality)
+        probs = [q / total if total > 0 else 1.0 / s for q in quality]
+        best = min(range(s), key=lambda slot: (-quality[slot], slot))
+        out: dict[frozenset, float] = {}
+        for pattern in itertools.product((False, True), repeat=s):
+            mass = math.prod(p if on else 1.0 - p for p, on in zip(probs, pattern))
+            chosen = frozenset(slot for slot, on in enumerate(pattern) if on) or frozenset({best})
+            out[chosen] = out.get(chosen, 0.0) + mass
+        return list(out.items())
+    if kind == "sscp":
+        ranked = sorted(range(s), key=lambda slot: (-quality[slot], slot))
+        return [(frozenset(ranked[:sscp_s]), 1.0)]
+    raise ValueError(f"unknown policy {kind!r}")
+
+
+def fixed_grid_decoded(kind: str, snr, threshold: float, sscp_s: int = 2) -> float:
+    """Exact E[A] of one frame on a fixed k x s SNR grid.
+
+    Every combination of the devices' slot sets (slot_choice_distribution,
+    independent across devices) is peeled to its fixed point by
+    exhaustive_decode, and the decoded counts are averaged with the
+    combinations' probabilities.
+    """
+    k, s = len(snr), len(snr[0])
+    ok = [[snr[dev][slot] >= threshold for slot in range(s)] for dev in range(k)]
+    choices = [slot_choice_distribution(kind, snr[dev], sscp_s) for dev in range(k)]
+    total = 0.0
+    for combo in itertools.product(*choices):
+        slots = [{dev for dev, (chosen, _mass) in enumerate(combo) if slot in chosen}
+                 for slot in range(s)]
+        mass = math.prod(m for _chosen, m in combo)
+        total += mass * len(exhaustive_decode(slots, ok))
+    return total

@@ -18,7 +18,7 @@ from risra import power_metrics as pm
 from risra import receiver as rx
 from risra.access import Policy
 from risra.config import parse_config
-from risra.engine import run_monte_carlo
+from risra.engine import run_groups, run_monte_carlo
 from oracles import exhaustive_decode, slot_sets, sscp_two_device_optimal_ee
 
 IRSAP_MEAN_DEGREE_S20 = 3.7344627969933493
@@ -29,6 +29,7 @@ COARSE_S_GRID = (2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 26, 33, 40)
 COARSE_TRIALS = 2500
 TRIALS = 10_000
 WORKERS = 2
+POLICIES = ("carp", "sscp", "crdsap", "irsap")
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -233,41 +234,47 @@ def test_c8a_carp_dominates_at_high_load(baseline_k20):
 
 @pytest.fixture(scope="module")
 def optimal_ee_curve():
-    def run(kind: str, k: int, s: int, trials: int):
-        cfg = make_cfg(
-            f"policy.kind={kind}", f"sim.k={k}", f"sim.s={s}",
-            f"sim.trials={trials}", f"sim.workers={WORKERS}",
-        )
-        return run_monte_carlo(cfg)
+    """Each policy's optimal-over-S efficiency per K, as (K, EE, CI) points.
 
-    def curve(kind: str):
-        # two-stage grid search over the slot count: a coarse sweep locates
-        # the efficiency peak, a step-1 window around it is then evaluated at
-        # the full trial count (the efficiency curve is flat near its peak,
-        # so coarse-only searches understate it between grid points)
-        points = []
-        for k in K_GRID:
-            coarse = [
-                (run(kind, k, s, COARSE_TRIALS).ee_ratio_of_means, s)
-                for s in COARSE_S_GRID
-            ]
-            s_peak = max(coarse)[1]
-            best = None
-            for s in range(max(2, s_peak - 3), min(40, s_peak + 3) + 1):
-                agg = run(kind, k, s, TRIALS)
-                if best is None or agg.ee_ratio_of_means > best.ee_ratio_of_means:
-                    best = agg
-            points.append((k, best.ee_ratio_of_means, ee_ci(best)))
-        return points
+    A two-stage grid search over the slot count: a coarse sweep locates the
+    efficiency peak, a step-1 window around it is then evaluated at the full
+    trial count (the efficiency curve is flat near its peak, so coarse-only
+    searches understate it between grid points). The four policies run
+    together as cell groups (engine.run_groups): per K, the coarse stage is
+    one group per S holding every policy, and the fine stage runs the union
+    of the policies' windows, each S as a group of the policies whose window
+    holds it. The cells and seeds are those of a search per policy, so every
+    point is the same.
+    """
+    def cells(points, trials: int):
+        return [
+            make_cfg(f"policy.kind={kind}", f"sim.k={k}", f"sim.s={s}",
+                     f"sim.trials={trials}", f"sim.workers={WORKERS}")
+            for kind, k, s in points
+        ]
 
-    cache = {}
+    def run(cfgs):
+        runs = run_groups(cfgs)
+        return [(cfg.policy.kind, cfg.s, agg) for cfg, (agg, _traces) in zip(cfgs, runs)]
 
-    def get(kind: str):
-        if kind not in cache:
-            cache[kind] = curve(kind)
-        return cache[kind]
-
-    return get
+    curves = {kind: [] for kind in POLICIES}
+    for k in K_GRID:
+        peaks = {}
+        coarse = cells([(kind, k, s) for kind in POLICIES for s in COARSE_S_GRID], COARSE_TRIALS)
+        for kind, s, agg in run(coarse):
+            peaks[kind] = max(peaks.get(kind, (-math.inf, 0)), (agg.ee_ratio_of_means, s))
+        windows = [
+            (kind, k, s)
+            for kind in POLICIES
+            for s in range(max(2, peaks[kind][1] - 3), min(40, peaks[kind][1] + 3) + 1)
+        ]
+        best = {}
+        for kind, _s, agg in run(cells(windows, TRIALS)):
+            if kind not in best or agg.ee_ratio_of_means > best[kind].ee_ratio_of_means:
+                best[kind] = agg
+        for kind in POLICIES:
+            curves[kind].append((k, best[kind].ee_ratio_of_means, ee_ci(best[kind])))
+    return curves
 
 
 def sscp_two_to_four(points) -> tuple[bool, str]:
@@ -299,9 +306,9 @@ def sscp_two_to_four(points) -> tuple[bool, str]:
     )
 
 
-@pytest.mark.parametrize("kind", ["carp", "sscp", "crdsap", "irsap"])
+@pytest.mark.parametrize("kind", POLICIES)
 def test_c8b_optimal_ee_decreases_with_devices(optimal_ee_curve, kind):
-    points = optimal_ee_curve(kind)
+    points = optimal_ee_curve[kind]
     violations = []
     for (k_prev, ee_prev, ci_prev), (k_next, ee_next, ci_next) in zip(points, points[1:]):
         if kind == "sscp" and (k_prev, k_next) == (2, 4):

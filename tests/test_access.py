@@ -283,13 +283,20 @@ def decode_cfg(kind, k, s, noise_std):
     return cfg
 
 
-def batch_draws(cfg, seed):
-    """Trials FIRST_TRIAL..STOP_TRIAL-1 of `seed` through the engine's batch decode."""
+def group_draws(cfgs, seed):
+    """Trials FIRST_TRIAL..STOP_TRIAL-1 of `seed` through the engine's batch decode of a
+    group: per member, its placement and draws."""
     restart = lambda row: engine.trial_rng(seed, FIRST_TRIAL + row)
-    distances, angles, draws = engine._batch_draws(
-        cfg, engine.trial_streams(seed, FIRST_TRIAL, STOP_TRIAL), restart
+    distances, angles, members = engine._batch_draws(
+        cfgs, lambda: engine.trial_streams(seed, FIRST_TRIAL, STOP_TRIAL), restart
     )
-    return [distances, angles, *draws], restart
+    return [[distances, angles, *draws] for draws in members], restart
+
+
+def batch_draws(cfg, seed):
+    """batch_draws of a group of one cell."""
+    [got], restart = group_draws([cfg], seed)
+    return got, restart
 
 
 def assert_matches_generator(cfg, seed, got):
@@ -316,6 +323,17 @@ class TestDecodeDraws:
             cfg = decode_cfg(kind, k, s, noise_std)
             got, _restart = batch_draws(cfg, seed)
             assert_matches_generator(cfg, seed, got)
+
+    @pytest.mark.parametrize("noise_std", [0.0, 2.0])
+    def test_group_decode_equals_generator_draws(self, noise_std):
+        # every member of a group decodes its own prefix of the shared words,
+        # or its own pass with noise, into its own Generator draws
+        for (k, s), seed in itertools.product(DECODE_POINTS, KEY_SEEDS[:3]):
+            kinds = ac.POLICY_KINDS if s >= 2 else ("carp", "sscp")
+            cfgs = [decode_cfg(kind, k, s, noise_std) for kind in kinds]
+            members, _restart = group_draws(cfgs, seed)
+            for cfg, got in zip(cfgs, members):
+                assert_matches_generator(cfg, seed, got)
 
     def test_word_counts(self):
         counts = {kind: ac.policy_words(ac.Policy(kind), 7, 3) for kind in ac.POLICY_KINDS}

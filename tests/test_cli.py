@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -25,18 +26,19 @@ EDGE_RUNS = {
         "074a750b33582db0176abba3443863a4b8da048489211ae88d65e092b7045c66",
 }
 # every function through which a command can start simulating a cell
-RUN_FUNCTIONS = ("run_monte_carlo", "run_monte_carlo_with_traces", "_run", "_simulate_range",
-                 "run_cells", "sweep", "optimal_over_s")
+RUN_FUNCTIONS = ("run_monte_carlo", "run_monte_carlo_with_traces", "run_groups", "_run_group",
+                 "_simulate_range")
 
 
 @pytest.fixture
 def run_calls(monkeypatch):
-    """Names of the run functions called, in order, whether reached through engine or cli."""
+    """(name, positional arguments) of the run functions called, in order, whether
+    reached through engine or cli."""
     calls = []
     for module, name in itertools.product((engine, cli), RUN_FUNCTIONS):
         if hasattr(module, name):
             def counted(*args, _name=name, _run=getattr(module, name), **kwargs):
-                calls.append(_name)
+                calls.append((_name, args))
                 return _run(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
     return calls
@@ -179,14 +181,28 @@ class TestRunCommand:
 
     def test_manifest_written_and_replayable(self, tmp_path):
         out = tmp_path / "run.csv"
-        assert run_cli("run", "--out", str(out), "--trials", "15") == 0
+        assert run_cli("run", "--out", str(out), "--trials", "15", "--policies", "sscp,carp") == 0
         manifest_path = tmp_path / "run.csv.manifest.json"
         manifest = json.loads(manifest_path.read_text())
         assert manifest["command"] == "run"
         assert manifest["config"]["sim.trials"] == 15
+        # the timings sit in the manifest only: both cells ran as one group
+        assert manifest["csv_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+        stats = manifest["stats"]
+        [group] = stats["groups"]
+        assert (group["cells"], group["policies"], group["trials"]) == ([0, 1], ["carp", "sscp"], 15)
+        assert 0 < group["wall_s"] <= stats["wall_s"]
+        assert group["policy_frames_per_s"] == pytest.approx(2 * 15 / group["wall_s"])
         replayed = tmp_path / "replayed.csv"
         cli.replay_manifest(manifest_path, replayed)
         assert replayed.read_bytes() == out.read_bytes()
+        # a replay reads no stats, whatever they hold
+        manifest["stats"] = {"wall_s": "not a time"}
+        edited = tmp_path / "edited.manifest.json"
+        edited.write_text(json.dumps(manifest))
+        cli.replay_manifest(edited, replayed)
+        assert replayed.read_bytes() == out.read_bytes()
+        assert json.loads(Path(f"{replayed}.manifest.json").read_text())["stats"]["wall_s"] > 0
 
     def test_verbose_writes_decode_trace(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -209,6 +225,30 @@ class TestRunCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_50_CSV_SHA256
         trace = (tmp_path / "run.csv.trace").read_bytes()
         assert hashlib.sha256(trace).hexdigest() == RUN_50_TRACE_SHA256
+
+    def test_without_fork_workers_run_serially_with_one_note(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the same bytes whether sim.workers=2 forks a pool per group or, where
+        # the platform has no fork start method, runs every group in-process
+        pools = []
+        get_context = engine.get_context
+        monkeypatch.setattr(engine, "get_context",
+                            lambda method: pools.append(method) or get_context(method))
+        argv = ["run", "--trials", "50", "--seed", "1", "--policies", "carp,sscp,crdsap,irsap",
+                "--verbose", "--set", "sim.workers=2"]
+        outputs, notes = [], []
+        for methods in (["fork", "spawn", "forkserver"], ["spawn"]):
+            monkeypatch.setattr(engine.multiprocessing, "get_all_start_methods", lambda: methods)
+            out = tmp_path / f"{len(methods)}.csv"
+            assert run_cli(*argv, "--out", str(out)) == 0
+            outputs.append((out.read_bytes(), out.with_name(out.name + ".trace").read_bytes()))
+            notes.append([line for line in capsys.readouterr().err.splitlines()
+                          if not line.startswith("point ")])
+        assert pools == ["fork"]
+        assert outputs[0] == outputs[1]
+        assert hashlib.sha256(outputs[1][0]).hexdigest() == RUN_50_CSV_SHA256
+        assert notes[0] == []
+        assert len(notes[1]) == 1 and "fork" in notes[1][0]
 
     @pytest.mark.parametrize("argv", list(EDGE_RUNS))
     def test_edge_run_bytes_are_pinned(self, tmp_path, argv):
@@ -252,8 +292,12 @@ class TestRunCommand:
         ["optimal-s", "--s-values", "2,3,5", "--policies", "sscp,crdsap"],
     ])
     def test_sweeps_report_rate_per_point(self, tmp_path, capsys, argv):
-        # one point sequence over every cell of the command, across policies
-        cells = 6 if "--policies" in argv else 2
+        # one point sequence over every cell of the command, across policies;
+        # the cells (sorted by policy, then value) finish by groups, one per value
+        policies, cells = (2, 6) if "--policies" in argv else (1, 2)
+        values = cells // policies
+        groups = [[value + policy * values for policy in range(policies)]
+                  for value in range(values)]
         out = tmp_path / "o.csv"
         assert run_cli(*argv, "--out", str(out), "--trials", "3", "--verbose") == 0
         lines = capsys.readouterr().err.splitlines()
@@ -264,6 +308,13 @@ class TestRunCommand:
             assert match, line
             elapsed.append(float(match[1]))
         assert elapsed == sorted(elapsed)
+        stats = json.loads(Path(f"{out}.manifest.json").read_text())["stats"]
+        assert [group["cells"] for group in stats["groups"]] == groups
+        assert all(group["trials"] == 3 for group in stats["groups"])
+        # a group's cells finish together
+        starts = itertools.accumulate((len(group) for group in groups), initial=0)
+        for first, group in zip(starts, groups):
+            assert len(set(elapsed[first:first + len(group)])) == 1
         plain = tmp_path / "plain.csv"
         assert run_cli(*argv, "--out", str(plain), "--trials", "3") == 0
         assert out.read_bytes() == plain.read_bytes()
@@ -400,7 +451,8 @@ class TestCellList:
         out = tmp_path / "o.csv"
         assert run_cli(*argv, "--out", str(out), "--trials", "2", "--set", "sim.k=2") == 0
         assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [["carp", "2"]]
-        assert run_calls.count("run_monte_carlo") == 1
+        # one group of one cell
+        assert [len(args[0]) for name, args in run_calls if name == "_run_group"] == [1]
 
 
 class TestValidateCommand:

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risra import access, channel
@@ -10,12 +10,13 @@ from risra import receiver as rx
 from risra.config import cell_configs, parse_config, resolve_config
 from risra.engine import (
     _batch_draws,
+    _groups,
     _simulate_range,
     optimal_over_s,
+    run_groups,
     run_monte_carlo,
     run_monte_carlo_with_traces,
     simulate_frame,
-    sweep,
     trial_rng,
     trial_streams,
 )
@@ -168,7 +169,7 @@ class TestRunMonteCarlo:
                 cfg = make_cfg(
                     "sim.trials=50", "sim.k=7", "sim.s=9", f"policy.kind={kind}", *extra
                 )
-                a, g, p, _ = _simulate_range(cfg, 0, cfg.trials)
+                [(a, g, p, _)] = _simulate_range([cfg], 0, cfg.trials)
                 for trial in range(cfg.trials):
                     frame = simulate_frame(cfg, trial_rng(cfg.seed, trial))
                     assert frame.successes == a[trial]
@@ -183,7 +184,7 @@ class TestRunMonteCarlo:
 
     def test_trial_order_is_immaterial(self):
         cfg = make_cfg("sim.trials=40")
-        a, g, p, _ = _simulate_range(cfg, 0, 40)
+        [(a, g, p, _)] = _simulate_range([cfg], 0, 40)
         for trial in (31, 7, 18):
             frame = simulate_frame(cfg, trial_rng(cfg.seed, trial))
             assert (frame.successes, frame.power_w) == (a[trial], p[trial])
@@ -238,7 +239,9 @@ def masks_and_decoded(cfg):
     """Every trial's replica mask, composed from the pipeline's stages, and its
     decoded count from the pipeline itself."""
     restart = lambda row: trial_rng(cfg.seed, row)
-    distances, angles, draws = _batch_draws(cfg, trial_streams(cfg.seed, 0, cfg.trials), restart)
+    distances, angles, [draws] = _batch_draws(
+        [cfg], lambda: trial_streams(cfg.seed, 0, cfg.trials), restart
+    )
     gamma = channel.snr_matrix(
         cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles,
         channel.phase_shift_set(cfg.s),
@@ -246,7 +249,7 @@ def masks_and_decoded(cfg):
     chosen = access.choose_slots(
         cfg.policy, gamma, draws, cfg.estimation_c, cfg.estimation_noise_std
     )
-    a, _g, _p, _traces = _simulate_range(cfg, 0, cfg.trials)
+    [(a, _g, _p, _traces)] = _simulate_range([cfg], 0, cfg.trials)
     assert np.array_equal(rx.peel_batch(chosen, gamma, cfg.radio.snr_threshold)[0], a)
     return chosen, a
 
@@ -283,7 +286,7 @@ class TestSweep:
         assert policy_k(cfgs) == [
             ("carp", 2), ("carp", 4), ("carp", 6), ("crdsap", 2), ("crdsap", 4), ("crdsap", 6)
         ]
-        assert sweep(cfgs) == [run_monte_carlo(cfg) for cfg in cfgs]
+        assert [agg for agg, _traces in run_groups(cfgs)] == [run_monte_carlo(cfg) for cfg in cfgs]
 
     def test_duplicate_cells_dropped(self):
         cfgs = cell_configs(make_resolved(), ["carp", "sscp", "carp"], "K", [4, 2, 4])
@@ -319,15 +322,96 @@ class TestSweep:
             cell_configs(make_resolved(), ["carp", "aloha"])
 
 
+# (K, S) points of the group tests: S = 1 admits only the trained policies
+GROUP_POINTS = ((3, 1), (4, 2), (5, 3), (10, 20))
+
+
+@st.composite
+def group_cases(draw):
+    """A group's flat overrides and its policy subset."""
+    k, s = draw(st.sampled_from(GROUP_POINTS))
+    kinds = access.POLICY_KINDS if s >= 2 else ("carp", "sscp")
+    overrides = (
+        f"sim.k={k}", f"sim.s={s}",
+        f"policy.sscp_s={draw(st.integers(1, min(s, 3)))}",
+        f"estimation.noise_std={draw(st.sampled_from((0.0, 2.0)))}",
+        f"sim.trials={draw(st.sampled_from((1, 255, 257, 300)))}",
+        f"sim.workers={draw(st.sampled_from((1, 2)))}",
+        f"sim.seed={draw(st.integers(0, 2**64))}",
+    )
+    return overrides, draw(st.lists(st.sampled_from(kinds), min_size=1, unique=True))
+
+
+class TestCellGroups:
+    """A group of cells that differ only in policy equals its cells run one by one."""
+
+    @given(group_cases())
+    @example((("sim.k=10", "sim.s=20", "policy.sscp_s=3", "estimation.noise_std=2.0",
+               "sim.trials=257", "sim.workers=2", "sim.seed=1"), list(access.POLICY_KINDS)))
+    @example((("sim.k=3", "sim.s=1", "policy.sscp_s=1", "estimation.noise_std=2.0",
+               "sim.trials=255", "sim.workers=1", "sim.seed=7"), ["carp", "sscp"]))
+    @settings(max_examples=30, deadline=None)
+    def test_group_equals_its_cells_alone(self, case):
+        overrides, kinds = case
+        cfgs = cell_configs(make_resolved(*overrides), kinds)
+        assert _groups(cfgs) == [list(range(len(cfgs)))]
+        grouped = run_groups(cfgs, keep_traces=True)
+        for cfg, run in zip(cfgs, grouped):
+            assert run == run_monte_carlo_with_traces(dataclasses.replace(cfg, workers=1))
+
+    def test_groups_follow_the_axis_and_keep_the_cell_order(self):
+        cfgs = cell_configs(make_resolved("sim.trials=30", "sim.s=6"), ["sscp", "crdsap", "carp"],
+                            "K", [2, 5])
+        assert policy_k(cfgs) == [
+            ("carp", 2), ("carp", 5), ("crdsap", 2), ("crdsap", 5), ("sscp", 2), ("sscp", 5)
+        ]
+        assert _groups(cfgs) == [[0, 2, 4], [1, 3, 5]]
+        seen = []
+        runs = run_groups(cfgs, finished=lambda indices, seconds: seen.append(indices))
+        assert seen == _groups(cfgs)
+        assert [agg for agg, _traces in runs] == [run_monte_carlo(cfg) for cfg in cfgs]
+
+    def test_group_redraws_a_rejected_crdsap_row(self, monkeypatch):
+        # flag every fifth crdsap row as a Lemire rejection: numpy's own redraw
+        # from a fresh copy of the row's stream must give back the same draws
+        cfgs = cell_configs(make_resolved("sim.trials=300", "sim.k=6", "sim.s=7",
+                                          "estimation.noise_std=2.0"), access.POLICY_KINDS)
+        alone = [run_monte_carlo_with_traces(cfg) for cfg in cfgs]
+        decode, indices = access.decode_draws, access.crdsap_indices
+        redrawn = []
+
+        def forced(policy, words, k, s):
+            draws, rejected = decode(policy, words, k, s)
+            if policy.kind == "crdsap":
+                rejected = rejected.copy()
+                rejected[::5] = True
+            return draws, rejected
+
+        def counted(rng, k, s):
+            redrawn.append(k)
+            return indices(rng, k, s)
+
+        monkeypatch.setattr(access, "decode_draws", forced)
+        monkeypatch.setattr(access, "crdsap_indices", counted)
+        assert run_groups(cfgs, keep_traces=True) == alone
+        assert len(redrawn) == len(range(0, 256, 5)) + len(range(0, 44, 5))
+
+
+def s_curve(cfgs):
+    """One policy's (S, aggregate) curve over its cells."""
+    return [(cfg.s, agg) for cfg, (agg, _traces) in zip(cfgs, run_groups(cfgs))]
+
+
 class TestOptimalOverS:
     def test_single_value_is_trivially_optimal(self):
-        report = optimal_over_s(cell_configs(make_resolved("sim.trials=20"), ["carp"], "S", [8]))
+        cfgs = cell_configs(make_resolved("sim.trials=20"), ["carp"], "S", [8])
+        report = optimal_over_s(s_curve(cfgs))
         assert report.best_throughput[0] == 8
         assert report.best_ee[0] == 8
 
     def test_argmax_contract(self):
         resolved = make_resolved("sim.trials=60", "sim.k=4")
-        report = optimal_over_s(cell_configs(resolved, ["carp"], "S", [2, 5, 9]))
+        report = optimal_over_s(s_curve(cell_configs(resolved, ["carp"], "S", [2, 5, 9])))
         best_g = report.best_throughput[1]
         best_ee = report.best_ee[1]
         for _s, agg in report.curve:
@@ -338,7 +422,7 @@ class TestOptimalOverS:
         # one aligned always-decoded device: throughput is 1/((1+r) S), so the
         # smallest S must win and every curve point matches the closed form
         resolved = make_resolved(*ALIGNED, "policy.sscp_s=1", "sim.trials=40")
-        report = optimal_over_s(cell_configs(resolved, ["sscp"], "S", [2, 4, 8]))
+        report = optimal_over_s(s_curve(cell_configs(resolved, ["sscp"], "S", [2, 4, 8])))
         for s, agg in report.curve:
             assert agg.mean_a == 1.0
             assert agg.mean_throughput == 1.0 / ((1.0 + 0.2) * s * 1.0)
@@ -349,7 +433,7 @@ class TestOptimalOverS:
         # nothing clears a 200 dB threshold: every S ties at zero, in any cell order
         resolved = make_resolved("radio.snr_threshold_db=200", "sim.trials=5")
         cfgs = cell_configs(resolved, ["carp"], "S", [5, 3, 4])
-        report = optimal_over_s(cfgs[::-1])
+        report = optimal_over_s(s_curve(cfgs)[::-1])
         assert report.best_throughput == (3, 0.0)
         assert report.best_ee == (3, 0.0)
 

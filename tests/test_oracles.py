@@ -1,15 +1,24 @@
-"""The exact two-device sscp oracle: its independence and convergence, and
-the Monte Carlo engine checked against it."""
+"""The exact oracles: the two-device sscp oracle's independence and
+convergence, and the Monte Carlo engine checked against it; the fixed-grid
+slot-choice oracle checked against the decoded draws, slot choice and peel."""
 
 import ast
+import math
 from pathlib import Path
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 
+from risra import access, receiver
 from risra.config import parse_config
 from risra.engine import Z95, run_monte_carlo
-from oracles import sscp_two_device_decoded, sscp_two_device_optimal_ee
+from oracles import (
+    fixed_grid_decoded,
+    slot_choice_distribution,
+    sscp_two_device_decoded,
+    sscp_two_device_optimal_ee,
+)
 
 S_VALUES = (3, 4, 5, 6)
 TRIALS = 10_000
@@ -98,3 +107,48 @@ def test_engine_matches_oracle_at_two_devices(geometry, noise, ties):
             misses.append(f"S={s}: engine {agg.mean_a:.4f} +- {half_width:.4f}, "
                           f"oracle {expected:.4f}")
     assert not misses, misses
+
+
+# fixed SNR grids (threshold 1) with entries below the threshold, a zero
+# quality, and equal qualities at the edge of sscp's choice, where the
+# lower-index tie rule changes the decoded count; with the sscp replica count
+# used on each
+FIXED_GRIDS = {
+    "k3_s4": ([[3.0, 1.5, 0.8, 1.5],
+               [0.4, 0.4, 2.5, 1.5],
+               [1.5, 3.0, 1.5, 1.5]], 2),
+    "k2_s5": ([[0.0, 0.4, 1.5, 0.4, 0.8],
+               [2.5, 1.5, 3.0, 2.5, 3.0]], 3),
+}
+GRID_FRAMES = 40_000
+# simultaneous 95% intervals over every (grid, policy) pair (Bonferroni)
+Z_GRID = NormalDist().inv_cdf(1 - 0.05 / (2 * len(FIXED_GRIDS) * len(access.POLICY_KINDS)))
+
+
+@pytest.mark.parametrize("grid", FIXED_GRIDS)
+def test_slot_choice_distributions_sum_to_one(grid):
+    snr, sscp_s = FIXED_GRIDS[grid]
+    for kind in access.POLICY_KINDS:
+        for row in snr:
+            choices = slot_choice_distribution(kind, row, sscp_s)
+            assert sum(mass for _slots, mass in choices) == pytest.approx(1.0, abs=1e-12)
+            assert all(len(slots) >= 1 for slots, _mass in choices)
+
+
+@pytest.mark.parametrize("kind", access.POLICY_KINDS)
+@pytest.mark.parametrize("grid", FIXED_GRIDS)
+def test_decoded_draws_match_the_fixed_grid_oracle(grid, kind):
+    """Mean decoded count of decode_draws -> choose_slots -> peel_batch on a
+    fixed grid, over random stream words, against the oracle's exact E[A]."""
+    snr, sscp_s = FIXED_GRIDS[grid]
+    k, s = len(snr), len(snr[0])
+    policy = access.Policy(kind, sscp_s)
+    words = np.random.default_rng(2024).bit_generator.random_raw(
+        (GRID_FRAMES, access.policy_words(policy, k, s)))
+    draws, rejected = access.decode_draws(policy, words, k, s)
+    gamma = np.broadcast_to(np.array(snr), (GRID_FRAMES, k, s))
+    chosen = access.choose_slots(policy, gamma, draws)
+    decoded = receiver.peel_batch(chosen, gamma, 1.0)[0][~rejected]
+    expected = fixed_grid_decoded(kind, snr, 1.0, sscp_s)
+    half_width = Z_GRID * decoded.std(ddof=1) / math.sqrt(decoded.size)
+    assert abs(decoded.mean() - expected) <= half_width, (decoded.mean(), expected, half_width)
