@@ -217,17 +217,12 @@ def _batch_draws(
 ):
     """A group's placement and every member's access draws, decoded on the batch from raw words.
 
-    streams() gives the batch's fresh trial streams, one after another, so
-    they may be one re-keyed generator (trial_streams). One pass takes each
-    trial's words with one random_raw call: the placement's 2k, then as many
-    as the members without estimation noise take at most
-    (access.policy_words); each of them decodes its own prefix of the words
-    after the placement. A trained member with estimation noise draws its
-    standard normals between the placement and its policy words, through
-    numpy (which does not expose its ziggurat tables), so it takes a pass of
-    its own. A row whose bounded integers hit a Lemire rejection needs more
-    words than were read; it is drawn again from restart(row), a fresh copy
-    of its stream.
+    streams() gives the batch's fresh trial streams one after another, so
+    they may be one re-keyed generator (trial_streams); each call is one pass
+    over them (module docstring). Estimation noise is drawn through numpy,
+    which does not expose its ziggurat tables. A row whose bounded integers
+    hit a Lemire rejection needs more words than were read; it is drawn
+    again from restart(row), a fresh copy of its stream.
     Returns device distances and angles (b, k) and, per member, the draws
     choose_slots takes.
     """

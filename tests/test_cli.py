@@ -190,7 +190,8 @@ class TestRunCommand:
         assert manifest["csv_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
         stats = manifest["stats"]
         [group] = stats["groups"]
-        assert (group["cells"], group["policies"], group["trials"]) == ([0, 1], ["carp", "sscp"], 15)
+        assert group["cells"] == [0, 1]
+        assert (group["policies"], group["trials"]) == (["carp", "sscp"], 15)
         assert 0 < group["wall_s"] <= stats["wall_s"]
         assert group["policy_frames_per_s"] == pytest.approx(2 * 15 / group["wall_s"])
         replayed = tmp_path / "replayed.csv"
