@@ -22,6 +22,7 @@ throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +82,13 @@ def carp_probabilities(quality: np.ndarray) -> np.ndarray:
     Normalized over the last axis. An all-zero row carries no information, so
     it degrades to uniform 1/S.
     """
-    s = quality.shape[-1]
     totals = quality.sum(axis=-1, keepdims=True)
-    return np.where(totals > 0.0, quality / np.where(totals > 0.0, totals, 1.0), 1.0 / s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probabilities = quality / totals
+    empty = ~(totals > 0.0)
+    if empty.any():
+        np.copyto(probabilities, 1.0 / quality.shape[-1], where=empty)
+    return probabilities
 
 
 def carp_slots(quality: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -98,13 +103,31 @@ def carp_slots(quality: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def sscp_slots(quality: np.ndarray, count: int) -> np.ndarray:
-    """The `count` slots with the largest qualities, ties to the lower index."""
-    if not (1 <= count <= quality.shape[-1]):
+    """The `count` slots with the largest qualities, ties to the lower index.
+
+    Takes `count` rounds of argmax, each masking the slot it took, so it
+    costs O(count * S) per device: cheaper than a sort for the replica
+    counts used here (1 to 3), slower past about half the slots (1.4x a
+    sort at count 39 of S = 40).
+    Qualities must be above -inf and not NaN, as measure_quality's are.
+    """
+    s = quality.shape[-1]
+    if not (1 <= count <= s):
         raise ValueError("replica count must lie in [1, num_slots]")
-    top = np.argsort(-quality, axis=-1, kind="stable")[..., :count]
+    left = np.array(quality, dtype=float, order="C")
     chosen = np.zeros(quality.shape, dtype=bool)
-    np.put_along_axis(chosen, top, True, axis=-1)
+    rows = _row_starts(quality.shape)
+    for _ in range(count):
+        best = left.argmax(axis=-1)  # the first maximum: ties to the lower index
+        best += rows
+        chosen.reshape(-1)[best] = True
+        left.reshape(-1)[best] = -np.inf
     return chosen
+
+
+def _row_starts(shape: tuple[int, ...]) -> np.ndarray:
+    """The flat index of each row's first slot in a C-ordered array of `shape`."""
+    return np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1])
 
 
 def crdsap_slots(first: np.ndarray, second: np.ndarray, num_slots: int) -> np.ndarray:
@@ -140,8 +163,12 @@ def irsap_sample_degrees(u: np.ndarray, num_slots: int) -> np.ndarray:
 
 def irsap_slots(degrees: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Each device's `degrees` slots of smallest uniform `u`: a prefix of a random permutation."""
-    ranks = np.argsort(np.argsort(u, axis=-1), axis=-1)
-    return ranks < degrees[..., None]
+    order = np.argsort(u, axis=-1)
+    order += _row_starts(u.shape)[..., None]
+    keep = np.arange(u.shape[-1]) < degrees[..., None]
+    chosen = np.empty(u.shape, dtype=bool)
+    chosen.reshape(-1)[order.reshape(-1)] = keep.reshape(-1)
+    return chosen
 
 
 def draws_noise(policy: Policy, noise_std: float) -> bool:
@@ -225,16 +252,22 @@ def choose_slots(
 
     `draws` are decode_draws' arrays, after the estimation noise (trained
     policies with noise_std > 0 only), stacked along the same leading axes.
-    Untrained policies read only the grid's shape.
+    Untrained policies read only the grid's shape (blind_slots).
     """
-    if policy.requires_training:
-        noise = None
-        if draws_noise(policy, noise_std):
-            noise, *draws = draws
-        quality = measure_quality(snr_values, c, noise_std, noise)
-        if policy.kind == "carp":
-            return carp_slots(quality, *draws)
-        return sscp_slots(quality, policy.sscp_s)
+    if not policy.requires_training:
+        return blind_slots(policy, draws, snr_values.shape[-1])
+    noise = None
+    if draws_noise(policy, noise_std):
+        noise, *draws = draws
+    quality = measure_quality(snr_values, c, noise_std, noise)
+    if policy.kind == "carp":
+        return carp_slots(quality, *draws)
+    return sscp_slots(quality, policy.sscp_s)
+
+
+def blind_slots(policy: Policy, draws, num_slots: int) -> np.ndarray:
+    """Replica mask of an untrained policy (crdsap, irsap) over `num_slots` slots,
+    from its decode_draws arrays alone: it needs no SNR grid."""
     if policy.kind == "crdsap":
-        return crdsap_slots(*draws, snr_values.shape[-1])
+        return crdsap_slots(*draws, num_slots)
     return irsap_slots(*draws)

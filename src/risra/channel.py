@@ -106,16 +106,24 @@ def array_factor_power(ris: RisGeometry, theta_mtd, theta_cfg) -> np.ndarray:
     """|array factor|^2, vectorized over broadcastable angle arrays.
 
     Uses the closed form |sum_{n=1..N} e^{jxn}|^2 = (sin(N x/2) / sin(x/2))^2,
-    which channel tests hold to within 1e-10 of the direct summation.
+    which channel tests hold to within 1e-10 of the direct summation; where
+    sin(x/2) is 0 the ratio is its limit N. Every step after the sines works
+    in place on one output buffer.
     """
     theta_mtd = np.asarray(theta_mtd, dtype=float)
     theta_cfg = np.asarray(theta_cfg, dtype=float)
-    x = ris.wavenumber * ris.d_x_m * (np.sin(theta_mtd) - np.sin(theta_cfg))
-    half = 0.5 * x
+    half = np.empty(np.broadcast_shapes(theta_mtd.shape, theta_cfg.shape))
+    np.subtract(np.sin(theta_mtd), np.sin(theta_cfg), out=half)
+    half *= ris.wavenumber * ris.d_x_m
+    half *= 0.5
     den = np.sin(half)
-    num = np.sin(ris.n_x * half)
-    ratio = np.where(den == 0.0, float(ris.n_x), num / np.where(den == 0.0, 1.0, den))
-    return (ris.n_z * ratio) ** 2
+    half *= ris.n_x
+    np.sin(half, out=half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half /= den
+    half[den == 0.0] = ris.n_x
+    half *= ris.n_z
+    return np.square(half, out=half)
 
 
 def snr_matrix(
@@ -126,17 +134,31 @@ def snr_matrix(
     distances: np.ndarray,
     angles: np.ndarray,
     phases: tuple[float, ...],
+    mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """SNR grid of devices at `distances` and `angles` (any shape (..., k)) over
     the slots' configuration angles `phases`; shape (..., k, num slots).
 
     Each entry is P_tx / N0 * |h|^2 with |h|^2 = path loss * |array factor|^2,
     the path loss being G_ap G_mtd / (4 pi)^2 * (d_x d_z / (d_ap d))^2 * cos(theta)^2.
+    With a boolean `mask` of the grid's shape, only its True entries are
+    computed, each bit-equal to the full grid's, and the rest are 0.
     """
     base = ap.antenna_gain * mtd_gain / (4 * math.pi) ** 2
     beta = base * (ris.d_x_m * ris.d_z_m / (ap.distance_m * distances)) ** 2 * np.cos(angles) ** 2
-    gain_sq = array_factor_power(ris, angles[..., None], np.asarray(phases))
-    return radio.mtd_tx_power_w / radio.noise_power_w * beta[..., None] * gain_sq
+    scale = radio.mtd_tx_power_w / radio.noise_power_w * beta
+    phases = np.asarray(phases, dtype=float)
+    if mask is None:
+        snr = array_factor_power(ris, angles[..., None], phases)
+        snr *= scale[..., None]
+        return snr
+    entries = np.flatnonzero(mask)
+    device, slot = np.divmod(entries, phases.size)
+    values = array_factor_power(ris, angles.reshape(-1)[device], phases[slot])
+    values *= scale.reshape(-1)[device]
+    snr = np.zeros(mask.shape)
+    snr.reshape(-1)[entries] = values
+    return snr
 
 
 def unit_doubles(words: np.ndarray) -> np.ndarray:

@@ -25,13 +25,16 @@ take at most (access.policy_words). It decodes the placement and builds the
 SNR grid once for the batch, and each member decodes its own prefix of the
 words after the placement exactly as numpy's Generator would (_batch_draws),
 then makes its slot choice, SIC peel (receiver.peel_batch) and frame metrics
-on the shared grid. A Philox stream is fixed by its key and counter and
-every policy's words start at offset 2k, so a member reads exactly the words
-it would read alone: a group's results equal its cells run one by one. A
-trained member with estimation noise draws its normals between the placement
-and its policy words with a variable number of words, so it reads the batch's
-streams again on a pass of its own; its placement and grid still come from
-the group. run_groups runs a command's cells group by group; run_monte_carlo
+on the shared grid. When no member is trained, no slot choice reads the grid,
+so the members choose first and the grid is computed only at the union of
+their replicas, the only entries a peel reads; the rest stay 0. A Philox
+stream is fixed by its key and counter and every policy's words start at
+offset 2k, so a member reads exactly the words it would read alone: a
+group's results equal its cells run one by one. A trained member with
+estimation noise draws its normals between the placement and its policy
+words with a variable number of words, so it reads the batch's streams again
+on a pass of its own; its placement and grid still come from the group.
+run_groups runs a command's cells group by group; run_monte_carlo
 is a group of one cell, and simulate_frame a batch of one trial of it, which
 like the batches expects a fresh trial stream such as trial_rng gives.
 """
@@ -39,6 +42,7 @@ like the batches expects a fresh trial stream such as trial_rng gives.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import multiprocessing
 import sys
@@ -279,21 +283,33 @@ def _simulate_batch(
     """The frame pipeline of a group over a batch of trial streams (see _batch_draws).
 
     The members share one placement and one SNR grid; everything after the
-    draws runs on (b, k, s) arrays. Returns per member the per-trial
-    (successes, throughput, power, replica counts) arrays and, with
-    keep_traces, each trial's decode trace (else None).
+    draws runs on (b, k, s) arrays. When no member is trained, none reads
+    the grid to choose its slots, so the members choose first and the grid
+    is computed only where one of them placed a replica: the peel reads no
+    other entry. Returns per member the per-trial (successes, throughput,
+    power, replica counts) arrays and, with keep_traces, each trial's decode
+    trace (else None).
     """
     cfg = cfgs[0]
     distances, angles, members = _batch_draws(cfgs, streams, restart)
-    gamma = channel.snr_matrix(
-        cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles, phases
-    )
+    grid = (cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles, phases)
+    if any(member.policy.requires_training for member in cfgs):
+        gamma = channel.snr_matrix(*grid)
+        masks = [
+            access.choose_slots(
+                member.policy, gamma, draws, member.estimation_c, member.estimation_noise_std
+            )
+            for member, draws in zip(cfgs, members)
+        ]
+    else:
+        masks = [
+            access.blind_slots(member.policy, draws, len(phases))
+            for member, draws in zip(cfgs, members)
+        ]
+        gamma = channel.snr_matrix(*grid, mask=functools.reduce(np.logical_or, masks))
     out = []
-    for member, draws in zip(cfgs, members):
+    for member, chosen in zip(cfgs, masks):
         policy = member.policy
-        chosen = access.choose_slots(
-            policy, gamma, draws, member.estimation_c, member.estimation_noise_std
-        )
         decoded, traces = receiver.peel_batch(
             chosen, gamma, member.radio.snr_threshold, keep_traces
         )

@@ -50,7 +50,7 @@ def peel_batch(
         progress = False
         for slot in range(slots):
             column = load[:, slot]
-            frames = np.flatnonzero((column >= unit) & (column < unit + k))
+            frames = ((column >= unit) & (column < unit + k)).nonzero()[0]
             if not frames.size:
                 continue
             devices = column[frames] - unit

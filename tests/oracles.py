@@ -8,7 +8,9 @@ trial's numbers through numpy's Generator methods, the array-factor oracle sums
 terms one by one with cmath, the two-device sscp oracle integrates the
 model's formulas by quadrature without importing the simulator, and the
 fixed-grid oracle enumerates every slot choice of every device on a given SNR
-grid.
+grid. The reference kernels keep the simulator's earlier formulas, each a
+chain of fresh arrays, np.where and full sorts, so the tests can hold the
+in-place kernels to the same bits.
 """
 
 from __future__ import annotations
@@ -29,6 +31,47 @@ def loop_array_factor(n_x: int, n_z: int, d_x_m: float, wavelength_m: float,
     for n in range(1, n_x + 1):
         total += cmath.exp(1j * x * n)
     return n_z * total
+
+
+def where_array_factor_power(ris, theta_mtd, theta_cfg):
+    """|array factor|^2 by the closed form, with np.where guarding sin(x/2) = 0."""
+    theta_mtd = np.asarray(theta_mtd, dtype=float)
+    theta_cfg = np.asarray(theta_cfg, dtype=float)
+    x = ris.wavenumber * ris.d_x_m * (np.sin(theta_mtd) - np.sin(theta_cfg))
+    half = 0.5 * x
+    den = np.sin(half)
+    num = np.sin(ris.n_x * half)
+    ratio = np.where(den == 0.0, float(ris.n_x), num / np.where(den == 0.0, 1.0, den))
+    return (ris.n_z * ratio) ** 2
+
+
+def where_snr_matrix(ris, radio, ap, mtd_gain, distances, angles, phases):
+    """The full (..., k, s) SNR grid as the product (P/N0 * beta) * |AF|^2 of fresh arrays."""
+    base = ap.antenna_gain * mtd_gain / (4 * math.pi) ** 2
+    beta = base * (ris.d_x_m * ris.d_z_m / (ap.distance_m * distances)) ** 2 * np.cos(angles) ** 2
+    gain_sq = where_array_factor_power(ris, angles[..., None], np.asarray(phases))
+    return radio.mtd_tx_power_w / radio.noise_power_w * beta[..., None] * gain_sq
+
+
+def where_carp_probabilities(quality):
+    """Qualities over their row sums; an all-zero row gives 1/S everywhere."""
+    s = quality.shape[-1]
+    totals = quality.sum(axis=-1, keepdims=True)
+    return np.where(totals > 0.0, quality / np.where(totals > 0.0, totals, 1.0), 1.0 / s)
+
+
+def argsort_sscp_slots(quality, count: int):
+    """The `count` largest qualities of each row by a stable sort: ties to the lower index."""
+    top = np.argsort(-quality, axis=-1, kind="stable")[..., :count]
+    chosen = np.zeros(quality.shape, dtype=bool)
+    np.put_along_axis(chosen, top, True, axis=-1)
+    return chosen
+
+
+def double_argsort_irsap_slots(degrees, u):
+    """Each row's `degrees` slots of smallest rank, the ranks from argsort(argsort(u))."""
+    ranks = np.argsort(np.argsort(u, axis=-1), axis=-1)
+    return ranks < degrees[..., None]
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

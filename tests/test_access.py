@@ -3,13 +3,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risra import access as ac
 from risra import engine
 from risra.config import parse_config
-from oracles import KEY_SEEDS, generator_trial_draws, substream
+from oracles import (
+    KEY_SEEDS,
+    argsort_sscp_slots,
+    double_argsort_irsap_slots,
+    generator_trial_draws,
+    substream,
+    where_carp_probabilities,
+)
 
 IRSAP_MEAN_DEGREE_S20 = 3.7344627969933493  # (1 + 1/19) * sum_{s=2..20} 1/(s-1)
 DECODE_POINTS = ((1, 20), (7, 2), (7, 3), (10, 5), (10, 20))  # (k, s)
@@ -275,6 +282,59 @@ class TestDecideAccess:
             a = ac.choose_slots(policy, np.zeros((1, 10, 8)), draws)
             b = ac.choose_slots(policy, np.full((1, 10, 8), 1e9), draws)
             assert np.array_equal(a, b)
+            assert np.array_equal(ac.blind_slots(policy, draws, 8), a)
+
+
+# a few values, so that ties within a row are common, and all-zero rows
+TIED = (0.0, 0.5, 1.0, 2.0, 7.25)
+
+
+@st.composite
+def quality_grids(draw, values=st.one_of(st.sampled_from(TIED), st.floats(0.0, 1e6))):
+    """A (rows, S) grid of nonnegative qualities; some rows all zero."""
+    rows, s = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    grid = np.array(draw(st.lists(st.lists(values, min_size=s, max_size=s),
+                                  min_size=rows, max_size=rows)))
+    zero = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    grid[np.array(zero)] = 0.0
+    return grid
+
+
+class TestReferenceKernels:
+    """The slot choices give exactly the bits of the sort- and where-based references."""
+
+    @given(quality_grids())
+    @example(np.array([[2.0, 2.0, 1.0, 2.0], [0.0, 0.0, 0.0, 0.0]]))
+    @settings(max_examples=200)
+    def test_sscp_equals_stable_argsort(self, quality):
+        for count in range(1, quality.shape[-1] + 1):
+            expected = argsort_sscp_slots(quality, count)
+            assert (ac.sscp_slots(quality, count) == expected).all()
+
+    def test_sscp_every_count_up_to_s(self):
+        quality = np.random.default_rng(3).integers(0, 3, (50, 6, 40)).astype(float)
+        for count in range(1, 41):
+            assert (ac.sscp_slots(quality, count) == argsort_sscp_slots(quality, count)).all()
+
+    @given(quality_grids(st.sampled_from((0.0, 0.25, 0.5, 0.75))), st.data())
+    @settings(max_examples=200)
+    def test_irsap_equals_double_argsort(self, u, data):
+        # tied uniforms: both rank with the same first argsort
+        s = u.shape[-1]
+        degrees = np.array(data.draw(st.lists(st.integers(0, s), min_size=len(u), max_size=len(u))))
+        assert (ac.irsap_slots(degrees, u) == double_argsort_irsap_slots(degrees, u)).all()
+
+    def test_irsap_on_decoded_draws(self):
+        draws = trial_draws("irsap", np.random.default_rng(8), 500, 20)
+        assert (ac.irsap_slots(*draws) == double_argsort_irsap_slots(*draws)).all()
+
+    @given(quality_grids())
+    @settings(max_examples=200)
+    def test_carp_probabilities_equal_where_pair(self, quality):
+        expected = where_carp_probabilities(quality)
+        got = ac.carp_probabilities(quality)
+        assert (got == expected).all()
+        assert (got[~quality.any(axis=-1)] == 1.0 / quality.shape[-1]).all()
 
 
 def decode_cfg(kind, k, s, noise_std):

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risra import channel as ch
-from oracles import loop_array_factor
+from oracles import loop_array_factor, where_array_factor_power, where_snr_matrix
 
 # Frozen scalar evaluations (independent calculator runs, 30-digit arithmetic):
 # two 5 dB antennas, 0.1 m square elements, hops of 20 m and 25 m, device on boresight
@@ -227,6 +227,63 @@ class TestChannelCoefficientAndSnr:
             for s, theta_cfg in enumerate(phases):
                 ref = reference_snr(ris, radio, distances[k], angles[k], theta_cfg)
                 assert abs(grid[k // 3, k % 3, s] - ref) <= 1e-10 * max(ref, scale * 1e-9)
+
+
+ANGLES = st.floats(0.0, math.pi / 2)
+
+
+class TestKernelsMatchReference:
+    """The in-place array factor and the masked SNR grid give the np.where formulas' bits."""
+
+    @given(
+        st.integers(1, 16),
+        st.integers(1, 16),
+        st.sampled_from((0.025, 0.05, 0.1)),
+        st.lists(ANGLES, min_size=1, max_size=12),
+        st.integers(1, 24),
+    )
+    @settings(max_examples=200)
+    def test_array_factor_bits(self, n_x, n_z, d_x, devices, s):
+        ris = make_ris(n_x, n_z, d_x=d_x)
+        phases = np.asarray(ch.phase_shift_set(s))
+        # the last devices sit on configurations, where sin(x/2) is 0
+        theta = np.array(devices + [phases[0], phases[-1]])[:, None]
+        got = ch.array_factor_power(ris, theta, phases)
+        assert (got == where_array_factor_power(ris, theta, phases)).all()
+        assert got[-1, -1] == float(ris.n_elements) ** 2
+
+    @given(ANGLES, ANGLES)
+    @example(0.7, 0.7)
+    @example(0.0, 0.0)
+    @settings(max_examples=200)
+    def test_array_factor_scalars(self, theta_mtd, theta_cfg):
+        ris = make_ris()
+        for wrap in (float, np.float64, np.array):
+            got = ch.array_factor_power(ris, wrap(theta_mtd), wrap(theta_cfg))
+            expected = where_array_factor_power(ris, wrap(theta_mtd), wrap(theta_cfg))
+            assert np.shape(got) == np.shape(expected) == ()
+            assert got == expected
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(1, 24),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=100)
+    def test_masked_grid_is_the_full_grid_where_set(self, seed, k, s, density):
+        ris, radio = make_ris(), make_radio()
+        phases = ch.phase_shift_set(s)
+        rng = np.random.default_rng(seed)
+        distances, angles = ch.sample_mtd_placements(
+            rng.bit_generator.random_raw((3, 2 * k)), (25.0, 100.0)
+        )
+        angles[0, 0] = phases[-1]  # aligned: sin(x/2) is 0 in the last slot
+        args = (ris, radio, make_ap(), GAIN_5_DB, distances, angles, phases)
+        full = ch.snr_matrix(*args)
+        assert (full == where_snr_matrix(*args)).all()
+        mask = rng.random(full.shape) < density
+        assert (ch.snr_matrix(*args, mask=mask) == np.where(mask, full, 0.0)).all()
 
 
 class TestPlacementSampling:

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from risra.config import cell_configs, parse_config, resolve_config
 from risra.engine import (
     _batch_draws,
     _groups,
+    _simulate_batch,
     _simulate_range,
     optimal_over_s,
     run_groups,
@@ -395,6 +397,74 @@ class TestCellGroups:
         monkeypatch.setattr(access, "crdsap_indices", counted)
         assert run_groups(cfgs, keep_traces=True) == alone
         assert len(redrawn) == len(range(0, 256, 5)) + len(range(0, 44, 5))
+
+
+def batch_runs(cfgs, trials):
+    """Each member's per-trial (a, g, p, counts, traces) over one batch of trials 0..trials-1,
+    and the number of array-factor entries computed."""
+    seed, afp = cfgs[0].seed, channel.array_factor_power
+    sizes = []
+
+    def counted(*args):
+        out = afp(*args)
+        sizes.append(out.size)
+        return out
+
+    with mock.patch.object(channel, "array_factor_power", counted):
+        runs = _simulate_batch(
+            cfgs,
+            lambda: trial_streams(seed, 0, trials),
+            lambda row: trial_rng(seed, row),
+            channel.phase_shift_set(cfgs[0].s),
+            True,
+        )
+    return runs, sum(sizes)
+
+
+def full_grid_runs(cfgs, trials):
+    """batch_runs with the mask dropped: every member peels the full grid."""
+    full = channel.snr_matrix
+    with mock.patch.object(channel, "snr_matrix", lambda *args, mask=None: full(*args)):
+        return batch_runs(cfgs, trials)
+
+
+def assert_runs_equal(got, expected):
+    for ours, theirs in zip(got, expected, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(ours[:4], theirs[:4], strict=True))
+        assert ours[4] == theirs[4]
+
+
+class TestMaskedGrid:
+    """A group with no trained member computes the grid only at its replicas,
+    and each member's every trial equals its run on the full grid."""
+
+    @given(
+        st.sampled_from(((4, 2), (5, 3), (10, 5), (10, 20), (20, 20))),
+        st.sampled_from((["crdsap"], ["irsap"], ["crdsap", "irsap"])),
+        st.sampled_from((1, 37, 256)),
+        st.integers(0, 2**64),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_masked_grid_equals_full_grid(self, point, kinds, trials, seed):
+        k, s = point
+        cfgs = cell_configs(make_resolved(f"sim.k={k}", f"sim.s={s}", f"sim.seed={seed}"), kinds)
+        masked, computed = batch_runs(cfgs, trials)
+        full, every = full_grid_runs(cfgs, trials)
+        assert_runs_equal(masked, full)
+        assert every == trials * k * s
+        # the union of the members' replicas; crdsap alone places exactly two per device
+        replicas = [counts.sum() for _a, _g, _p, counts, _traces in masked]
+        assert max(replicas) <= computed <= sum(replicas)
+        if kinds == ["crdsap"]:
+            assert computed == 2 * trials * k
+
+    def test_a_trained_member_keeps_the_full_grid(self):
+        # the sweep's groups hold all four policies: the grid stays whole
+        cfgs = cell_configs(make_resolved("sim.k=10", "sim.s=20"), access.POLICY_KINDS)
+        runs, computed = batch_runs(cfgs, 100)
+        assert computed == 100 * 10 * 20
+        alone = [batch_runs([cfg], 100)[0][0] for cfg in cfgs]
+        assert_runs_equal(runs, alone)
 
 
 def s_curve(cfgs):
