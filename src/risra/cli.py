@@ -281,7 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated subset of: " + ",".join(POLICY_KINDS),
     )
-    common.add_argument("--verbose", action="store_true", help="progress lines and decode traces")
+    common.add_argument(
+        "--verbose",
+        action="store_true",
+        help="progress lines on stderr; run also writes decode traces to <out>.trace",
+    )
 
     parser = argparse.ArgumentParser(
         prog="risra",

@@ -23,26 +23,27 @@ batch of trials. It reads each trial's stream as raw 64-bit words with one
 random_raw call: 2k for the placement, then as many as the group's members
 take at most (access.policy_words). It decodes the placement and builds the
 SNR grid once for the batch, and each member decodes its own prefix of the
-words after the placement exactly as numpy's Generator would (_batch_draws),
-then makes its slot choice, SIC peel (receiver.peel_batch) and frame metrics
-on the shared grid. When no member is trained, no slot choice reads the grid,
-so the members choose first and the grid is computed only at the union of
-their replicas, the only entries a peel reads; the rest stay 0. A Philox
-stream is fixed by its key and counter and every policy's words start at
-offset 2k, so a member reads exactly the words it would read alone: a
-group's results equal its cells run one by one. A trained member with
-estimation noise draws its normals between the placement and its policy
+words after the placement exactly as numpy's Generator would (_batch_draws)
+and makes its slot choice. The members' masks are stacked and peeled as one
+batch on the shared grid (one receiver.peel_batch call), and each member's
+frame metrics follow from its own counts. When no member is trained, no slot
+choice reads the grid, so the members choose first and the grid is computed
+only at the union of their replicas, the only entries a peel reads; the rest
+stay 0. A Philox stream is fixed by its key and counter and every policy's
+words start at offset 2k, so a member reads exactly the words it would read
+alone, and a frame's peel does not depend on the other frames it is stacked
+with: a group's results equal its cells run one by one. A trained member
+with estimation noise draws its normals between the placement and its policy
 words with a variable number of words, so it reads the batch's streams again
 on a pass of its own; its placement and grid still come from the group.
-run_groups runs a command's cells group by group; run_monte_carlo
-is a group of one cell, and simulate_frame a batch of one trial of it, which
+run_groups runs a command's cells group by group; run_monte_carlo is a group
+of one cell, and simulate_frame a batch of one trial of it, which
 like the batches expects a fresh trial stream such as trial_rng gives.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import multiprocessing
 import sys
@@ -283,10 +284,10 @@ def _simulate_batch(
     """The frame pipeline of a group over a batch of trial streams (see _batch_draws).
 
     The members share one placement and one SNR grid; everything after the
-    draws runs on (b, k, s) arrays. When no member is trained, none reads
-    the grid to choose its slots, so the members choose first and the grid
-    is computed only where one of them placed a replica: the peel reads no
-    other entry. Returns per member the per-trial (successes, throughput,
+    draws runs on (b, k, s) arrays, and the peel on the members' (m, b, k, s)
+    stack of masks. When no member is trained, none reads the grid to choose
+    its slots, so the members choose first and the grid is computed only
+    where one of them placed a replica: the peel reads no other entry. Returns per member the per-trial (successes, throughput,
     power, replica counts) arrays and, with keep_traces, each trial's decode
     trace (else None).
     """
@@ -295,26 +296,30 @@ def _simulate_batch(
     grid = (cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles, phases)
     if any(member.policy.requires_training for member in cfgs):
         gamma = channel.snr_matrix(*grid)
-        masks = [
+        chosen = np.stack([
             access.choose_slots(
                 member.policy, gamma, draws, member.estimation_c, member.estimation_noise_std
             )
             for member, draws in zip(cfgs, members)
-        ]
+        ])
     else:
-        masks = [
+        chosen = np.stack([
             access.blind_slots(member.policy, draws, len(phases))
             for member, draws in zip(cfgs, members)
-        ]
-        gamma = channel.snr_matrix(*grid, mask=functools.reduce(np.logical_or, masks))
+        ])
+        gamma = channel.snr_matrix(*grid, mask=chosen.any(axis=0))
+    # one peel for the stacked members: they differ only in policy, so they
+    # share the threshold as well as the grid
+    decoded, traces = receiver.peel_batch(chosen, gamma, cfg.radio.snr_threshold, keep_traces)
+    batch = len(gamma)
+    if keep_traces:
+        traces = [traces[lo:lo + batch] for lo in range(0, len(traces), batch)]
+    else:
+        traces = [None] * len(cfgs)
     out = []
-    for member, chosen in zip(cfgs, masks):
-        policy = member.policy
-        decoded, traces = receiver.peel_batch(
-            chosen, gamma, member.radio.snr_threshold, keep_traces
-        )
-        a = decoded.astype(float)
-        counts = chosen.sum(axis=-1)
+    for member, a, counts, member_traces in zip(
+        cfgs, decoded.astype(float), chosen.sum(axis=-1), traces
+    ):
         p, g = power_metrics.frame_metrics(
             member.power,
             member.timing,
@@ -322,9 +327,9 @@ def _simulate_batch(
             counts,
             a,
             power_training_used=member.training_used,
-            frame_training_used=policy.requires_training,
+            frame_training_used=member.policy.requires_training,
         )
-        out.append((a, g, p, counts, traces))
+        out.append((a, g, p, counts, member_traces))
     return out
 
 

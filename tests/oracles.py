@@ -34,7 +34,13 @@ def loop_array_factor(n_x: int, n_z: int, d_x_m: float, wavelength_m: float,
 
 
 def where_array_factor_power(ris, theta_mtd, theta_cfg):
-    """|array factor|^2 by the closed form, with np.where guarding sin(x/2) = 0."""
+    """|array factor|^2 by the closed form, with np.where guarding sin(x/2) = 0.
+
+    The square is np.square, x * x, for every shape: `** 2` is x * x on an
+    array but C pow on the numpy scalar a 0-d input gives, and pow(x, 2) is
+    not always correctly rounded (x = -2.582884288356395 gives
+    6.671291247038321, half an ulp off; x * x gives 6.671291247038322).
+    """
     theta_mtd = np.asarray(theta_mtd, dtype=float)
     theta_cfg = np.asarray(theta_cfg, dtype=float)
     x = ris.wavenumber * ris.d_x_m * (np.sin(theta_mtd) - np.sin(theta_cfg))
@@ -42,7 +48,7 @@ def where_array_factor_power(ris, theta_mtd, theta_cfg):
     den = np.sin(half)
     num = np.sin(ris.n_x * half)
     ratio = np.where(den == 0.0, float(ris.n_x), num / np.where(den == 0.0, 1.0, den))
-    return (ris.n_z * ratio) ** 2
+    return np.square(ris.n_z * ratio)
 
 
 def where_snr_matrix(ris, radio, ap, mtd_gain, distances, angles, phases):

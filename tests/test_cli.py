@@ -320,6 +320,16 @@ class TestRunCommand:
         assert run_cli(*argv, "--out", str(plain), "--trials", "3") == 0
         assert out.read_bytes() == plain.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "K", "--values", "2,3"],
+        ["optimal-s", "--s-values", "2,3"],
+    ])
+    def test_only_run_writes_decode_traces(self, tmp_path, argv):
+        # --verbose gives the sweeps progress lines only: no <out>.trace
+        out = tmp_path / "o.csv"
+        assert run_cli(*argv, "--out", str(out), "--trials", "3", "--verbose") == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["o.csv", "o.csv.manifest.json"]
+
     def test_unwritable_output_fails_without_partial_file(self, tmp_path):
         out = tmp_path / "missing" / "run.csv"
         code = run_cli("run", "--out", str(out), "--trials", "2")

@@ -373,6 +373,22 @@ class TestCellGroups:
         assert seen == _groups(cfgs)
         assert [agg for agg, _traces in runs] == [run_monte_carlo(cfg) for cfg in cfgs]
 
+    def test_group_peels_once_per_batch(self, monkeypatch):
+        # 300 trials are two batches; each peels the four members' stacked
+        # masks in one call, and the results stay those of the cells alone
+        cfgs = cell_configs(make_resolved("sim.trials=300", "sim.workers=1", "sim.k=6",
+                                          "sim.s=7"), access.POLICY_KINDS)
+        alone = [run_monte_carlo_with_traces(cfg) for cfg in cfgs]
+        peel, shapes = rx.peel_batch, []
+
+        def counted(chosen, *args):
+            shapes.append(chosen.shape)
+            return peel(chosen, *args)
+
+        monkeypatch.setattr(rx, "peel_batch", counted)
+        assert run_groups(cfgs, keep_traces=True) == alone
+        assert shapes == [(4, 256, 6, 7), (4, 44, 6, 7)]
+
     def test_group_redraws_a_rejected_crdsap_row(self, monkeypatch):
         # flag every fifth crdsap row as a Lemire rejection: numpy's own redraw
         # from a fresh copy of the row's stream must give back the same draws

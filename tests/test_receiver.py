@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -210,3 +211,64 @@ class TestPeelBatch:
         for order, axis in ((devices, 1), (slots, 2)):
             moved = [np.take_along_axis(a, order, axis=axis) for a in (chosen, snr)]
             assert np.array_equal(rx.peel_batch(*moved, 1.0)[0], counts)
+
+
+@st.composite
+def stacked_batches(draw):
+    """Masks of m members stacked on a leading axis over one (b, k, s) grid."""
+    m, b, k, s = (draw(st.integers(1, 5)) for _ in range(4))
+    chosen = draw(hnp.arrays(bool, (m, b, k, s)))
+    snr = draw(hnp.arrays(float, (b, k, s), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+    return chosen, snr
+
+
+def assert_stack_matches_loop(chosen, snr, threshold):
+    """Counts in the leading shape and one trace per frame in C order, each the loop oracle's."""
+    counts, traces = rx.peel_batch(chosen, snr, threshold, keep_traces=True)
+    assert counts.shape == chosen.shape[:-2]
+    assert np.array_equal(rx.peel_batch(chosen, snr, threshold)[0], counts)
+    frames = list(np.ndindex(chosen.shape[:-2]))
+    assert len(traces) == len(frames)
+    for index, trace in zip(frames, traces):
+        want = loop_peel_trace(chosen[index], np.broadcast_to(snr, chosen.shape)[index], threshold)
+        assert trace == want
+        assert counts[index] == len(want)
+
+
+class TestStackedPeel:
+    """Leading axes beyond the batch: one peel of stacked masks over a shared grid."""
+
+    @given(stacked_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_stack_equals_each_member_alone(self, batch):
+        chosen, snr = batch
+        assert_stack_matches_loop(chosen, snr, 1.0)
+        counts, traces = rx.peel_batch(chosen, snr, 1.0, keep_traces=True)
+        b = len(snr)
+        for member, alone in enumerate(chosen):
+            own_counts, own_traces = rx.peel_batch(alone, snr, 1.0, keep_traces=True)
+            assert np.array_equal(counts[member], own_counts)
+            assert traces[member * b:(member + 1) * b] == own_traces
+
+    # the slot encoding widens where k * (k * k + 1 + k), the load of a slot
+    # holding every device below the threshold, outgrows its dtype: uint8 to
+    # uint16 between k = 5 (155) and k = 6 (258), uint16 to uint32 between
+    # k = 39 (60879) and 40 (65640)
+    @pytest.mark.parametrize("k", [5, 6, 39, 40])
+    def test_encoding_widths(self, k):
+        rng = np.random.default_rng(k)
+        full = np.zeros((3, k, k), dtype=bool)
+        full[0, :, 0] = True  # every device in slot 0 and nowhere else
+        full[1] = True  # every device in every slot
+        full[2, :, 0] = True  # every device in slot 0, device d > 0 alone in slot d:
+        full[2, np.arange(1, k), np.arange(1, k)] = True  # slot 0 decodes device 0 last
+        mixed = np.where(rng.random(full.shape) < 0.7, 2.0, 0.5)
+        for snr in (np.full(full.shape, 2.0), np.full(full.shape, 0.5), mixed):
+            assert_stack_matches_loop(full, snr, 1.0)
+            assert_stack_matches_loop(np.stack([full, full[::-1]]), snr, 1.0)
+        counts, traces = rx.peel_batch(full, np.full(full.shape, 2.0), 1.0, keep_traces=True)
+        assert counts.tolist() == [0, 0, k]
+        assert traces[2][-1] == (2, 0, 0)
+        masks = rng.random((2, 16, k, 8)) < 0.3
+        snr = np.where(rng.random((16, k, 8)) < 0.7, 2.0, 0.5)
+        assert_stack_matches_loop(masks, snr, 1.0)
