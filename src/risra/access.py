@@ -148,13 +148,6 @@ def irsap_degree_pmf(num_slots: int) -> np.ndarray:
     return (1.0 + 1.0 / (num_slots - 1)) / ((degrees - 1) * degrees)
 
 
-def irsap_mean_degree(num_slots: int) -> float:
-    """Expected replicas per device under the irsap degree distribution."""
-    if num_slots < 2:
-        raise ValueError("irsap needs at least 2 slots")
-    return (1.0 + 1.0 / (num_slots - 1)) * sum(1.0 / (s - 1) for s in range(2, num_slots + 1))
-
-
 def irsap_sample_degrees(u: np.ndarray, num_slots: int) -> np.ndarray:
     """Replica counts from unit doubles `u` by inverse CDF; the last bin absorbs float residue."""
     cdf = np.cumsum(irsap_degree_pmf(num_slots))

@@ -195,21 +195,9 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_watts(x_dbm: float) -> float:
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(x_w: float) -> float:
-    return 10.0 * math.log10(x_w) + 30.0
-
-
 def dbw_to_watts(x_dbw: float) -> float:
     return 10.0 ** (x_dbw / 10.0)
-
-
-def watts_to_dbw(x_w: float) -> float:
-    return 10.0 * math.log10(x_w)

@@ -143,11 +143,12 @@ def _run_cells(cfgs, verbose: bool, keep_traces: bool = False):
     """Run a command's cells group by group (engine.run_groups); returns the runs and stats.
 
     The stats go to the manifest: the total wall time and, per group, its
-    cells (indices into cfgs), their policies, its trials, wall time and
-    policy-frames per second. With verbose, one stderr line per finished cell
-    gives cells done of all, seconds since the first group started and
-    frames per second so far, counting the frames of the finished cells; a
-    group's cells finish together, so they share a time.
+    cells (indices into cfgs), their policies, its trials, its wall time
+    since the group before it finished, and policy-frames per second. With
+    verbose, one stderr line per finished cell gives cells done of all,
+    seconds since the first group started and frames per second so far,
+    counting the frames of the finished cells; a group's cells finish
+    together, so they share a time.
     """
     start = time.perf_counter()
     groups = []

@@ -36,9 +36,19 @@ with: a group's results equal its cells run one by one. A trained member
 with estimation noise draws its normals between the placement and its policy
 words with a variable number of words, so it reads the batch's streams again
 on a pass of its own; its placement and grid still come from the group.
-run_groups runs a command's cells group by group; run_monte_carlo is a group
-of one cell, and simulate_frame a batch of one trial of it, which
-like the batches expects a fresh trial stream such as trial_rng gives.
+
+run_groups runs a whole command as one list of jobs, each one batch: a
+group's range of consecutive trials. A range holds at most _ENTRIES grid
+entries (b·k·s, the 256 trials of K = S = 20), so small frames run in long
+batches and peak memory stays bounded; with sim.workers > 1 a range is also
+at most ceil(trials / workers) trials. The jobs run in order in this process
+or on one pool for the command, forked where the platform can fork and
+spawned where it cannot. Each trial's stream is its own and each member's
+results are reduced in trial order, so every output byte is independent of
+the batch size, the worker count and the order the jobs run in.
+run_monte_carlo is a group of one cell, and simulate_frame a batch of one
+trial of it, which like the batches expects a fresh trial stream such as
+trial_rng gives.
 """
 
 from __future__ import annotations
@@ -46,8 +56,8 @@ from __future__ import annotations
 import copy
 import math
 import multiprocessing
-import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, fields
 from multiprocessing import get_context
 from typing import Callable, Iterable
@@ -212,9 +222,6 @@ def simulate_frame(
     )
 
 
-_BATCH = 256  # trials per vectorized batch; keeps the SNR block under ~2 MB
-
-
 def _batch_draws(
     cfgs: list[ScenarioConfig],
     streams: Callable[[], Iterable[np.random.Generator]],
@@ -334,20 +341,21 @@ def _simulate_batch(
 
 
 def _simulate_range(cfgs: list[ScenarioConfig], start: int, stop: int, keep_traces: bool = False):
-    """Simulate a group's trials [start, stop); per member, per-trial metric arrays (and traces)."""
+    """One job: a group's trials [start, stop) as one batch; per member (a, g, p, traces)."""
     seed = cfgs[0].seed
-    phases = phase_shift_set(cfgs[0].s)
-    parts = [
-        _simulate_batch(
-            cfgs,
-            lambda lo=lo: trial_streams(seed, lo, min(lo + _BATCH, stop)),
-            lambda row, lo=lo: trial_rng(seed, lo + row),
-            phases,
-            keep_traces,
-        )
-        for lo in range(start, stop, _BATCH)
-    ]
-    return [_join([part[member] for part in parts], keep_traces) for member in range(len(cfgs))]
+    runs = _simulate_batch(
+        cfgs,
+        lambda: trial_streams(seed, start, stop),
+        lambda row: trial_rng(seed, start + row),
+        phase_shift_set(cfgs[0].s),
+        keep_traces,
+    )
+    return [(a, g, p, traces) for a, g, p, _counts, traces in runs]
+
+
+def _run_job(job):
+    """_simulate_range of one (members, start, stop, keep_traces) job, as a pool maps it."""
+    return _simulate_range(*job)
 
 
 def _join(parts, keep_traces: bool):
@@ -379,29 +387,6 @@ def _aggregate(cfg: ScenarioConfig, a: np.ndarray, g: np.ndarray, p: np.ndarray)
     )
 
 
-def _run_group(cfgs: list[ScenarioConfig], keep_traces: bool, fork: bool):
-    """Each member's aggregate and, with keep_traces, its traces (else None).
-
-    With fork, the trials are split over min(workers, trials) forked
-    processes, each running every member on its chunk; per-trial streams and
-    trial-ordered reduction make the result independent of the worker count.
-    """
-    cfg = cfgs[0]
-    workers = min(cfg.workers, cfg.trials) if fork else 1
-    if workers > 1:
-        bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int).tolist()
-        jobs = [(cfgs, lo, hi, keep_traces) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        with get_context("fork").Pool(len(jobs)) as pool:
-            parts = pool.starmap(_simulate_range, jobs)
-    else:
-        parts = [_simulate_range(cfgs, 0, cfg.trials, keep_traces)]
-    runs = []
-    for index, member in enumerate(cfgs):
-        a, g, p, traces = _join([part[index] for part in parts], keep_traces)
-        runs.append((_aggregate(member, a, g, p), traces))
-    return runs
-
-
 def _groups(cfgs: list[ScenarioConfig]) -> list[list[int]]:
     """Indices of the cells that differ only in their policy, groups in order of first cell."""
     groups: dict[str, list[int]] = {}
@@ -411,6 +396,38 @@ def _groups(cfgs: list[ScenarioConfig]) -> list[list[int]]:
     return list(groups.values())
 
 
+# grid entries b·k·s per job: 256 trials at K = S = 20, a 0.8 MB SNR block;
+# smaller frames take more trials per batch, larger ones fewer
+_ENTRIES = 256 * 20 * 20
+
+
+def _jobs(groups: list[list[ScenarioConfig]]) -> list[tuple[int, int, int]]:
+    """Every group's (group, start, stop) trial ranges, in group and trial order.
+
+    A range holds at least one trial and at most _ENTRIES grid entries, b·k·s;
+    with workers > 1 at most ceil(trials / workers) trials.
+    """
+    jobs = []
+    for index, members in enumerate(groups):
+        cfg = members[0]
+        size = max(1, _ENTRIES // (cfg.k * cfg.s))
+        if cfg.workers > 1:
+            size = min(size, -(-cfg.trials // cfg.workers))
+        jobs += [(index, lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
+    return jobs
+
+
+def _results(work: list, workers: int):
+    """Each job's result in the order of work, from this process or from one pool
+    for all of it, forked where the platform can fork and spawned where it cannot."""
+    if workers <= 1:
+        yield from map(_run_job, work)
+        return
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    with get_context(method).Pool(workers) as pool:
+        yield from pool.imap(_run_job, work)
+
+
 def run_groups(
     cfgs: list[ScenarioConfig],
     keep_traces: bool = False,
@@ -418,23 +435,35 @@ def run_groups(
 ) -> list[tuple[AggregateResult, list | None]]:
     """Every cell's aggregate and, with keep_traces, its traces (else None), in the order of cfgs.
 
-    Cells that differ only in their policy run as one group (module
-    docstring), each group after the one before; finished(indices, seconds)
-    is called after each group with the indices of its cells and its wall
-    time. Where the fork start method is missing, every group runs in this
-    process and one note says so on stderr.
+    The cells run in groups, cut into one list of jobs (module docstring).
+    finished(indices, seconds) is called once per group, in group order,
+    whatever order the jobs ran in, with the indices of its cells and the
+    wall time since the previous group was reported (since the start, for
+    the first).
     """
-    fork = "fork" in multiprocessing.get_all_start_methods()
-    if not fork and any(min(cfg.workers, cfg.trials) > 1 for cfg in cfgs):
-        print("note: no fork start method here; sim.workers > 1 runs in one process",
-              file=sys.stderr)
+    indices = _groups(cfgs)
+    groups = [[cfgs[i] for i in group] for group in indices]
+    jobs = _jobs(groups)
+    workers = min(max((cfg.workers for cfg in cfgs), default=1), len(jobs))
+    work = [(groups[index], lo, hi, keep_traces) for index, lo, hi in jobs]
+    parts: list = [{} for _ in groups]
+    left = Counter(index for index, _lo, _hi in jobs)
     runs: list = [None] * len(cfgs)
-    for indices in _groups(cfgs):
-        start = time.perf_counter()
-        for index, run in zip(indices, _run_group([cfgs[i] for i in indices], keep_traces, fork)):
-            runs[index] = run
-        if finished is not None:
-            finished(indices, time.perf_counter() - start)
+    reported, start = 0, time.perf_counter()
+    for (index, lo, _hi), result in zip(jobs, _results(work, workers), strict=True):
+        parts[index][lo] = result
+        left[index] -= 1
+        while reported < len(groups) and not left[reported]:
+            ordered = [part for _lo, part in sorted(parts[reported].items())]
+            parts[reported] = None
+            for member, (cell, cfg) in enumerate(zip(indices[reported], groups[reported])):
+                a, g, p, traces = _join([part[member] for part in ordered], keep_traces)
+                runs[cell] = (_aggregate(cfg, a, g, p), traces)
+            if finished is not None:
+                now = time.perf_counter()
+                finished(indices[reported], now - start)
+                start = now
+            reported += 1
     return runs
 
 

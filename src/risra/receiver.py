@@ -21,6 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 
+def load_dtype(k: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds peel_batch's largest slot load of k devices,
+    k * (unit + k) with unit = k*k + 1: uint8 up to k = 5, uint16 up to 39, uint32 from 40."""
+    return np.min_scalar_type(k * (k * k + 1 + k))
+
+
 def peel_batch(
     chosen: np.ndarray, snr_values: np.ndarray, threshold: float, keep_traces: bool = False
 ) -> tuple[np.ndarray, list[list[tuple[int, int, int]]] | None]:
@@ -42,10 +48,10 @@ def peel_batch(
     # each slot of each frame is one integer: its live replicas times `unit`,
     # plus per live replica its device index if it meets the threshold, else k.
     # The second part stays below unit, so a slot reads unit + d exactly when
-    # its one live replica is device d and decodes. The largest load, k
-    # replicas of unit + k, sets the narrowest dtype that holds every slot.
+    # its one live replica is device d and decodes. The loads are summed in
+    # load_dtype(k), which holds the largest.
     unit = k * k + 1
-    dtype = np.min_scalar_type(k * (unit + k))
+    dtype = load_dtype(k)
     codes = np.arange(unit, unit + k, dtype=dtype)[:, None]
     base = np.where(snr_values >= threshold, codes, dtype.type(unit + k))
     weight = chosen * base

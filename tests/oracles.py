@@ -10,7 +10,9 @@ model's formulas by quadrature without importing the simulator, and the
 fixed-grid oracle enumerates every slot choice of every device on a given SNR
 grid. The reference kernels keep the simulator's earlier formulas, each a
 chain of fresh arrays, np.where and full sorts, so the tests can hold the
-in-place kernels to the same bits.
+in-place kernels to the same bits. The inverse decibel conversions and the
+closed-form irsap mean degree check the simulator's conversions and degree
+distribution; the simulator itself needs neither.
 """
 
 from __future__ import annotations
@@ -452,3 +454,25 @@ def fixed_grid_decoded(kind: str, snr, threshold: float, sscp_s: int = 2) -> flo
         mass = math.prod(m for _chosen, m in combo)
         total += mass * len(exhaustive_decode(slots, ok))
     return total
+
+
+def linear_to_db(x: float) -> float:
+    """Inverse of channel.db_to_linear."""
+    return 10.0 * math.log10(x)
+
+
+def watts_to_dbm(x_w: float) -> float:
+    """Inverse of channel.dbm_to_watts."""
+    return 10.0 * math.log10(x_w) + 30.0
+
+
+def watts_to_dbw(x_w: float) -> float:
+    """Inverse of channel.dbw_to_watts."""
+    return 10.0 * math.log10(x_w)
+
+
+def irsap_mean_degree(num_slots: int) -> float:
+    """Expected replicas per device under the irsap degree distribution, in closed form."""
+    if num_slots < 2:
+        raise ValueError("irsap needs at least 2 slots")
+    return (1.0 + 1.0 / (num_slots - 1)) * sum(1.0 / (s - 1) for s in range(2, num_slots + 1))

@@ -6,7 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risra import channel as ch
-from oracles import loop_array_factor, where_array_factor_power, where_snr_matrix
+from oracles import (
+    linear_to_db,
+    loop_array_factor,
+    watts_to_dbm,
+    watts_to_dbw,
+    where_array_factor_power,
+    where_snr_matrix,
+)
 
 # Frozen scalar evaluations (independent calculator runs, 30-digit arithmetic):
 # two 5 dB antennas, 0.1 m square elements, hops of 20 m and 25 m, device on boresight
@@ -352,6 +359,6 @@ class TestDecibelHelpers:
 
     @given(st.floats(-120.0, 60.0))
     def test_round_trips(self, x):
-        assert ch.linear_to_db(ch.db_to_linear(x)) == pytest.approx(x, abs=1e-9)
-        assert ch.watts_to_dbm(ch.dbm_to_watts(x)) == pytest.approx(x, abs=1e-9)
-        assert ch.watts_to_dbw(ch.dbw_to_watts(x)) == pytest.approx(x, abs=1e-9)
+        assert linear_to_db(ch.db_to_linear(x)) == pytest.approx(x, abs=1e-9)
+        assert watts_to_dbm(ch.dbm_to_watts(x)) == pytest.approx(x, abs=1e-9)
+        assert watts_to_dbw(ch.dbw_to_watts(x)) == pytest.approx(x, abs=1e-9)

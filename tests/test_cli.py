@@ -26,8 +26,7 @@ EDGE_RUNS = {
         "074a750b33582db0176abba3443863a4b8da048489211ae88d65e092b7045c66",
 }
 # every function through which a command can start simulating a cell
-RUN_FUNCTIONS = ("run_monte_carlo", "run_monte_carlo_with_traces", "run_groups", "_run_group",
-                 "_simulate_range")
+RUN_FUNCTIONS = ("run_monte_carlo", "run_monte_carlo_with_traces", "run_groups", "_simulate_range")
 
 
 @pytest.fixture
@@ -227,10 +226,9 @@ class TestRunCommand:
         trace = (tmp_path / "run.csv.trace").read_bytes()
         assert hashlib.sha256(trace).hexdigest() == RUN_50_TRACE_SHA256
 
-    def test_without_fork_workers_run_serially_with_one_note(self, tmp_path, capsys,
-                                                               monkeypatch):
-        # the same bytes whether sim.workers=2 forks a pool per group or, where
-        # the platform has no fork start method, runs every group in-process
+    def test_without_fork_workers_run_on_a_spawn_pool(self, tmp_path, capsys, monkeypatch):
+        # the same bytes whether sim.workers=2 forks its pool or, where the
+        # platform has no fork start method, spawns it
         pools = []
         get_context = engine.get_context
         monkeypatch.setattr(engine, "get_context",
@@ -245,11 +243,11 @@ class TestRunCommand:
             outputs.append((out.read_bytes(), out.with_name(out.name + ".trace").read_bytes()))
             notes.append([line for line in capsys.readouterr().err.splitlines()
                           if not line.startswith("point ")])
-        assert pools == ["fork"]
+        assert pools == ["fork", "spawn"]
         assert outputs[0] == outputs[1]
         assert hashlib.sha256(outputs[1][0]).hexdigest() == RUN_50_CSV_SHA256
-        assert notes[0] == []
-        assert len(notes[1]) == 1 and "fork" in notes[1][0]
+        assert hashlib.sha256(outputs[1][1]).hexdigest() == RUN_50_TRACE_SHA256
+        assert notes == [[], []]
 
     @pytest.mark.parametrize("argv", list(EDGE_RUNS))
     def test_edge_run_bytes_are_pinned(self, tmp_path, argv):
@@ -462,8 +460,8 @@ class TestCellList:
         out = tmp_path / "o.csv"
         assert run_cli(*argv, "--out", str(out), "--trials", "2", "--set", "sim.k=2") == 0
         assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [["carp", "2"]]
-        # one group of one cell
-        assert [len(args[0]) for name, args in run_calls if name == "_run_group"] == [1]
+        # one job of one group of one cell
+        assert [len(args[0]) for name, args in run_calls if name == "_simulate_range"] == [1]
 
 
 class TestValidateCommand:

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import random
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from risra import access, channel
+from risra import access, channel, engine
 from risra import receiver as rx
 from risra.config import cell_configs, parse_config, resolve_config
 from risra.engine import (
@@ -374,10 +376,12 @@ class TestCellGroups:
         assert [agg for agg, _traces in runs] == [run_monte_carlo(cfg) for cfg in cfgs]
 
     def test_group_peels_once_per_batch(self, monkeypatch):
-        # 300 trials are two batches; each peels the four members' stacked
+        # a job holds at most 256 * 20 * 20 grid entries, b·k·s: 44 trials past
+        # one full job are two batches; each peels the four members' stacked
         # masks in one call, and the results stay those of the cells alone
-        cfgs = cell_configs(make_resolved("sim.trials=300", "sim.workers=1", "sim.k=6",
-                                          "sim.s=7"), access.POLICY_KINDS)
+        batch = 256 * 20 * 20 // (6 * 7)
+        cfgs = cell_configs(make_resolved(f"sim.trials={batch + 44}", "sim.workers=1",
+                                          "sim.k=6", "sim.s=7"), access.POLICY_KINDS)
         alone = [run_monte_carlo_with_traces(cfg) for cfg in cfgs]
         peel, shapes = rx.peel_batch, []
 
@@ -387,7 +391,7 @@ class TestCellGroups:
 
         monkeypatch.setattr(rx, "peel_batch", counted)
         assert run_groups(cfgs, keep_traces=True) == alone
-        assert shapes == [(4, 256, 6, 7), (4, 44, 6, 7)]
+        assert shapes == [(4, batch, 6, 7), (4, 44, 6, 7)]
 
     def test_group_redraws_a_rejected_crdsap_row(self, monkeypatch):
         # flag every fifth crdsap row as a Lemire rejection: numpy's own redraw
@@ -412,7 +416,104 @@ class TestCellGroups:
         monkeypatch.setattr(access, "decode_draws", forced)
         monkeypatch.setattr(access, "crdsap_indices", counted)
         assert run_groups(cfgs, keep_traces=True) == alone
-        assert len(redrawn) == len(range(0, 256, 5)) + len(range(0, 44, 5))
+        assert len(redrawn) == len(range(0, 300, 5))  # one batch of 300 trials
+
+
+def forced_rejections(every: int = 3):
+    """Patch crdsap's decoder to flag every `every`-th row of each batch as a Lemire
+    rejection, so those rows are drawn again from fresh copies of their streams."""
+    decode = access.decode_draws
+
+    def forced(policy, words, k, s):
+        draws, rejected = decode(policy, words, k, s)
+        if policy.kind == "crdsap":
+            rejected = rejected.copy()
+            rejected[::every] = True
+        return draws, rejected
+
+    return mock.patch.object(access, "decode_draws", forced)
+
+
+# (K, S) points of the job tests: S = 1 admits only the trained policies
+JOB_POINTS = ((3, 1), (4, 2), (10, 5), (10, 20), (20, 20))
+
+
+@st.composite
+def job_cases(draw):
+    """A two-group command's flat overrides and policies, the trials per job, the worker
+    count, a shuffler of the job list and whether crdsap rows are forced to redraw."""
+    k, s = draw(st.sampled_from(JOB_POINTS))
+    kinds = access.POLICY_KINDS if s >= 2 else ("carp", "sscp")
+    size = draw(st.sampled_from((1, 7, 64, 256)))
+    # on, just before or just after a job boundary
+    trials = max(1, size * draw(st.integers(1, 2)) + draw(st.integers(-1, 1)))
+    overrides = (
+        f"sim.k={k}", f"sim.s={s}",
+        f"policy.sscp_s={draw(st.integers(1, min(s, 3)))}",
+        f"estimation.noise_std={draw(st.sampled_from((0.0, 2.0)))}",
+        f"sim.trials={trials}",
+        f"sim.seed={draw(st.integers(0, 2**64))}",
+    )
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, unique=True))
+    return (overrides, kinds, size, draw(st.sampled_from((1, 2))),
+            draw(st.randoms(use_true_random=False)), draw(st.booleans()))
+
+
+class TestJobs:
+    """A command's outputs do not depend on the batch size, the worker count or
+    the order its jobs run in."""
+
+    @given(job_cases())
+    @example((("sim.k=10", "sim.s=5", "policy.sscp_s=2", "estimation.noise_std=2.0",
+               "sim.trials=129", "sim.seed=1"), list(access.POLICY_KINDS), 64, 2, random.Random(3),
+              True))
+    @settings(max_examples=30, deadline=None)
+    def test_outputs_do_not_depend_on_the_jobs(self, case):
+        overrides, kinds, size, workers, order, force = case
+        cfgs = cell_configs(make_resolved(*overrides), kinds, "rho_mtd", [0.01, 0.02])
+        k, s = cfgs[0].k, cfgs[0].s
+        reference = run_groups([dataclasses.replace(cfg, workers=1) for cfg in cfgs], True)
+        jobs, seen = engine._jobs, []
+
+        def shuffled(groups):
+            out = jobs(groups)
+            order.shuffle(out)
+            return out
+
+        with (mock.patch.object(engine, "_ENTRIES", size * k * s),
+              mock.patch.object(engine, "_jobs", shuffled),
+              forced_rejections() if force else contextlib.nullcontext()):
+            runs = run_groups([dataclasses.replace(cfg, workers=workers) for cfg in cfgs], True,
+                              lambda indices, _seconds: seen.append(indices))
+        assert runs == reference
+        # once per group, in group order, whatever order the jobs ran in
+        assert seen == _groups(cfgs)
+
+    def test_jobs_are_sized_by_grid_entries(self):
+        def sizes(*overrides):
+            return [hi - lo for _index, lo, hi in engine._jobs([[make_cfg(*overrides)]])]
+
+        assert sizes("sim.k=20", "sim.s=20", "sim.trials=600") == [256, 256, 88]
+        assert sizes("sim.k=10", "sim.s=20", "sim.trials=600") == [512, 88]
+        assert sizes("sim.k=10", "sim.s=5", "sim.trials=2000") == [2000]
+        assert sizes("sim.k=40", "sim.s=40", "sim.trials=100") == [64, 36]
+        # with workers, a lone group still spreads over all of them
+        assert sizes("sim.k=10", "sim.s=5", "sim.trials=2001", "sim.workers=2") == [1001, 1000]
+        assert sizes("sim.k=20", "sim.s=20", "sim.trials=600", "sim.workers=2") == [256, 256, 88]
+
+    def test_a_redraw_restarts_its_own_trial(self, monkeypatch):
+        # a flagged row of a later job is drawn again from its own trial's stream,
+        # not from the stream of its row index within the job
+        cfg = make_cfg("policy.kind=crdsap", "sim.k=6", "sim.s=7", "sim.trials=300")
+        alone = run_monte_carlo_with_traces(cfg)
+        rng, restarted = engine.trial_rng, []
+        monkeypatch.setattr(engine, "_ENTRIES", 64 * 6 * 7)
+        monkeypatch.setattr(engine, "trial_rng",
+                            lambda seed, trial: restarted.append(trial) or rng(seed, trial))
+        with forced_rejections():
+            assert run_monte_carlo_with_traces(cfg) == alone
+        assert restarted == [lo + row for lo in range(0, 300, 64)
+                             for row in range(0, min(64, 300 - lo), 3)]
 
 
 def batch_runs(cfgs, trials):

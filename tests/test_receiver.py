@@ -272,3 +272,14 @@ class TestStackedPeel:
         masks = rng.random((2, 16, k, 8)) < 0.3
         snr = np.where(rng.random((16, k, 8)) < 0.7, 2.0, 0.5)
         assert_stack_matches_loop(masks, snr, 1.0)
+
+    @pytest.mark.parametrize("k", [5, 6, 39, 40])
+    def test_load_dtype_is_the_narrowest_that_holds_a_full_slot(self, k):
+        # k replicas that fail the threshold, k * (unit + k), is the largest load
+        largest = k * (k * k + 1 + k)
+        dtype = rx.load_dtype(k)
+        assert dtype.kind == "u" and np.iinfo(dtype).max >= largest
+        # the next narrower unsigned dtype, if any, cannot hold it
+        narrower = [t for t in (np.uint8, np.uint16, np.uint32) if np.dtype(t) < dtype]
+        assert narrower == [] or np.iinfo(narrower[-1]).max < largest
+        assert dtype == {5: np.uint8, 6: np.uint16, 39: np.uint16, 40: np.uint32}[k]
