@@ -10,11 +10,12 @@ are scheduled or how many worker processes run them. Because placement draws
 precede policy draws, different policies at the same seed contend over
 identical device drops.
 
-trial_streams derives those keys for a whole range of trials in one numpy
-pass, running SeedSequence's published hash on uint32 arrays, and re-keys one
-reused Philox generator per trial; a Philox stream is fixed by its key and
-counter alone, so this is the same stream as constructing it from the
-SeedSequence.
+_philox_keys derives those keys for a whole range of trials in one numpy
+pass, running SeedSequence's published hash on uint32 arrays, and a batch of
+trials is its (b, 2) array of keys, the one input of the frame pipeline.
+_streams re-keys one reused Philox generator per trial; a Philox stream is
+fixed by its key and counter alone, so this is the same stream as
+constructing it from the SeedSequence.
 
 Cells run in groups: a group is the cells of one run that differ only in
 their policy (policy.*), so they share every trial's stream and device drop.
@@ -47,13 +48,12 @@ spawned where it cannot. Each trial's stream is its own and each member's
 results are reduced in trial order, so every output byte is independent of
 the batch size, the worker count and the order the jobs run in.
 run_monte_carlo is a group of one cell, and simulate_frame a batch of one
-trial of it, which like the batches expects a fresh trial stream such as
-trial_rng gives.
+trial of it: it passes its generator's key, so it rejects a generator that is
+not a fresh Philox stream such as trial_rng gives.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import multiprocessing
 import time
@@ -132,15 +132,13 @@ def _philox_keys(seed: int, trials: np.ndarray) -> np.ndarray:
     return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def trial_streams(seed: int, start: int, stop: int):
-    """Yield the random stream of each trial start..stop-1, in order.
+def _streams(keys: np.ndarray):
+    """Yield the fresh Philox stream of each row of `keys`, (b, 2) uint64, in order.
 
-    All keys are derived in one pass; one Generator is re-keyed before each
-    yield, with a zero counter and empty output buffers, so a consumer must be
-    done with a trial's stream before asking for the next. Trial indices are
-    one 32-bit spawn word, so stop must not exceed 2**32.
+    One Generator is re-keyed before each yield, with a zero counter and empty
+    output buffers, so a consumer must be done with a trial's stream before
+    asking for the next.
     """
-    keys = _philox_keys(seed, np.arange(start, stop, dtype=np.uint32))
     bit_generator = np.random.Philox(key=0)
     rng = np.random.Generator(bit_generator)
     fresh = {
@@ -155,6 +153,14 @@ def trial_streams(seed: int, start: int, stop: int):
         fresh["state"]["key"] = key
         bit_generator.state = fresh
         yield rng
+
+
+def trial_streams(seed: int, start: int, stop: int):
+    """The streams of trials start..stop-1 (_streams), their keys derived in one pass.
+
+    Trial indices are one 32-bit spawn word, so stop must not exceed 2**32.
+    """
+    return _streams(_philox_keys(seed, np.arange(start, stop, dtype=np.uint32)))
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -199,44 +205,37 @@ def simulate_frame(
 ) -> TrialResult:
     """Run one frame end to end: drop devices, measure, contend, decode, meter.
 
-    The frame pipeline on a group of one cell and a batch of one stream, so it
-    is deterministic given (cfg, rng state) and equals trial t of
-    run_monte_carlo when rng is trial_rng(cfg.seed, t). rng must be a fresh
-    trial stream: the pipeline reads it from its first word.
+    The frame pipeline on a group of one cell and a batch of one key, so it is
+    deterministic given (cfg, rng's key) and equals trial t of run_monte_carlo
+    when rng is trial_rng(cfg.seed, t). rng must be a fresh Philox stream: the
+    pipeline reads it from its first word. It is read from its key, not drawn
+    from, so rng is left as it was.
     """
-    start = copy.deepcopy(rng)
-    [(a, g, p, counts, traces)] = _simulate_batch(
-        [cfg],
-        lambda: [copy.deepcopy(start)],
-        lambda _row: copy.deepcopy(start),
-        phase_shift_set(cfg.s),
-        keep_trace,
-    )
+    state = rng.bit_generator.state
+    if (state["bit_generator"] != "Philox" or any(state["state"]["counter"])
+            or state["buffer_pos"] != 4 or state["has_uint32"]):
+        raise ValueError("simulate_frame needs a fresh Philox stream, such as trial_rng gives")
+    [(a, g, p, counts, traces)] = _simulate_batch([cfg], state["state"]["key"][None], keep_trace)
     return TrialResult(
         successes=int(a[0]),
         replica_counts=counts[0],
         throughput_pps=float(g[0]),
         power_w=float(p[0]),
-        energy_efficiency=power_metrics.energy_efficiency(float(g[0]), float(p[0])),
+        energy_efficiency=float(g[0]) / float(p[0]),
         trace=tuple(traces[0]) if keep_trace else None,
     )
 
 
-def _batch_draws(
-    cfgs: list[ScenarioConfig],
-    streams: Callable[[], Iterable[np.random.Generator]],
-    restart: Callable[[int], np.random.Generator],
-):
+def _batch_draws(cfgs: list[ScenarioConfig], keys: np.ndarray):
     """A group's placement and every member's access draws, decoded on the batch from raw words.
 
-    streams() gives the batch's fresh trial streams one after another, so
-    they may be one re-keyed generator (trial_streams); each call is one pass
-    over them (module docstring). Estimation noise is drawn through numpy,
-    which does not expose its ziggurat tables. A row whose bounded integers
-    hit a Lemire rejection needs more words than were read; it is drawn
-    again from restart(row), a fresh copy of its stream.
-    Returns device distances and angles (b, k) and, per member, the draws
-    choose_slots takes.
+    keys holds the batch's (b, 2) Philox keys, one per trial; each pass over
+    the batch reads their fresh streams one after another (_streams, module
+    docstring). Estimation noise is drawn through numpy, which does not
+    expose its ziggurat tables. A row whose bounded integers hit a Lemire
+    rejection needs more words than were read; it is drawn again from a fresh
+    stream of its key. Returns device distances and angles (b, k) and, per
+    member, the draws choose_slots takes.
     """
     cfg = cfgs[0]
     k, s = cfg.k, cfg.s
@@ -247,14 +246,14 @@ def _batch_draws(
     words = None
     if shared:
         count = lead + max(shared)
-        words = np.array([rng.bit_generator.random_raw(count) for rng in streams()])
+        words = np.array([rng.bit_generator.random_raw(count) for rng in _streams(keys)])
     members = []
     for member, n, own in zip(cfgs, sizes, noisy):
         if own:
             parts = [
                 (rng.bit_generator.random_raw(lead), rng.standard_normal((k, s)),
                  rng.bit_generator.random_raw(n))
-                for rng in streams()
+                for rng in _streams(keys)
             ]
             heads, normals, tails = (np.array(column) for column in zip(*parts))
             words = heads if words is None else words
@@ -262,7 +261,7 @@ def _batch_draws(
             draws = (normals, *draws)
         else:
             draws, rejected = access.decode_draws(member.policy, words[:, lead:lead + n], k, s)
-        _redraw_rows(member, draws, np.flatnonzero(rejected).tolist(), restart)
+        _redraw_rows(member, draws, keys, np.flatnonzero(rejected).tolist())
         members.append(draws)
     distances, angles = channel.sample_mtd_placements(
         words[:, :lead],
@@ -272,23 +271,17 @@ def _batch_draws(
     return distances, angles, members
 
 
-def _redraw_rows(cfg: ScenarioConfig, draws, rows: list[int], restart) -> None:
-    """Draw crdsap's slot indices of `rows` again with numpy, on fresh copies of their streams."""
+def _redraw_rows(cfg: ScenarioConfig, draws, keys: np.ndarray, rows: list[int]) -> None:
+    """Draw crdsap's slot indices of `rows` again with numpy, on fresh streams of their keys."""
     for row in rows:
-        rng = restart(row)
+        rng = next(_streams(keys[row:row + 1]))
         rng.bit_generator.random_raw(2 * cfg.k)  # the placement's words
         for draw, redrawn in zip(draws, access.crdsap_indices(rng, cfg.k, cfg.s)):
             draw[row] = redrawn
 
 
-def _simulate_batch(
-    cfgs: list[ScenarioConfig],
-    streams: Callable[[], Iterable[np.random.Generator]],
-    restart: Callable[[int], np.random.Generator],
-    phases: tuple[float, ...],
-    keep_traces: bool,
-):
-    """The frame pipeline of a group over a batch of trial streams (see _batch_draws).
+def _simulate_batch(cfgs: list[ScenarioConfig], keys: np.ndarray, keep_traces: bool):
+    """The frame pipeline of a group over a batch of trials, given their Philox keys (_batch_draws).
 
     The members share one placement and one SNR grid; everything after the
     draws runs on (b, k, s) arrays, and the peel on the members' (m, b, k, s)
@@ -299,7 +292,8 @@ def _simulate_batch(
     trace (else None).
     """
     cfg = cfgs[0]
-    distances, angles, members = _batch_draws(cfgs, streams, restart)
+    phases = phase_shift_set(cfg.s)
+    distances, angles, members = _batch_draws(cfgs, keys)
     grid = (cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles, phases)
     if any(member.policy.requires_training for member in cfgs):
         gamma = channel.snr_matrix(*grid)
@@ -342,14 +336,8 @@ def _simulate_batch(
 
 def _simulate_range(cfgs: list[ScenarioConfig], start: int, stop: int, keep_traces: bool = False):
     """One job: a group's trials [start, stop) as one batch; per member (a, g, p, traces)."""
-    seed = cfgs[0].seed
-    runs = _simulate_batch(
-        cfgs,
-        lambda: trial_streams(seed, start, stop),
-        lambda row: trial_rng(seed, start + row),
-        phase_shift_set(cfgs[0].s),
-        keep_traces,
-    )
+    keys = _philox_keys(cfgs[0].seed, np.arange(start, stop, dtype=np.uint32))
+    runs = _simulate_batch(cfgs, keys, keep_traces)
     return [(a, g, p, traces) for a, g, p, _counts, traces in runs]
 
 
@@ -470,11 +458,6 @@ def run_groups(
 def run_monte_carlo(cfg: ScenarioConfig) -> AggregateResult:
     """Run cfg.trials independent frames and aggregate: a group of one cell."""
     return run_groups([cfg])[0][0]
-
-
-def run_monte_carlo_with_traces(cfg: ScenarioConfig) -> tuple[AggregateResult, list]:
-    """run_monte_carlo that also returns each trial's decode trace, in trial order."""
-    return run_groups([cfg], keep_traces=True)[0]
 
 
 @dataclass(slots=True)

@@ -1,11 +1,12 @@
-"""Frame power consumption and the throughput / energy-efficiency metrics.
+"""Frame power consumption and the throughput metric.
 
 Power has three additive parts per frame: the AP (a static floor plus, when
 the training block is transmitted, one PA term per training slot), the surface
 (one phase-shifter per element), and each contending device (a static floor
 plus one PA term per transmitted replica). Throughput divides the decoded
 count by the frame duration; policies that skip training also skip the
-training block in that duration. Energy efficiency is throughput over power.
+training block in that duration. Energy efficiency, throughput over power,
+is taken from the two by the engine.
 """
 
 from __future__ import annotations
@@ -78,13 +79,6 @@ def throughput(successes, timing: FrameTiming, training_used: bool):
         raise ValueError("successes must be nonnegative")
     r_eff = timing.training_ratio if training_used else 0.0
     return successes / ((1.0 + r_eff) * timing.slots * timing.access_slot_s)
-
-
-def energy_efficiency(throughput_pps: float, power_w: float) -> float:
-    """Packets per second per watt."""
-    if power_w <= 0:
-        raise ValueError("power must be strictly positive")
-    return throughput_pps / power_w
 
 
 def frame_metrics(

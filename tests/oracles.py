@@ -12,7 +12,8 @@ grid. The reference kernels keep the simulator's earlier formulas, each a
 chain of fresh arrays, np.where and full sorts, so the tests can hold the
 in-place kernels to the same bits. The inverse decibel conversions and the
 closed-form irsap mean degree check the simulator's conversions and degree
-distribution; the simulator itself needs neither.
+distribution; the simulator itself needs neither. energy_efficiency states the
+per-frame ratio the engine divides inline, with its power check.
 """
 
 from __future__ import annotations
@@ -476,3 +477,10 @@ def irsap_mean_degree(num_slots: int) -> float:
     if num_slots < 2:
         raise ValueError("irsap needs at least 2 slots")
     return (1.0 + 1.0 / (num_slots - 1)) * sum(1.0 / (s - 1) for s in range(2, num_slots + 1))
+
+
+def energy_efficiency(throughput_pps: float, power_w: float) -> float:
+    """Packets per second per watt, the per-frame ratio simulate_frame reports."""
+    if power_w <= 0:
+        raise ValueError("power must be strictly positive")
+    return throughput_pps / power_w

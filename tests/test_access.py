@@ -346,18 +346,16 @@ def decode_cfg(kind, k, s, noise_std):
 
 def group_draws(cfgs, seed):
     """Trials FIRST_TRIAL..STOP_TRIAL-1 of `seed` through the engine's batch decode of a
-    group: per member, its placement and draws."""
-    restart = lambda row: engine.trial_rng(seed, FIRST_TRIAL + row)
-    distances, angles, members = engine._batch_draws(
-        cfgs, lambda: engine.trial_streams(seed, FIRST_TRIAL, STOP_TRIAL), restart
-    )
-    return [[distances, angles, *draws] for draws in members], restart
+    group: per member, its placement and draws, and the trials' keys."""
+    keys = engine._philox_keys(seed, np.arange(FIRST_TRIAL, STOP_TRIAL, dtype=np.uint32))
+    distances, angles, members = engine._batch_draws(cfgs, keys)
+    return [[distances, angles, *draws] for draws in members], keys
 
 
 def batch_draws(cfg, seed):
     """batch_draws of a group of one cell."""
-    [got], restart = group_draws([cfg], seed)
-    return got, restart
+    [got], keys = group_draws([cfg], seed)
+    return got, keys
 
 
 def assert_matches_generator(cfg, seed, got):
@@ -382,7 +380,7 @@ class TestDecodeDraws:
             if kind == "sscp" and s < 2:
                 continue
             cfg = decode_cfg(kind, k, s, noise_std)
-            got, _restart = batch_draws(cfg, seed)
+            got, _keys = batch_draws(cfg, seed)
             assert_matches_generator(cfg, seed, got)
 
     @pytest.mark.parametrize("noise_std", [0.0, 2.0])
@@ -392,7 +390,7 @@ class TestDecodeDraws:
         for (k, s), seed in itertools.product(DECODE_POINTS, KEY_SEEDS[:3]):
             kinds = ac.POLICY_KINDS if s >= 2 else ("carp", "sscp")
             cfgs = [decode_cfg(kind, k, s, noise_std) for kind in kinds]
-            members, _restart = group_draws(cfgs, seed)
+            members, _keys = group_draws(cfgs, seed)
             for cfg, got in zip(cfgs, members):
                 assert_matches_generator(cfg, seed, got)
 
@@ -423,10 +421,10 @@ class TestDecodeDraws:
     def test_redraw_reproduces_numpy_on_any_row(self):
         for (k, s), seed in itertools.product(((7, 3), (10, 20), (1, 20)), KEY_SEEDS[:3]):
             cfg = decode_cfg("crdsap", k, s, 0.0)
-            got, restart = batch_draws(cfg, seed)
+            got, keys = batch_draws(cfg, seed)
             decoded = [draw.copy() for draw in got[2:]]
             redrawn = [np.full_like(draw, -1) for draw in decoded]
-            engine._redraw_rows(cfg, redrawn, list(range(STOP_TRIAL - FIRST_TRIAL)), restart)
+            engine._redraw_rows(cfg, redrawn, keys, list(range(STOP_TRIAL - FIRST_TRIAL)))
             assert all(np.array_equal(a, b) for a, b in zip(redrawn, decoded))
 
     def test_rejected_rows_are_drawn_again(self, monkeypatch):
@@ -437,7 +435,7 @@ class TestDecodeDraws:
         )
         for k, s in ((7, 2), (7, 3), (10, 20)):
             cfg = decode_cfg("crdsap", k, s, 0.0)
-            got, _restart = batch_draws(cfg, KEY_SEEDS[2])
+            got, _keys = batch_draws(cfg, KEY_SEEDS[2])
             assert_matches_generator(cfg, KEY_SEEDS[2], got)
 
     def test_crdsap_needs_two_slots(self):

@@ -26,7 +26,7 @@ EDGE_RUNS = {
         "074a750b33582db0176abba3443863a4b8da048489211ae88d65e092b7045c66",
 }
 # every function through which a command can start simulating a cell
-RUN_FUNCTIONS = ("run_monte_carlo", "run_monte_carlo_with_traces", "run_groups", "_simulate_range")
+RUN_FUNCTIONS = ("run_monte_carlo", "run_groups", "_simulate_range")
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from risra.engine import (
     optimal_over_s,
     run_groups,
     run_monte_carlo,
-    run_monte_carlo_with_traces,
     simulate_frame,
     trial_rng,
     trial_streams,
@@ -54,6 +53,15 @@ ALIGNED = (
 
 def aligned_cfg(*overrides):
     return make_cfg(*ALIGNED, *overrides)
+
+
+def trial_keys(seed, trials):
+    """The (trials, 2) Philox keys of trials 0..trials-1, the frame pipeline's input."""
+    return engine._philox_keys(seed, np.arange(trials, dtype=np.uint32))
+
+
+def key_of(rng):
+    return rng.bit_generator.state["state"]["key"].tolist()
 
 
 def draw_sequence(rng):
@@ -153,6 +161,35 @@ class TestSimulateFrame:
         assert a.power_w == b.power_w
         assert np.array_equal(a.replica_counts, b.replica_counts)
 
+    def test_a_fresh_stream_is_its_key(self):
+        cfg = make_cfg("policy.kind=crdsap", "sim.k=12")
+        rng = trial_rng(cfg.seed, 5)
+        frame = simulate_frame(cfg, rng, keep_trace=True)
+        rebuilt = np.random.Generator(np.random.Philox(key=rng.bit_generator.state["state"]["key"]))
+        for other in (simulate_frame(cfg, rebuilt, keep_trace=True),
+                      simulate_frame(cfg, rng, keep_trace=True)):  # rng was read, not drawn from
+            assert (other.successes, other.power_w, other.trace) == (
+                frame.successes, frame.power_w, frame.trace)
+            assert np.array_equal(other.replica_counts, frame.replica_counts)
+
+    @pytest.mark.parametrize("stale", ["drawn", "half_word", "pcg64", "counter"])
+    def test_rejects_a_stream_that_is_not_fresh(self, stale):
+        # the pipeline reads a trial's stream from its first word, so it takes
+        # only a stream at its start, whose key alone fixes it
+        rng = trial_rng(3, 0)
+        if stale == "drawn":
+            rng.bit_generator.random_raw(1)
+        elif stale == "half_word":
+            state = rng.bit_generator.state
+            state.update(has_uint32=1, uinteger=7)
+            rng.bit_generator.state = state
+        elif stale == "pcg64":
+            rng = np.random.default_rng(1)
+        else:
+            rng = np.random.Generator(np.random.Philox(key=1, counter=3))
+        with pytest.raises(ValueError, match="fresh Philox stream"):
+            simulate_frame(make_cfg(), rng)
+
 
 class TestRunMonteCarlo:
     def test_single_trial_degenerates_to_the_frame(self):
@@ -205,11 +242,11 @@ class TestRunMonteCarlo:
 
     def test_traces_variant_matches_plain_run(self):
         cfg = make_cfg("sim.trials=50")
-        agg, traces = run_monte_carlo_with_traces(cfg)
+        agg, traces = run_groups([cfg], True)[0]
         assert agg == run_monte_carlo(cfg)
         assert len(traces) == 50
         # the pooled path returns the same aggregate and the traces in trial order
-        assert run_monte_carlo_with_traces(dataclasses.replace(cfg, workers=2)) == (agg, traces)
+        assert run_groups([dataclasses.replace(cfg, workers=2)], True)[0] == (agg, traces)
 
 
 class TestSscpSingleReplica:
@@ -242,10 +279,7 @@ class TestSscpSingleReplica:
 def masks_and_decoded(cfg):
     """Every trial's replica mask, composed from the pipeline's stages, and its
     decoded count from the pipeline itself."""
-    restart = lambda row: trial_rng(cfg.seed, row)
-    distances, angles, [draws] = _batch_draws(
-        [cfg], lambda: trial_streams(cfg.seed, 0, cfg.trials), restart
-    )
+    distances, angles, [draws] = _batch_draws([cfg], trial_keys(cfg.seed, cfg.trials))
     gamma = channel.snr_matrix(
         cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles,
         channel.phase_shift_set(cfg.s),
@@ -361,7 +395,7 @@ class TestCellGroups:
         assert _groups(cfgs) == [list(range(len(cfgs)))]
         grouped = run_groups(cfgs, keep_traces=True)
         for cfg, run in zip(cfgs, grouped):
-            assert run == run_monte_carlo_with_traces(dataclasses.replace(cfg, workers=1))
+            assert run == run_groups([dataclasses.replace(cfg, workers=1)], True)[0]
 
     def test_groups_follow_the_axis_and_keep_the_cell_order(self):
         cfgs = cell_configs(make_resolved("sim.trials=30", "sim.s=6"), ["sscp", "crdsap", "carp"],
@@ -382,7 +416,7 @@ class TestCellGroups:
         batch = 256 * 20 * 20 // (6 * 7)
         cfgs = cell_configs(make_resolved(f"sim.trials={batch + 44}", "sim.workers=1",
                                           "sim.k=6", "sim.s=7"), access.POLICY_KINDS)
-        alone = [run_monte_carlo_with_traces(cfg) for cfg in cfgs]
+        alone = [run_groups([cfg], True)[0] for cfg in cfgs]
         peel, shapes = rx.peel_batch, []
 
         def counted(chosen, *args):
@@ -395,10 +429,10 @@ class TestCellGroups:
 
     def test_group_redraws_a_rejected_crdsap_row(self, monkeypatch):
         # flag every fifth crdsap row as a Lemire rejection: numpy's own redraw
-        # from a fresh copy of the row's stream must give back the same draws
+        # from a fresh stream of the row's key must give back the same draws
         cfgs = cell_configs(make_resolved("sim.trials=300", "sim.k=6", "sim.s=7",
                                           "estimation.noise_std=2.0"), access.POLICY_KINDS)
-        alone = [run_monte_carlo_with_traces(cfg) for cfg in cfgs]
+        alone = [run_groups([cfg], True)[0] for cfg in cfgs]
         decode, indices = access.decode_draws, access.crdsap_indices
         redrawn = []
 
@@ -421,7 +455,7 @@ class TestCellGroups:
 
 def forced_rejections(every: int = 3):
     """Patch crdsap's decoder to flag every `every`-th row of each batch as a Lemire
-    rejection, so those rows are drawn again from fresh copies of their streams."""
+    rejection, so those rows are drawn again from fresh streams of their keys."""
     decode = access.decode_draws
 
     def forced(policy, words, k, s):
@@ -505,21 +539,25 @@ class TestJobs:
         # a flagged row of a later job is drawn again from its own trial's stream,
         # not from the stream of its row index within the job
         cfg = make_cfg("policy.kind=crdsap", "sim.k=6", "sim.s=7", "sim.trials=300")
-        alone = run_monte_carlo_with_traces(cfg)
-        rng, restarted = engine.trial_rng, []
+        alone = run_groups([cfg], True)[0]
+        indices, restarted = access.crdsap_indices, []
+
+        def recorded(rng, k, s):
+            restarted.append(key_of(rng))
+            return indices(rng, k, s)
+
         monkeypatch.setattr(engine, "_ENTRIES", 64 * 6 * 7)
-        monkeypatch.setattr(engine, "trial_rng",
-                            lambda seed, trial: restarted.append(trial) or rng(seed, trial))
+        monkeypatch.setattr(access, "crdsap_indices", recorded)
         with forced_rejections():
-            assert run_monte_carlo_with_traces(cfg) == alone
-        assert restarted == [lo + row for lo in range(0, 300, 64)
+            assert run_groups([cfg], True)[0] == alone
+        assert restarted == [key_of(trial_rng(cfg.seed, lo + row)) for lo in range(0, 300, 64)
                              for row in range(0, min(64, 300 - lo), 3)]
 
 
 def batch_runs(cfgs, trials):
     """Each member's per-trial (a, g, p, counts, traces) over one batch of trials 0..trials-1,
     and the number of array-factor entries computed."""
-    seed, afp = cfgs[0].seed, channel.array_factor_power
+    afp = channel.array_factor_power
     sizes = []
 
     def counted(*args):
@@ -528,13 +566,7 @@ def batch_runs(cfgs, trials):
         return out
 
     with mock.patch.object(channel, "array_factor_power", counted):
-        runs = _simulate_batch(
-            cfgs,
-            lambda: trial_streams(seed, 0, trials),
-            lambda row: trial_rng(seed, row),
-            channel.phase_shift_set(cfgs[0].s),
-            True,
-        )
+        runs = _simulate_batch(cfgs, trial_keys(cfgs[0].seed, trials), True)
     return runs, sum(sizes)
 
 

