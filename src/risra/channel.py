@@ -17,7 +17,9 @@ power gain factors into
 with the array factor a sum of per-column phasors along the x-axis of the
 surface (reflection is modeled as independent of z, so the z-count enters as a
 plain multiplier). The propagation phase of h never reaches the SNR, so it is
-not modeled.
+not modeled. The array factor depends on the two angles only through
+sin(theta_k) - sin(theta_s), so the SNR grid takes each device's and each
+slot's sine once and the kernel works on sines.
 
 Everything in this module is linear (watts, power ratios, radians). dB values
 are converted once at config parsing. The dB helpers at the bottom are the
@@ -102,18 +104,19 @@ def phase_shift_set(num_slots: int) -> tuple[float, ...]:
     return tuple(HALF_PI * (i / (num_slots - 1)) for i in range(num_slots))
 
 
-def array_factor_power(ris: RisGeometry, theta_mtd, theta_cfg) -> np.ndarray:
-    """|array factor|^2, vectorized over broadcastable angle arrays.
+def array_factor_power(ris: RisGeometry, sin_mtd, sin_cfg) -> np.ndarray:
+    """|array factor|^2, vectorized over broadcastable arrays of the angles' sines.
 
-    Uses the closed form |sum_{n=1..N} e^{jxn}|^2 = (sin(N x/2) / sin(x/2))^2,
-    which channel tests hold to within 1e-10 of the direct summation; where
-    sin(x/2) is 0 the ratio is its limit N. Every step after the sines works
-    in place on one output buffer.
+    The device and configuration angles enter only through their sines, so
+    the caller takes each sine once and passes it. Uses the closed form
+    |sum_{n=1..N} e^{jxn}|^2 = (sin(N x/2) / sin(x/2))^2, which channel tests
+    hold to within 1e-10 of the direct summation; where sin(x/2) is 0 the
+    ratio is its limit N. Every step works in place on one output buffer.
     """
-    theta_mtd = np.asarray(theta_mtd, dtype=float)
-    theta_cfg = np.asarray(theta_cfg, dtype=float)
-    half = np.empty(np.broadcast_shapes(theta_mtd.shape, theta_cfg.shape))
-    np.subtract(np.sin(theta_mtd), np.sin(theta_cfg), out=half)
+    sin_mtd = np.asarray(sin_mtd, dtype=float)
+    sin_cfg = np.asarray(sin_cfg, dtype=float)
+    half = np.empty(np.broadcast_shapes(sin_mtd.shape, sin_cfg.shape))
+    np.subtract(sin_mtd, sin_cfg, out=half)
     half *= ris.wavenumber * ris.d_x_m
     half *= 0.5
     den = np.sin(half)
@@ -141,20 +144,22 @@ def snr_matrix(
 
     Each entry is P_tx / N0 * |h|^2 with |h|^2 = path loss * |array factor|^2,
     the path loss being G_ap G_mtd / (4 pi)^2 * (d_x d_z / (d_ap d))^2 * cos(theta)^2.
-    With a boolean `mask` of the grid's shape, only its True entries are
-    computed, each bit-equal to the full grid's, and the rest are 0.
+    Each device's and each slot's sine is taken once. With a boolean `mask`
+    of the grid's shape, only its True entries are computed, from the
+    gathered sines, each bit-equal to the full grid's, and the rest are 0.
     """
     base = ap.antenna_gain * mtd_gain / (4 * math.pi) ** 2
     beta = base * (ris.d_x_m * ris.d_z_m / (ap.distance_m * distances)) ** 2 * np.cos(angles) ** 2
     scale = radio.mtd_tx_power_w / radio.noise_power_w * beta
-    phases = np.asarray(phases, dtype=float)
+    sin_mtd = np.sin(angles)
+    sin_cfg = np.sin(np.asarray(phases, dtype=float))
     if mask is None:
-        snr = array_factor_power(ris, angles[..., None], phases)
+        snr = array_factor_power(ris, sin_mtd[..., None], sin_cfg)
         snr *= scale[..., None]
         return snr
     entries = np.flatnonzero(mask)
-    device, slot = np.divmod(entries, phases.size)
-    values = array_factor_power(ris, angles.reshape(-1)[device], phases[slot])
+    device, slot = np.divmod(entries, sin_cfg.size)
+    values = array_factor_power(ris, sin_mtd.reshape(-1)[device], sin_cfg[slot])
     values *= scale.reshape(-1)[device]
     snr = np.zeros(mask.shape)
     snr.reshape(-1)[entries] = values

@@ -3,8 +3,8 @@
 Every command that produces a CSV also writes `<out>.manifest.json` holding
 the fully resolved configuration and the command parameters; replaying a
 manifest regenerates the CSV byte for byte. The manifest's `stats` hold the
-run's timings per cell group (engine.run_groups), which no CSV byte depends
-on. CSV columns are fixed:
+run's timings per cell group (engine.run_groups) and its minor page faults,
+which no CSV byte depends on. CSV columns are fixed:
 
   policy,K,S,N,rho_mtd_w,trials,seed,mean_A,mean_G,ci95_G,mean_P_w,ci95_P_w,ee_rom,ee_mor
 
@@ -25,6 +25,11 @@ from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Any, Sequence
+
+try:
+    import resource
+except ImportError:  # not on every platform (Windows)
+    resource = None
 
 from . import __version__
 from .access import POLICY_KINDS
@@ -142,14 +147,16 @@ def _kinds(args, resolved: dict[str, Any]) -> list[str]:
 def _run_cells(cfgs, verbose: bool, keep_traces: bool = False):
     """Run a command's cells group by group (engine.run_groups); returns the runs and stats.
 
-    The stats go to the manifest: the total wall time and, per group, its
-    cells (indices into cfgs), their policies, its trials, its wall time
-    since the group before it finished, and policy-frames per second. With
-    verbose, one stderr line per finished cell gives cells done of all,
-    seconds since the first group started and frames per second so far,
-    counting the frames of the finished cells; a group's cells finish
-    together, so they share a time.
+    The stats go to the manifest: the total wall time, the minor page faults
+    of this process and its reaped pool workers (where the resource module
+    exists) and, per group, its cells (indices into cfgs), their policies,
+    its trials, its wall time since the group before it finished, and
+    policy-frames per second. With verbose, one stderr line per finished
+    cell gives cells done of all, seconds since the first group started and
+    frames per second so far, counting the frames of the finished cells; a
+    group's cells finish together, so they share a time.
     """
+    faults = _minor_faults()
     start = time.perf_counter()
     groups = []
     done = frames = 0
@@ -174,7 +181,19 @@ def _run_cells(cfgs, verbose: bool, keep_traces: bool = False):
                       file=sys.stderr)
 
     runs = run_groups(cfgs, keep_traces, finished)
-    return runs, {"wall_s": time.perf_counter() - start, "groups": groups}
+    stats: dict[str, Any] = {"wall_s": time.perf_counter() - start}
+    if faults is not None:
+        stats["minor_faults"] = _minor_faults() - faults
+    stats["groups"] = groups
+    return runs, stats
+
+
+def _minor_faults() -> int | None:
+    """Minor page faults so far of this process and its reaped children; None without resource."""
+    if resource is None:
+        return None
+    return sum(resource.getrusage(who).ru_minflt
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
 def _rows(cfgs, runs) -> list[str]:

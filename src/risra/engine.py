@@ -46,7 +46,10 @@ at most ceil(trials / workers) trials. The jobs run in order in this process
 or on one pool for the command, forked where the platform can fork and
 spawned where it cannot. Each trial's stream is its own and each member's
 results are reduced in trial order, so every output byte is independent of
-the batch size, the worker count and the order the jobs run in.
+the batch size, the worker count and the order the jobs run in. On glibc each
+process that runs jobs first fixes malloc's mmap and trim thresholds
+(_keep_heap), so one batch's freed temporaries serve the next from the heap
+rather than being unmapped and faulted in again; this moves no byte.
 run_monte_carlo is a group of one cell, and simulate_frame a batch of one
 trial of it: it passes its generator's key, so it rejects a generator that is
 not a fresh Philox stream such as trial_rng gives.
@@ -54,8 +57,10 @@ not a fresh Philox stream such as trial_rng gives.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -388,6 +393,30 @@ def _groups(cfgs: list[ScenarioConfig]) -> list[list[int]]:
 # smaller frames take more trials per batch, larger ones fewer
 _ENTRIES = 256 * 20 * 20
 
+# glibc malloc's thresholds (mallopt(3)), fixed so that a job's temporaries,
+# a few arrays of _ENTRIES doubles, stay in the heap from batch to batch
+# instead of going back to the kernel and being faulted in again: the mmap
+# threshold sits above the largest single array of a job, the trim threshold
+# above a job's peak free heap. Setting them also stops glibc moving them.
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's malloc.h
+
+
+def _keep_heap() -> tuple[int, ...]:
+    """Fix glibc malloc's mmap and trim thresholds (above) in this process; elsewhere do nothing.
+
+    Returns mallopt's result per setting, 1 where it took, or () where the C
+    library is not glibc. Only allocation changes, never a value.
+    """
+    try:
+        os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return ()
+    libc = ctypes.CDLL(None)
+    return (libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD),
+            libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
 
 def _jobs(groups: list[list[ScenarioConfig]]) -> list[tuple[int, int, int]]:
     """Every group's (group, start, stop) trial ranges, in group and trial order.
@@ -407,12 +436,14 @@ def _jobs(groups: list[list[ScenarioConfig]]) -> list[tuple[int, int, int]]:
 
 def _results(work: list, workers: int):
     """Each job's result in the order of work, from this process or from one pool
-    for all of it, forked where the platform can fork and spawned where it cannot."""
+    for all of it, forked where the platform can fork and spawned where it cannot.
+    Every process that runs jobs keeps its heap first (_keep_heap)."""
+    _keep_heap()
     if workers <= 1:
         yield from map(_run_job, work)
         return
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    with get_context(method).Pool(workers) as pool:
+    with get_context(method).Pool(workers, initializer=_keep_heap) as pool:
         yield from pool.imap(_run_job, work)
 
 

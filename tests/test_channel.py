@@ -49,7 +49,7 @@ def path_loss(distance, angle, ris=None):
     """The slot-independent factor of the SNR: SNR / (P_tx / N0 * |AF|^2) at slot 0."""
     ris = ris or make_ris()
     radio = make_radio()
-    gain_sq = float(ch.array_factor_power(ris, angle, 0.0))
+    gain_sq = float(ch.array_factor_power(ris, np.sin(angle), 0.0))
     snr = device_snr(distance, angle, 1, radio, ris=ris)[0]
     return snr / (radio.mtd_tx_power_w / radio.noise_power_w * gain_sq)
 
@@ -134,17 +134,17 @@ class TestArrayFactor:
         for n_x in (1, 2, 5, 10, 20):
             for n_z in (1, 2, 5, 10, 20):
                 ris = make_ris(n_x, n_z)
-                value = float(ch.array_factor_power(ris, 0.7, 0.7))
+                value = float(ch.array_factor_power(ris, np.sin(0.7), np.sin(0.7)))
                 assert value == pytest.approx(ris.n_elements**2, rel=1e-9)
 
     def test_modulus_symmetric_in_angles(self):
         ris = make_ris()
-        a = float(ch.array_factor_power(ris, 0.5, 1.1))
-        b = float(ch.array_factor_power(ris, 1.1, 0.5))
+        a = float(ch.array_factor_power(ris, np.sin(0.5), np.sin(1.1)))
+        b = float(ch.array_factor_power(ris, np.sin(1.1), np.sin(0.5)))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_against_loop_oracle_off_null(self):
-        ours = float(ch.array_factor_power(make_ris(), math.pi / 5, 0.0))
+        ours = float(ch.array_factor_power(make_ris(), np.sin(math.pi / 5), 0.0))
         ref = abs(loop_array_factor(10, 10, 0.1, 0.1, math.pi / 5, 0.0)) ** 2
         assert ours == pytest.approx(ref, rel=1e-12)
 
@@ -152,7 +152,7 @@ class TestArrayFactor:
         # device at pi/6 with half-wave spacing per column sits on a null; the
         # comparison is scale-aware because the true value is ~1e-13
         ris = make_ris()
-        ours = math.sqrt(float(ch.array_factor_power(ris, math.pi / 6, 0.0)))
+        ours = math.sqrt(float(ch.array_factor_power(ris, np.sin(math.pi / 6), 0.0)))
         ref = abs(loop_array_factor(10, 10, 0.1, 0.1, math.pi / 6, 0.0))
         assert abs(ours - ref) <= 1e-12 * ris.n_elements
 
@@ -165,7 +165,7 @@ class TestArrayFactor:
     @settings(max_examples=200)
     def test_bounded_by_element_count(self, n_x, n_z, theta_mtd, theta_cfg):
         ris = make_ris(n_x, n_z, d_x=0.05)
-        value = float(ch.array_factor_power(ris, theta_mtd, theta_cfg))
+        value = float(ch.array_factor_power(ris, np.sin(theta_mtd), np.sin(theta_cfg)))
         assert value <= (ris.n_elements * (1 + 1e-12)) ** 2
 
     @given(st.floats(0.0, 1.5), st.floats(0.0, 1.5))
@@ -175,7 +175,8 @@ class TestArrayFactor:
         # the peak is attained only with matching sines
         ris = make_ris(d_x=0.05)
         if abs(math.sin(theta_mtd) - math.sin(theta_cfg)) > 1e-4:
-            assert float(ch.array_factor_power(ris, theta_mtd, theta_cfg)) < ris.n_elements**2
+            value = float(ch.array_factor_power(ris, np.sin(theta_mtd), np.sin(theta_cfg)))
+            assert value < ris.n_elements**2
 
     @given(
         st.integers(1, 16),
@@ -188,7 +189,7 @@ class TestArrayFactor:
     def test_closed_form_matches_direct_sum(self, n_x, n_z, d_x, theta_mtd, theta_cfg):
         ris = make_ris(n_x, n_z, d_x=d_x)
         direct = abs(loop_array_factor(n_x, n_z, d_x, 0.1, theta_mtd, theta_cfg)) ** 2
-        closed = float(ch.array_factor_power(ris, theta_mtd, theta_cfg))
+        closed = float(ch.array_factor_power(ris, np.sin(theta_mtd), np.sin(theta_cfg)))
         scale = float(ris.n_elements) ** 2
         if direct > 1e-12 * scale:
             assert closed == pytest.approx(direct, rel=1e-10)
@@ -205,7 +206,7 @@ class TestChannelCoefficientAndSnr:
         ris = make_ris()
         phases = ch.phase_shift_set(5)
         row = device_snr(40.0, 0.35)
-        gain_sq = ch.array_factor_power(ris, 0.35, np.asarray(phases))
+        gain_sq = ch.array_factor_power(ris, np.sin(0.35), np.sin(phases))
         assert row / gain_sq == pytest.approx(np.full(5, row[0] / gain_sq[0]), rel=1e-12)
 
     def test_snr_zero_coefficient(self):
@@ -255,7 +256,7 @@ class TestKernelsMatchReference:
         phases = np.asarray(ch.phase_shift_set(s))
         # the last devices sit on configurations, where sin(x/2) is 0
         theta = np.array(devices + [phases[0], phases[-1]])[:, None]
-        got = ch.array_factor_power(ris, theta, phases)
+        got = ch.array_factor_power(ris, np.sin(theta), np.sin(phases))
         assert (got == where_array_factor_power(ris, theta, phases)).all()
         assert got[-1, -1] == float(ris.n_elements) ** 2
 
@@ -267,7 +268,7 @@ class TestKernelsMatchReference:
     def test_array_factor_scalars(self, theta_mtd, theta_cfg):
         ris = make_ris()
         for wrap in (float, np.float64, np.array):
-            got = ch.array_factor_power(ris, wrap(theta_mtd), wrap(theta_cfg))
+            got = ch.array_factor_power(ris, wrap(np.sin(theta_mtd)), wrap(np.sin(theta_cfg)))
             expected = where_array_factor_power(ris, wrap(theta_mtd), wrap(theta_cfg))
             assert np.shape(got) == np.shape(expected) == ()
             assert got == expected

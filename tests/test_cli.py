@@ -193,6 +193,7 @@ class TestRunCommand:
         assert (group["policies"], group["trials"]) == (["carp", "sscp"], 15)
         assert 0 < group["wall_s"] <= stats["wall_s"]
         assert group["policy_frames_per_s"] == pytest.approx(2 * 15 / group["wall_s"])
+        assert isinstance(stats["minor_faults"], int) and stats["minor_faults"] >= 0
         replayed = tmp_path / "replayed.csv"
         cli.replay_manifest(manifest_path, replayed)
         assert replayed.read_bytes() == out.read_bytes()
@@ -203,6 +204,16 @@ class TestRunCommand:
         cli.replay_manifest(edited, replayed)
         assert replayed.read_bytes() == out.read_bytes()
         assert json.loads(Path(f"{replayed}.manifest.json").read_text())["stats"]["wall_s"] > 0
+
+    def test_no_fault_count_without_resource(self, tmp_path, monkeypatch):
+        out = tmp_path / "run.csv"
+        assert run_cli("run", "--out", str(out), "--trials", "4") == 0
+        monkeypatch.setattr(cli, "resource", None)
+        bare = tmp_path / "bare.csv"
+        assert run_cli("run", "--out", str(bare), "--trials", "4") == 0
+        stats = json.loads(Path(f"{bare}.manifest.json").read_text())["stats"]
+        assert "minor_faults" not in stats and stats["wall_s"] > 0
+        assert bare.read_bytes() == out.read_bytes()
 
     def test_verbose_writes_decode_trace(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -1,6 +1,10 @@
 import contextlib
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -552,6 +556,76 @@ class TestJobs:
             assert run_groups([cfg], True)[0] == alone
         assert restarted == [key_of(trial_rng(cfg.seed, lo + row)) for lo in range(0, 300, 64)
                              for row in range(0, min(64, 300 - lo), 3)]
+
+
+def on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+glibc_only = pytest.mark.skipif(not on_glibc(), reason="the heap thresholds are glibc's")
+
+# a second run of one cell's 4096 frames, counting this process's minor faults
+SECOND_RUN = """
+import resource
+from risra.config import parse_config
+from risra.engine import run_monte_carlo
+cfg, _ = parse_config(None, ["sim.k=10", "sim.s=5", "sim.trials=4096"])
+run_monte_carlo(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_monte_carlo(cfg)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cfg.trials)
+"""
+
+
+class TestHeap:
+    """On glibc every process that runs jobs keeps a batch's freed memory for the next."""
+
+    @glibc_only
+    def test_a_second_run_barely_faults(self):
+        # a fresh process: the thresholds of a long session depend on what ran before
+        env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", SECOND_RUN], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert float(out.stdout) < 0.05
+
+    @glibc_only
+    def test_both_thresholds_take(self):
+        assert engine._keep_heap() == (1, 1)
+
+    def test_no_ctypes_call_off_glibc(self, monkeypatch):
+        def no_glibc(name):
+            raise ValueError("unrecognized configuration name")
+
+        monkeypatch.setattr(engine.os, "confstr", no_glibc)
+        monkeypatch.setattr(engine.ctypes, "CDLL", mock.Mock(side_effect=AssertionError))
+        assert engine._keep_heap() == ()
+        engine.ctypes.CDLL.assert_not_called()
+
+    def test_pool_workers_keep_their_heap(self, monkeypatch):
+        # a stand-in context runs the pool's jobs in this process: no process starts
+        pools = []
+
+        class Pool:
+            def __init__(self, processes, initializer=None):
+                pools.append((processes, initializer))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(engine, "get_context", lambda method: mock.Mock(Pool=Pool))
+        cfg = make_cfg("sim.k=6", "sim.s=5", "sim.trials=40")
+        alone = run_groups([cfg])
+        assert run_groups([dataclasses.replace(cfg, workers=2)]) == alone
+        assert pools == [(2, engine._keep_heap)]
 
 
 def batch_runs(cfgs, trials):
