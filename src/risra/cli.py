@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -46,22 +47,30 @@ def _fmt(x: float) -> str:
 
 
 def _csv_row(cfg, agg, tag: str = "") -> str:
+    """One cell's CSV row; a value that is not finite raises ValueError, so none reaches a CSV."""
+    label = f"{cfg.policy.label}:{tag}" if tag else cfg.policy.label
+    values = {
+        "mean_A": agg.mean_a,
+        "mean_G": agg.mean_throughput,
+        "ci95_G": agg.ci95_throughput,
+        "mean_P_w": agg.mean_power_w,
+        "ci95_P_w": agg.ci95_power_w,
+        "ee_rom": agg.ee_ratio_of_means,
+        "ee_mor": agg.ee_mean_of_ratios,
+    }
+    for column, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{column} of {label} is {value}, not a finite number; no CSV written")
     return ",".join(
         [
-            f"{cfg.policy.label}:{tag}" if tag else cfg.policy.label,
+            label,
             str(cfg.k),
             str(cfg.s),
             str(cfg.ris.n_elements),
             _fmt(cfg.radio.mtd_tx_power_w),
             str(agg.trials),
             str(agg.seed),
-            _fmt(agg.mean_a),
-            _fmt(agg.mean_throughput),
-            _fmt(agg.ci95_throughput),
-            _fmt(agg.mean_power_w),
-            _fmt(agg.ci95_power_w),
-            _fmt(agg.ee_ratio_of_means),
-            _fmt(agg.ee_mean_of_ratios),
+            *map(_fmt, values.values()),
         ]
     )
 

@@ -27,7 +27,7 @@ from .channel import (
     dbm_to_watts,
     dbw_to_watts,
 )
-from .power_metrics import FrameTiming, PowerParams
+from .power_metrics import FrameTiming, PowerParams, ap_power, ris_power
 
 # key -> (python type, default). Booleans parse from true/false.
 CONFIG_SCHEMA: dict[str, tuple[type, Any]] = {
@@ -232,7 +232,7 @@ def build_config(resolved: dict[str, Any]) -> ScenarioConfig:
         training_ratio=resolved["timing.r"],
         slots=resolved["sim.s"],
     )
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         ris=ris,
         ap=ap,
         radio=radio,
@@ -252,6 +252,34 @@ def build_config(resolved: dict[str, Any]) -> ScenarioConfig:
         workers=resolved["sim.workers"],
         always_charge_training=resolved["power.always_charge_training"],
     )
+    _check_overflow(cfg)
+    return cfg
+
+
+def _check_overflow(cfg: ScenarioConfig) -> None:
+    """Reject a config whose largest possible SNR or frame power overflows a float in the engine.
+
+    The largest SNR puts a device at d_min and angle_min in a slot where the
+    array factor peaks, (n_x n_z)^2. The largest frame power charges the
+    training and has every device send in every slot; the aggregate over
+    the trials sums up to `trials` squared deviations from the mean power,
+    each below it.
+    """
+    ris, power = cfg.ris, cfg.power
+    reach = ris.d_x_m * ris.d_z_m / (cfg.ap.distance_m * cfg.mtd_d_min_m)
+    elements = float(ris.n_elements)
+    # in the order channel.snr_matrix multiplies: (P/N0 · β) · |AF|²
+    beta = cfg.ap.antenna_gain * cfg.mtd_gain / (4 * math.pi) ** 2 * reach * reach
+    beta *= math.cos(cfg.mtd_angle_min_rad) ** 2
+    snr = cfg.radio.mtd_tx_power_w / cfg.radio.noise_power_w * beta * (elements * elements)
+    if not math.isfinite(snr):
+        raise ValueError("the largest possible SNR overflows a float: lower "
+                         "radio.mtd_tx_power_w or raise a distance or the noise power")
+    frame_w = ap_power(power, cfg.s, True) + ris_power(ris.n_elements, power.phase_shifter_w)
+    frame_w += cfg.k * (cfg.s * power.mtd_pa_inverse_eff * power.mtd_tx_power_w + power.mtd_static_w)
+    if not math.isfinite(frame_w * frame_w * cfg.trials):
+        raise ValueError(f"the largest possible frame power, {frame_w:.6g} W, overflows a float "
+                         f"when squared over {cfg.trials} trials; lower the power keys")
 
 
 def parse_config(

@@ -5,26 +5,79 @@ not-yet-decoded replica. A singleton replica decodes when its SNR in that slot
 meets the threshold; the device's replicas are then removed from every slot,
 which may expose new singletons. Passes repeat until one decodes nothing.
 This is peeling on the device/slot bipartite graph, so the fixed point does
-not depend on scan order. Slot occupancy is assumed perfectly known
-(ideal preamble recognition) and cancellation is ideal.
+not depend on scan order (Luby et al., IEEE Trans. Inf. Theory 2001). Slot
+occupancy is assumed perfectly known (ideal preamble recognition) and
+cancellation is ideal.
 
-The order still fixes the decode trace, so there is one: each pass visits the
-slots in index order and a decode cancels before the next slot is looked at.
-peel_batch runs it on masks of any leading shape at once, one slot at a time
-across every frame still peeling, with the SNR grid broadcast across the
-leading axes: a cell group stacks its members' masks of one batch and peels
-them in one call on their shared grid. peel_trace and peel are a batch of one.
+peel_batch holds each slot of each frame as two device bitmasks: the devices
+with a live replica there, and those of them whose SNR meets the threshold,
+packed once from the SNR grid, which broadcasts across the leading axes (a
+cell group stacks its members' masks of one batch on their shared grid).
+The counts come from round-parallel peeling on these masks: each round
+decodes every decodable slot of every frame still peeling and clears the
+decoded devices from every slot with one AND. The order still fixes the
+decode trace, so there is one, and the traces come from the slot-order scan
+of the same masks: each pass visits the slots in index order and a decode
+cancels before the next slot is looked at. peel_trace and peel are a batch
+of one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+_WORD_BITS = 64  # bits of the widest word; past k = 64 a slot takes several
+_PIECE_BITS = 16  # bits of a word that one float32 sum packs
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
 
-def load_dtype(k: int) -> np.dtype:
-    """The narrowest unsigned dtype that holds peel_batch's largest slot load of k devices,
-    k * (unit + k) with unit = k*k + 1: uint8 up to k = 5, uint16 up to 39, uint32 from 40."""
-    return np.min_scalar_type(k * (k * k + 1 + k))
+
+def mask_words(k: int) -> tuple[np.dtype, int]:
+    """The word dtype and words per slot of k-device bitmasks: the narrowest unsigned
+    dtype that holds k bits (uint8 up to k = 8, uint16 to 16, uint32 to 32, uint64
+    beyond), and one word per 64 devices past k = 64."""
+    return np.min_scalar_type((1 << min(k, _WORD_BITS)) - 1), max(1, -(-k // _WORD_BITS))
+
+
+def _pack(flags: np.ndarray, dtype: np.dtype, words: int) -> np.ndarray:
+    """Boolean (..., k, s) flags as (..., words, s) bitmasks; device d is bit d % 64 of word d // 64.
+
+    One float32 matmul sums each 16 consecutive bits of a word, weighted by
+    their place value, into a piece; such a sum has at most 16 significant
+    bits, so float32 holds it exactly. A word is the OR of its pieces.
+    """
+    k, slots = flags.shape[-2:]
+    piece = min(8 * dtype.itemsize, _PIECE_BITS)
+    pieces = 8 * dtype.itemsize // piece
+    devices = np.arange(k)
+    weights = np.zeros((words * pieces, k), np.float32)
+    weights[devices // piece, devices] = 2.0 ** (devices % _WORD_BITS)
+    parts = np.matmul(weights, flags.astype(np.float32)).astype(dtype)
+    parts = parts.reshape(parts.shape[:-2] + (words, pieces, slots))
+    word = parts[..., 0, :]
+    for index in range(1, pieces):
+        word = word | parts[..., index, :]
+    return word
+
+
+def _decodable(live: np.ndarray, good: np.ndarray) -> np.ndarray:
+    """The devices that (n, words, s) masks decode at once, ORed per frame: (n, words).
+
+    A slot decodes when its live mask holds at most one bit and its good
+    mask, a subset, is not empty. The bits may name several devices.
+    """
+    ready = (
+        (good != 0).any(axis=-2)
+        & ((live & (live - 1)) == 0).all(axis=-2)
+        & ((live != 0).sum(axis=-2, dtype=np.uint8) <= 1)
+    )
+    return np.bitwise_or.reduce(good * ready[..., None, :], axis=-1)
+
+
+def _devices(bits: np.ndarray) -> np.ndarray:
+    """The device of each (f, words) row holding one bit: its word times 64 plus the bit's exponent."""
+    exponent = np.frexp(bits)[1]  # 2**e reads (0.5, e + 1) and 0 reads (0, 0)
+    offset = _WORD_BITS * np.arange(bits.shape[-1]) - 1
+    return np.where(exponent > 0, exponent + offset, 0).sum(axis=-1)
 
 
 def peel_batch(
@@ -42,51 +95,58 @@ def peel_batch(
     decoded-device count per frame, in the leading shape, and, with
     keep_traces, each frame's decode events (pass, slot, device) in order,
     passes counted from 1, one list per frame in C order of the leading axes
-    (else None).
+    (else None). The counts are those of round-parallel peeling, which
+    reaches the same decoded set (module docstring).
     """
     k, slots = chosen.shape[-2:]
-    # each slot of each frame is one integer: its live replicas times `unit`,
-    # plus per live replica its device index if it meets the threshold, else k.
-    # The second part stays below unit, so a slot reads unit + d exactly when
-    # its one live replica is device d and decodes. The loads are summed in
-    # load_dtype(k), which holds the largest.
-    unit = k * k + 1
-    dtype = load_dtype(k)
-    codes = np.arange(unit, unit + k, dtype=dtype)[:, None]
-    base = np.where(snr_values >= threshold, codes, dtype.type(unit + k))
-    weight = chosen * base
-    lead = weight.shape[:-2]
-    weight = weight.reshape(-1, k, slots)
-    load = weight.sum(axis=1, dtype=dtype)
-    decoded = np.zeros(len(load), dtype=np.int64)
+    dtype, words = mask_words(k)
+    live = _pack(chosen, dtype, words)
+    good = live & _pack(snr_values >= threshold, dtype, words)
+    lead = good.shape[:-2]
+    # (live, good) of every frame, cleared together
+    masks = np.stack([np.broadcast_to(live, good.shape), good]).reshape(2, -1, words, slots)
+    if keep_traces:
+        return _scan(masks, lead)
+    found = np.zeros(masks.shape[1:3], dtype)
+    frames = np.arange(len(found))
+    # a round decodes in every frame still peeling; a frame whose round
+    # decodes nothing has no decodable slot left and drops out
+    while frames.size:
+        bits = _decodable(*masks)
+        masks &= ~bits[..., None]
+        found[frames] |= bits
+        more = bits.any(axis=-1)
+        if not more.all():
+            more = more.nonzero()[0]
+            frames, masks = frames[more], masks.take(more, axis=1)
+    counts = _POPCOUNT[found.view(np.uint8)].sum(axis=-1)
+    return counts.reshape(lead), None
+
+
+def _scan(masks: np.ndarray, lead: tuple[int, ...]):
+    """peel_batch with traces: the masks stepped one slot at a time in pass order."""
     events = []
     iteration, progress = 0, True
-    # a frame whose pass decodes nothing has no decodable slot left, so it
-    # needs no bookkeeping to stay out of later passes
     while progress:
         iteration += 1
         progress = False
-        for slot in range(slots):
-            # below unit, load - unit wraps around to at least k in the
-            # unsigned dtype, so one comparison finds the decodable frames
-            offset = load[:, slot] - unit
-            frames = (offset < k).nonzero()[0]
+        for slot in range(masks.shape[-1]):
+            bits = _decodable(*masks[..., slot:slot + 1])
+            frames = bits.any(axis=-1).nonzero()[0]
             if not frames.size:
                 continue
-            devices = offset[frames]
-            load[frames] -= weight[frames, devices]
-            decoded[frames] += 1
             progress = True
-            if keep_traces:
-                events.append((iteration, slot, frames.tolist(), devices.tolist()))
-    decoded = decoded.reshape(lead)
-    if not keep_traces:
-        return decoded, None
-    traces: list[list[tuple[int, int, int]]] = [[] for _ in range(len(load))]
-    for iteration, slot, frames, devices in events:
-        for frame, device in zip(frames, devices):
-            traces[frame].append((iteration, slot, device))
-    return decoded, traces
+            bits = bits[frames]
+            masks[:, frames] &= ~bits[..., None]
+            events.append((iteration, slot, frames, bits))
+    traces: list[list[tuple[int, int, int]]] = [[] for _ in range(masks.shape[1])]
+    if events:
+        devices = iter(_devices(np.concatenate([bits for *_, bits in events])).tolist())
+        for iteration, slot, frames, _bits in events:
+            for frame in frames.tolist():
+                traces[frame].append((iteration, slot, next(devices)))
+    counts = np.array([len(trace) for trace in traces], dtype=np.int64)
+    return counts.reshape(lead), traces
 
 
 def peel_trace(

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import re
 from pathlib import Path
 
@@ -506,3 +507,37 @@ class TestNumberFormat:
         mean_g = row[8]
         assert len(mean_g.replace(".", "").replace("-", "").lstrip("0")) <= 9
         assert float(mean_g) > 0
+
+
+class TestOverflow:
+    """Numbers beyond a float are refused at the config boundary, and none reaches a CSV."""
+
+    @pytest.mark.parametrize("power, what", [("1e280", "frame power"), ("1e300", "SNR")])
+    def test_config_whose_largest_values_overflow_is_rejected(self, tmp_path, capsys, power, what):
+        # at 1e280 the squared power deviations overflow; at 1e300 P/N0 does
+        out = tmp_path / "o.csv"
+        argv = ("run", "--set", f"radio.mtd_tx_power_w={power}", "--trials", "50")
+        assert run_cli(*argv, "--out", str(out)) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and what in line
+        assert not out.exists()
+
+    def test_large_powers_within_the_bound_run(self, tmp_path):
+        # 20 trials of up to 2.4e152 W frames keep every statistic finite
+        out = tmp_path / "o.csv"
+        assert run_cli("run", "--set", "radio.mtd_tx_power_w=1e150", "--trials", "20",
+                       "--policies", "carp,sscp", "--out", str(out)) == 0
+        for row in out.read_text().splitlines()[1:]:
+            assert all(math.isfinite(float(x)) for x in row.split(",")[4:])
+
+    def test_non_finite_aggregate_never_reaches_a_csv(self, tmp_path, capsys):
+        # a near-zero slot duration overflows the throughput itself; numpy
+        # warns of the overflow and of the inf - inf in its deviations
+        out = tmp_path / "o.csv"
+        with pytest.warns(RuntimeWarning):
+            code = run_cli("run", "--set", "timing.t_as_s=1e-320", "--trials", "5",
+                           "--out", str(out))
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and "mean_G" in line
+        assert not out.exists()

@@ -153,9 +153,18 @@ def assert_matches_loop(chosen, snr, threshold):
         assert counts[frame] == plain[frame] == len(want)
 
 
+# k just past each word boundary of the device bitmasks (receiver.mask_words):
+# uint8 to uint16, uint16 to uint32, uint32 to uint64, one 64-bit word to two
+WORD_CROSSING_K = (9, 17, 33, 65)
+
+
 @st.composite
 def peel_batches(draw):
-    b, k, s = (draw(st.integers(1, 8)) for _ in range(3))
+    # mostly k <= 8, in one uint8 word; sometimes a k that crosses a word,
+    # on fewer frames and slots to keep the examples small
+    k = draw(st.one_of(st.integers(1, 8), st.sampled_from(WORD_CROSSING_K)))
+    top = 8 if k <= 8 else 3
+    b, s = (draw(st.integers(1, top)) for _ in range(2))
     chosen = draw(hnp.arrays(bool, (b, k, s)))
     # values on both sides of and at the threshold 1.0
     snr = draw(hnp.arrays(float, (b, k, s), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])))
@@ -250,36 +259,45 @@ class TestStackedPeel:
             assert np.array_equal(counts[member], own_counts)
             assert traces[member * b:(member + 1) * b] == own_traces
 
-    # the slot encoding widens where k * (k * k + 1 + k), the load of a slot
-    # holding every device below the threshold, outgrows its dtype: uint8 to
-    # uint16 between k = 5 (155) and k = 6 (258), uint16 to uint32 between
-    # k = 39 (60879) and 40 (65640)
-    @pytest.mark.parametrize("k", [5, 6, 39, 40])
+    # the masks widen where k outgrows a word (receiver.mask_words): uint8 to
+    # uint16 between k = 8 and 9, uint16 to uint32 between 16 and 17, uint32
+    # to uint64 between 32 and 33, and to a second 64-bit word between 64 and
+    # 65; k = 129 takes three words, the last holding one device
+    @pytest.mark.parametrize("k", [5, 6, 8, 9, 16, 17, 32, 33, 39, 40, 64, 65, 129])
     def test_encoding_widths(self, k):
         rng = np.random.default_rng(k)
-        full = np.zeros((3, k, k), dtype=bool)
+        full = np.zeros((4, k, k), dtype=bool)
         full[0, :, 0] = True  # every device in slot 0 and nowhere else
         full[1] = True  # every device in every slot
         full[2, :, 0] = True  # every device in slot 0, device d > 0 alone in slot d:
         full[2, np.arange(1, k), np.arange(1, k)] = True  # slot 0 decodes device 0 last
+        # (frame 2 decodes every device, each from its own bit, the top one included)
+        full[3, [0, k - 1], 0] = True  # the first and last device collide, in two words past 64
         mixed = np.where(rng.random(full.shape) < 0.7, 2.0, 0.5)
         for snr in (np.full(full.shape, 2.0), np.full(full.shape, 0.5), mixed):
             assert_stack_matches_loop(full, snr, 1.0)
             assert_stack_matches_loop(np.stack([full, full[::-1]]), snr, 1.0)
         counts, traces = rx.peel_batch(full, np.full(full.shape, 2.0), 1.0, keep_traces=True)
-        assert counts.tolist() == [0, 0, k]
+        assert counts.tolist() == [0, 0, k, 0]
         assert traces[2][-1] == (2, 0, 0)
         masks = rng.random((2, 16, k, 8)) < 0.3
         snr = np.where(rng.random((16, k, 8)) < 0.7, 2.0, 0.5)
         assert_stack_matches_loop(masks, snr, 1.0)
 
-    @pytest.mark.parametrize("k", [5, 6, 39, 40])
-    def test_load_dtype_is_the_narrowest_that_holds_a_full_slot(self, k):
-        # k replicas that fail the threshold, k * (unit + k), is the largest load
-        largest = k * (k * k + 1 + k)
-        dtype = rx.load_dtype(k)
-        assert dtype.kind == "u" and np.iinfo(dtype).max >= largest
-        # the next narrower unsigned dtype, if any, cannot hold it
+    @pytest.mark.parametrize("k", [5, 6, 8, 9, 16, 17, 32, 33, 39, 40, 64, 65, 129])
+    def test_mask_words_are_the_narrowest_that_hold_a_full_slot(self, k):
+        # a slot holding every device needs k bits: one word of the narrowest
+        # unsigned dtype that holds them up to k = 64, 64-bit words beyond
+        dtype, words = rx.mask_words(k)
+        assert dtype.kind == "u" and words * 8 * dtype.itemsize >= k
+        # the next narrower unsigned dtype, if any, cannot hold them
         narrower = [t for t in (np.uint8, np.uint16, np.uint32) if np.dtype(t) < dtype]
-        assert narrower == [] or np.iinfo(narrower[-1]).max < largest
-        assert dtype == {5: np.uint8, 6: np.uint16, 39: np.uint16, 40: np.uint32}[k]
+        assert narrower == [] or 8 * np.dtype(narrower[-1]).itemsize < k
+        # and one word fewer cannot either
+        assert (words - 1) * 8 * dtype.itemsize < k
+        assert (dtype, words) == {
+            5: (np.uint8, 1), 6: (np.uint8, 1), 8: (np.uint8, 1), 9: (np.uint16, 1),
+            16: (np.uint16, 1), 17: (np.uint32, 1), 32: (np.uint32, 1), 33: (np.uint64, 1),
+            39: (np.uint64, 1), 40: (np.uint64, 1), 64: (np.uint64, 1), 65: (np.uint64, 2),
+            129: (np.uint64, 3),
+        }[k]
