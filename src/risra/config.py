@@ -257,13 +257,15 @@ def build_config(resolved: dict[str, Any]) -> ScenarioConfig:
 
 
 def _check_overflow(cfg: ScenarioConfig) -> None:
-    """Reject a config whose largest possible SNR or frame power overflows a float in the engine.
+    """Reject a config whose largest possible SNR, frame power, throughput or efficiency overflows.
 
     The largest SNR puts a device at d_min and angle_min in a slot where the
     array factor peaks, (n_x n_z)^2. The largest frame power charges the
-    training and has every device send in every slot; the aggregate over
-    the trials sums up to `trials` squared deviations from the mean power,
-    each below it.
+    training and has every device send in every slot; the largest throughput
+    decodes every device without the training block. Over the trials, the CI
+    of each sums up to `trials` squared deviations, each below its square, and
+    the mean efficiency sums `trials` ratios, each below the largest throughput
+    over the least frame power (no training, one replica per device).
     """
     ris, power = cfg.ris, cfg.power
     reach = ris.d_x_m * ris.d_z_m / (cfg.ap.distance_m * cfg.mtd_d_min_m)
@@ -275,11 +277,19 @@ def _check_overflow(cfg: ScenarioConfig) -> None:
     if not math.isfinite(snr):
         raise ValueError("the largest possible SNR overflows a float: lower "
                          "radio.mtd_tx_power_w or raise a distance or the noise power")
-    frame_w = ap_power(power, cfg.s, True) + ris_power(ris.n_elements, power.phase_shifter_w)
-    frame_w += cfg.k * (cfg.s * power.mtd_pa_inverse_eff * power.mtd_tx_power_w + power.mtd_static_w)
-    if not math.isfinite(frame_w * frame_w * cfg.trials):
-        raise ValueError(f"the largest possible frame power, {frame_w:.6g} W, overflows a float "
-                         f"when squared over {cfg.trials} trials; lower the power keys")
+    surface_w = ris_power(ris.n_elements, power.phase_shifter_w)
+    replica_w = power.mtd_pa_inverse_eff * power.mtd_tx_power_w
+    frame_w = ap_power(power, cfg.s, True) + surface_w + cfg.k * (cfg.s * replica_w + power.mtd_static_w)
+    pps = cfg.k / (cfg.s * cfg.timing.access_slot_s)
+    ee = pps / (power.ap_static_w + surface_w + cfg.k * (replica_w + power.mtd_static_w))
+    for name, value, unit, term, fix in (
+        ("frame power", frame_w, "W", frame_w * frame_w, "lower the power keys"),
+        ("throughput", pps, "packets/s", pps * pps, "raise timing.t_as_s"),
+        ("efficiency", ee, "packets/J", ee, "raise timing.t_as_s or the power keys"),
+    ):
+        if not math.isfinite(term * cfg.trials):
+            raise ValueError(f"the largest possible {name}, {value:.6g} {unit}, overflows a float "
+                             f"over {cfg.trials} trials; {fix}")
 
 
 def parse_config(

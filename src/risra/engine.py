@@ -163,8 +163,10 @@ def _streams(keys: np.ndarray):
 def trial_streams(seed: int, start: int, stop: int):
     """The streams of trials start..stop-1 (_streams), their keys derived in one pass.
 
-    Trial indices are one 32-bit spawn word, so stop must not exceed 2**32.
+    Trial indices are one 32-bit spawn word; a negative seed or range past it raises ValueError.
     """
+    if seed < 0 or not (0 <= start <= 2**32 and 0 <= stop <= 2**32):
+        raise ValueError(f"trial streams need seed >= 0 and trials in [0, 2**32]: {seed}, {start}..{stop}")
     return _streams(_philox_keys(seed, np.arange(start, stop, dtype=np.uint32)))
 
 

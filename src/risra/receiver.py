@@ -13,13 +13,11 @@ peel_batch holds each slot of each frame as two device bitmasks: the devices
 with a live replica there, and those of them whose SNR meets the threshold,
 packed once from the SNR grid, which broadcasts across the leading axes (a
 cell group stacks its members' masks of one batch on their shared grid).
-The counts come from round-parallel peeling on these masks: each round
-decodes every decodable slot of every frame still peeling and clears the
-decoded devices from every slot with one AND. The order still fixes the
-decode trace, so there is one, and the traces come from the slot-order scan
-of the same masks: each pass visits the slots in index order and a decode
-cancels before the next slot is looked at. peel_trace and peel are a batch
-of one.
+Each pass walks a list of slot windows; a window decodes every decodable slot
+in it of every frame still peeling and clears the decoded devices from every
+slot. Counts take one window of all slots, so a pass decodes in parallel.
+The order still fixes the decode trace, so traces take the single slots in
+index order. peel_trace and peel are a batch of one.
 """
 
 from __future__ import annotations
@@ -86,67 +84,56 @@ def peel_batch(
     """Peel boolean (..., k, s) replica masks until a pass decodes nothing.
 
     Every leading index of `chosen` is one frame; the (..., k, s) SNR grid
-    broadcasts against it, so the masks of several policies stacked on a
-    leading axis peel on one shared grid. Each pass visits slots 0..s-1 in
-    order. At each slot, every frame still peeling whose slot holds one live
-    replica with SNR at least `threshold` decodes that device and cancels its
-    replicas from every slot. A frame stops after a pass that decodes
-    nothing, so it takes at most one pass per device plus one. Returns the
-    decoded-device count per frame, in the leading shape, and, with
-    keep_traces, each frame's decode events (pass, slot, device) in order,
-    passes counted from 1, one list per frame in C order of the leading axes
-    (else None). The counts are those of round-parallel peeling, which
-    reaches the same decoded set (module docstring).
+    broadcasts against it, so policies stacked on a leading axis peel on one
+    shared grid. A pass walks windows of slots, all s at once or, with
+    keep_traces, one at a time in index order. In a window every frame still
+    peeling decodes each device alone among the live replicas of a slot with
+    SNR at least `threshold`, and cancels its replicas from every slot. A
+    frame stops after a pass that decodes nothing, at most one pass per
+    device plus one. Returns the decoded-device count per frame, in the
+    leading shape, and, with keep_traces, each frame's decode events (pass,
+    slot, device) in order, passes counted from 1, one list per frame in C
+    order of the leading axes (else None).
     """
     k, slots = chosen.shape[-2:]
     dtype, words = mask_words(k)
     live = _pack(chosen, dtype, words)
     good = live & _pack(snr_values >= threshold, dtype, words)
-    lead = good.shape[:-2]
     # (live, good) of every frame, cleared together
     masks = np.stack([np.broadcast_to(live, good.shape), good]).reshape(2, -1, words, slots)
-    if keep_traces:
-        return _scan(masks, lead)
+    windows = [slice(slot, slot + 1) for slot in range(slots)] if keep_traces else [slice(None)]
     found = np.zeros(masks.shape[1:3], dtype)
     frames = np.arange(len(found))
-    # a round decodes in every frame still peeling; a frame whose round
-    # decodes nothing has no decodable slot left and drops out
+    events, iteration = [], 0
     while frames.size:
-        bits = _decodable(*masks)
-        masks &= ~bits[..., None]
-        found[frames] |= bits
-        more = bits.any(axis=-1)
-        if not more.all():
-            more = more.nonzero()[0]
-            frames, masks = frames[more], masks.take(more, axis=1)
-    counts = _POPCOUNT[found.view(np.uint8)].sum(axis=-1)
-    return counts.reshape(lead), None
-
-
-def _scan(masks: np.ndarray, lead: tuple[int, ...]):
-    """peel_batch with traces: the masks stepped one slot at a time in pass order."""
-    events = []
-    iteration, progress = 0, True
-    while progress:
         iteration += 1
-        progress = False
-        for slot in range(masks.shape[-1]):
-            bits = _decodable(*masks[..., slot:slot + 1])
-            frames = bits.any(axis=-1).nonzero()[0]
-            if not frames.size:
-                continue
-            progress = True
-            bits = bits[frames]
-            masks[:, frames] &= ~bits[..., None]
-            events.append((iteration, slot, frames, bits))
-    traces: list[list[tuple[int, int, int]]] = [[] for _ in range(masks.shape[1])]
+        decoded = np.zeros((frames.size, words), dtype)
+        for window in windows:
+            bits = _decodable(*masks[..., window])
+            decoded |= bits
+            if keep_traces:  # a slot decodes in few frames: cancel in those rows only
+                rows = bits.any(axis=-1).nonzero()[0]
+                if rows.size:
+                    bits = bits[rows]
+                    masks[:, rows] &= ~bits[..., None]
+                    events.append((iteration, window.start, frames[rows], bits))
+            else:
+                masks &= ~bits[..., None]
+        found[frames] |= decoded
+        # a frame whose pass decodes nothing has no decodable slot left
+        more = decoded.any(axis=-1).nonzero()[0]
+        if more.size < frames.size:
+            frames, masks = frames[more], masks.take(more, axis=1)
+    counts = _POPCOUNT[found.view(np.uint8)].sum(axis=-1).reshape(good.shape[:-2])
+    if not keep_traces:
+        return counts, None
+    traces: list[list[tuple[int, int, int]]] = [[] for _ in range(len(found))]
     if events:
         devices = iter(_devices(np.concatenate([bits for *_, bits in events])).tolist())
         for iteration, slot, frames, _bits in events:
             for frame in frames.tolist():
                 traces[frame].append((iteration, slot, next(devices)))
-    counts = np.array([len(trace) for trace in traces], dtype=np.int64)
-    return counts.reshape(lead), traces
+    return counts, traces
 
 
 def peel_trace(

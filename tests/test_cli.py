@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -512,15 +513,38 @@ class TestNumberFormat:
 class TestOverflow:
     """Numbers beyond a float are refused at the config boundary, and none reaches a CSV."""
 
-    @pytest.mark.parametrize("power, what", [("1e280", "frame power"), ("1e300", "SNR")])
-    def test_config_whose_largest_values_overflow_is_rejected(self, tmp_path, capsys, power, what):
-        # at 1e280 the squared power deviations overflow; at 1e300 P/N0 does
+    TINY_POWERS = ("--policies", "crdsap", "--set", "power.ap_static_dbw=-3000",
+                   "--set", "power.mtd_static_w=1e-300", "--set", "power.phase_shifter_mw=1e-300",
+                   "--set", "radio.mtd_tx_power_w=1e-300", "--set", "radio.noise_power_dbm=-3100",
+                   "--set", "timing.t_as_s=1e-9")
+
+    @pytest.mark.parametrize("argv, what", [
+        pytest.param(("--set", "radio.mtd_tx_power_w=1e280", "--trials", "50"), "frame power",
+                     id="1e280-frame power"),
+        pytest.param(("--set", "radio.mtd_tx_power_w=1e300", "--trials", "50"), "SNR",
+                     id="1e300-SNR"),
+        pytest.param(("--set", "timing.t_as_s=1e-320", "--trials", "5"), "throughput",
+                     id="1e-320-throughput"),
+        pytest.param((*TINY_POWERS, "--trials", "20"), "efficiency", id="1e-300-efficiency"),
+    ])
+    def test_config_whose_largest_values_overflow_is_rejected(self, tmp_path, capsys, argv, what):
+        # at 1e280 W the squared power deviations overflow and at 1e300 W P/N0
+        # does; a 1e-320 s slot overflows the throughput itself, and 5e8
+        # packets/s over 2e-299 W frames overflow the efficiency's sum. No
+        # trial runs, so numpy never warns (the suite makes that an error).
         out = tmp_path / "o.csv"
-        argv = ("run", "--set", f"radio.mtd_tx_power_w={power}", "--trials", "50")
-        assert run_cli(*argv, "--out", str(out)) == 2
+        assert run_cli("run", *argv, "--out", str(out)) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error:") and what in line
         assert not out.exists()
+
+    def test_largest_values_within_the_bound_run(self, tmp_path):
+        # 8 trials are the most over which the largest efficiency, 2.16e307
+        # packets/J, sums to a float
+        out = tmp_path / "o.csv"
+        assert run_cli("run", *self.TINY_POWERS, "--trials", "8", "--out", str(out)) == 0
+        [row] = out.read_text().splitlines()[1:]
+        assert all(math.isfinite(float(x)) for x in row.split(",")[4:])
 
     def test_large_powers_within_the_bound_run(self, tmp_path):
         # 20 trials of up to 2.4e152 W frames keep every statistic finite
@@ -530,14 +554,11 @@ class TestOverflow:
         for row in out.read_text().splitlines()[1:]:
             assert all(math.isfinite(float(x)) for x in row.split(",")[4:])
 
-    def test_non_finite_aggregate_never_reaches_a_csv(self, tmp_path, capsys):
-        # a near-zero slot duration overflows the throughput itself; numpy
-        # warns of the overflow and of the inf - inf in its deviations
-        out = tmp_path / "o.csv"
-        with pytest.warns(RuntimeWarning):
-            code = run_cli("run", "--set", "timing.t_as_s=1e-320", "--trials", "5",
-                           "--out", str(out))
-        assert code == 2
-        [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("error:") and "mean_G" in line
-        assert not out.exists()
+    def test_non_finite_aggregate_never_reaches_a_csv(self):
+        # the last guard behind the config bounds: _csv_row refuses the row itself
+        cfg, _resolved = parse_config()
+        agg = engine.AggregateResult(1.0, 0.5, 0.1, 2.0, 0.1, 0.25, 0.25, cfg.trials, cfg.seed)
+        assert cli._csv_row(cfg, agg).startswith("carp,")
+        for field, bad in (("mean_throughput", math.inf), ("ee_mean_of_ratios", math.nan)):
+            with pytest.raises(ValueError, match=f"is {bad}, not a finite number"):
+                cli._csv_row(cfg, dataclasses.replace(agg, **{field: bad}))

@@ -137,6 +137,17 @@ class TestTrialStreams:
     def test_empty_range_yields_nothing(self):
         assert list(trial_streams(1, 9, 9)) == []
 
+    @pytest.mark.parametrize("seed, start, stop", [
+        (-1, 0, 1), (1, -1, 2), (1, 0, 2**32 + 1), (1, 2**32 + 1, 2**32 + 2),
+    ])
+    def test_seed_or_trials_outside_the_key_words_raise(self, seed, start, stop):
+        # SeedSequence refuses a negative seed; masking it would alias 2**32 - 1
+        with pytest.raises(ValueError):
+            trial_streams(seed, start, stop)
+        if stop == start + 1:
+            with pytest.raises(ValueError):
+                trial_rng(seed, start)
+
 
 class TestSimulateFrame:
     def test_single_aligned_device_always_decodes(self):
