@@ -51,10 +51,6 @@ class Policy:
     def requires_training(self) -> bool:
         return self.kind in ("carp", "sscp")
 
-    @property
-    def label(self) -> str:
-        return self.kind
-
 
 def measure_quality(
     snr_values: np.ndarray, c: float = 1.0, noise_std: float = 0.0, noise: np.ndarray | None = None

@@ -27,6 +27,8 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Any, Sequence
 
+import numpy as np
+
 try:
     import resource
 except ImportError:  # not on every platform (Windows)
@@ -48,7 +50,7 @@ def _fmt(x: float) -> str:
 
 def _csv_row(cfg, agg, tag: str = "") -> str:
     """One cell's CSV row; a value that is not finite raises ValueError, so none reaches a CSV."""
-    label = f"{cfg.policy.label}:{tag}" if tag else cfg.policy.label
+    label = f"{cfg.policy.kind}:{tag}" if tag else cfg.policy.kind
     values = {
         "mean_A": agg.mean_a,
         "mean_G": agg.mean_throughput,
@@ -176,7 +178,7 @@ def _run_cells(cfgs, verbose: bool, keep_traces: bool = False):
         trials = members[0].trials
         groups.append({
             "cells": indices,
-            "policies": [cfg.policy.label for cfg in members],
+            "policies": [cfg.policy.kind for cfg in members],
             "trials": trials,
             "wall_s": seconds,
             "policy_frames_per_s": len(members) * trials / seconds,
@@ -217,13 +219,23 @@ def cmd_run(args) -> int:
     runs, stats = _run_cells(cfgs, args.verbose, keep_traces=args.verbose)
     _write_outputs(out, _rows(cfgs, runs), _manifest_base("run", resolved, kinds, stats))
     if args.verbose:
-        lines = []
-        for cfg, (_agg, cell_traces) in zip(cfgs, runs):
-            for trial, trace in enumerate(cell_traces):
-                lines.append(f"# policy {cfg.policy.label} trial {trial}")
-                lines.extend(f"{it},{slot},{dev}" for it, slot, dev in trace)
-        _write_atomic(out.with_name(out.name + ".trace"), "\n".join(lines) + "\n")
+        text = "".join(_trace_text(cfg, trace) for cfg, (_agg, trace) in zip(cfgs, runs))
+        _write_atomic(out.with_name(out.name + ".trace"), text)
     return 0
+
+
+def _trace_text(cfg, trace: np.ndarray) -> str:
+    """One cell's `.trace` lines: per trial a header, then its `pass,slot,device` events.
+
+    The (trial, pass, slot, device) rows are sorted by trial, so one format
+    string takes every value, each trial's number inserted before its events.
+    """
+    head = f"# policy {cfg.policy.kind} trial %d\n"
+    per_trial = np.bincount(trace[:, 0], minlength=cfg.trials).tolist()
+    fmt = "".join([head + "%d,%d,%d\n" * n for n in per_trial])
+    firsts = np.searchsorted(trace[:, 0], np.arange(cfg.trials))
+    values = np.insert(trace[:, 1:].ravel(), 3 * firsts, np.arange(cfg.trials))
+    return fmt % tuple(values.tolist())
 
 
 def cmd_sweep(args) -> int:

@@ -42,11 +42,14 @@ run_groups runs a whole command as one list of jobs, each one batch: a
 group's range of consecutive trials. A range holds at most _ENTRIES grid
 entries (b·k·s, the 256 trials of K = S = 20), so small frames run in long
 batches and peak memory stays bounded; with sim.workers > 1 a range is also
-at most ceil(trials / workers) trials. The jobs run in order in this process
-or on one pool for the command, forked where the platform can fork and
-spawned where it cannot. Each trial's stream is its own and each member's
-results are reduced in trial order, so every output byte is independent of
-the batch size, the worker count and the order the jobs run in. On glibc each
+at most ceil(trials / workers) trials. The jobs are listed in group and trial
+order and run in this process or on one pool for the command, forked where
+the platform can fork and spawned where it cannot; either way their results
+arrive in list order, so a member's per-trial arrays and its decode trace, an
+(n, 4) array of (trial, pass, slot, device) rows, are its jobs' parts
+concatenated. Each trial's stream is its own and each member's results are
+reduced in trial order, so every output byte is independent of the batch
+size, the worker count and the order the jobs run in. On glibc each
 process that runs jobs first fixes malloc's mmap and trim thresholds
 (_keep_heap), so one batch's freed temporaries serve the next from the heap
 rather than being unmapped and faulted in again; this moves no byte.
@@ -58,11 +61,11 @@ not a fresh Philox stream such as trial_rng gives.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import multiprocessing
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass, fields
 from multiprocessing import get_context
 from typing import Callable, Iterable
@@ -222,14 +225,14 @@ def simulate_frame(
     if (state["bit_generator"] != "Philox" or any(state["state"]["counter"])
             or state["buffer_pos"] != 4 or state["has_uint32"]):
         raise ValueError("simulate_frame needs a fresh Philox stream, such as trial_rng gives")
-    [(a, g, p, counts, traces)] = _simulate_batch([cfg], state["state"]["key"][None], keep_trace)
+    [(a, g, p, counts, trace)] = _simulate_batch([cfg], state["state"]["key"][None], keep_trace)
     return TrialResult(
         successes=int(a[0]),
         replica_counts=counts[0],
         throughput_pps=float(g[0]),
         power_w=float(p[0]),
         energy_efficiency=float(g[0]) / float(p[0]),
-        trace=tuple(traces[0]) if keep_trace else None,
+        trace=tuple(map(tuple, trace[:, 1:].tolist())) if keep_trace else None,
     )
 
 
@@ -294,9 +297,10 @@ def _simulate_batch(cfgs: list[ScenarioConfig], keys: np.ndarray, keep_traces: b
     draws runs on (b, k, s) arrays, and the peel on the members' (m, b, k, s)
     stack of masks. When no member is trained, none reads the grid to choose
     its slots, so the members choose first and the grid is computed only
-    where one of them placed a replica: the peel reads no other entry. Returns per member the per-trial (successes, throughput,
-    power, replica counts) arrays and, with keep_traces, each trial's decode
-    trace (else None).
+    where one of them placed a replica: the peel reads no other entry.
+    Returns per member the per-trial (successes, throughput, power, replica
+    counts) arrays and its decode trace: peel_batch's (n, 4) rows with the
+    frame rebased to the trial within the batch, empty without keep_traces.
     """
     cfg = cfgs[0]
     phases = phase_shift_set(cfg.s)
@@ -318,15 +322,16 @@ def _simulate_batch(cfgs: list[ScenarioConfig], keys: np.ndarray, keep_traces: b
         gamma = channel.snr_matrix(*grid, mask=chosen.any(axis=0))
     # one peel for the stacked members: they differ only in policy, so they
     # share the threshold as well as the grid
-    decoded, traces = receiver.peel_batch(chosen, gamma, cfg.radio.snr_threshold, keep_traces)
+    decoded, trace = receiver.peel_batch(chosen, gamma, cfg.radio.snr_threshold, keep_traces)
+    if trace is None:
+        trace = np.zeros((0, 4), np.int64)
+    # frames run in C order over (member, trial): cut at each member's first frame
     batch = len(gamma)
-    if keep_traces:
-        traces = [traces[lo:lo + batch] for lo in range(0, len(traces), batch)]
-    else:
-        traces = [None] * len(cfgs)
+    cuts = np.searchsorted(trace[:, 0], batch * np.arange(1, len(cfgs)))
+    trace[:, 0] %= batch
     out = []
-    for member, a, counts, member_traces in zip(
-        cfgs, decoded.astype(float), chosen.sum(axis=-1), traces
+    for member, a, counts, member_trace in zip(
+        cfgs, decoded.astype(float), chosen.sum(axis=-1), np.split(trace, cuts)
     ):
         p, g = power_metrics.frame_metrics(
             member.power,
@@ -337,15 +342,18 @@ def _simulate_batch(cfgs: list[ScenarioConfig], keys: np.ndarray, keep_traces: b
             power_training_used=member.training_used,
             frame_training_used=member.policy.requires_training,
         )
-        out.append((a, g, p, counts, member_traces))
+        out.append((a, g, p, counts, member_trace))
     return out
 
 
 def _simulate_range(cfgs: list[ScenarioConfig], start: int, stop: int, keep_traces: bool = False):
-    """One job: a group's trials [start, stop) as one batch; per member (a, g, p, traces)."""
+    """One job: a group's trials [start, stop) as one batch; per member (a, g, p, trace),
+    the trace's rows numbering trials of the run."""
     keys = _philox_keys(cfgs[0].seed, np.arange(start, stop, dtype=np.uint32))
     runs = _simulate_batch(cfgs, keys, keep_traces)
-    return [(a, g, p, traces) for a, g, p, _counts, traces in runs]
+    for *_, trace in runs:
+        trace[:, 0] += start
+    return [(a, g, p, trace) for a, g, p, _counts, trace in runs]
 
 
 def _run_job(job):
@@ -353,11 +361,9 @@ def _run_job(job):
     return _simulate_range(*job)
 
 
-def _join(parts, keep_traces: bool):
-    """One member's (a, g, p, traces) from its parts over consecutive trial ranges."""
-    a, g, p = (np.concatenate([part[i] for part in parts]) for i in range(3))
-    traces = [trace for part in parts for trace in part[-1]] if keep_traces else None
-    return a, g, p, traces
+def _join(parts):
+    """One member's (a, g, p, trace) from its parts over consecutive trial ranges."""
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _ci95(values: np.ndarray) -> float:
@@ -453,38 +459,34 @@ def run_groups(
     cfgs: list[ScenarioConfig],
     keep_traces: bool = False,
     finished: Callable[[list[int], float], None] | None = None,
-) -> list[tuple[AggregateResult, list | None]]:
-    """Every cell's aggregate and, with keep_traces, its traces (else None), in the order of cfgs.
+) -> list[tuple[AggregateResult, np.ndarray]]:
+    """Every cell's aggregate and decode trace, in the order of cfgs.
 
-    The cells run in groups, cut into one list of jobs (module docstring).
-    finished(indices, seconds) is called once per group, in group order,
-    whatever order the jobs ran in, with the indices of its cells and the
-    wall time since the previous group was reported (since the start, for
-    the first).
+    A trace is one (n, 4) integer array of (trial, pass, slot, device) rows,
+    sorted by trial with each trial's events in decode order; it is empty
+    without keep_traces. The cells run in groups, cut into one list of jobs
+    in group and trial order, and the results arrive in that order (module
+    docstring). finished(indices, seconds) is called once per group, in
+    group order, with the indices of its cells and the wall time since the
+    previous group was reported (since the start, for the first).
     """
     indices = _groups(cfgs)
     groups = [[cfgs[i] for i in group] for group in indices]
     jobs = _jobs(groups)
     workers = min(max((cfg.workers for cfg in cfgs), default=1), len(jobs))
     work = [(groups[index], lo, hi, keep_traces) for index, lo, hi in jobs]
-    parts: list = [{} for _ in groups]
-    left = Counter(index for index, _lo, _hi in jobs)
+    results = zip((index for index, _lo, _hi in jobs), _results(work, workers), strict=True)
     runs: list = [None] * len(cfgs)
-    reported, start = 0, time.perf_counter()
-    for (index, lo, _hi), result in zip(jobs, _results(work, workers), strict=True):
-        parts[index][lo] = result
-        left[index] -= 1
-        while reported < len(groups) and not left[reported]:
-            ordered = [part for _lo, part in sorted(parts[reported].items())]
-            parts[reported] = None
-            for member, (cell, cfg) in enumerate(zip(indices[reported], groups[reported])):
-                a, g, p, traces = _join([part[member] for part in ordered], keep_traces)
-                runs[cell] = (_aggregate(cfg, a, g, p), traces)
-            if finished is not None:
-                now = time.perf_counter()
-                finished(indices[reported], now - start)
-                start = now
-            reported += 1
+    start = time.perf_counter()
+    for index, group_results in itertools.groupby(results, key=lambda result: result[0]):
+        parts = [part for _index, part in group_results]
+        for cell, cfg, member in zip(indices[index], groups[index], zip(*parts)):
+            a, g, p, trace = _join(member)
+            runs[cell] = (_aggregate(cfg, a, g, p), trace)
+        if finished is not None:
+            now = time.perf_counter()
+            finished(indices[index], now - start)
+            start = now
     return runs
 
 

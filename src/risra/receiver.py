@@ -17,7 +17,7 @@ Each pass walks a list of slot windows; a window decodes every decodable slot
 in it of every frame still peeling and clears the decoded devices from every
 slot. Counts take one window of all slots, so a pass decodes in parallel.
 The order still fixes the decode trace, so traces take the single slots in
-index order. peel_trace and peel are a batch of one.
+index order. peel is a batch of one.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _devices(bits: np.ndarray) -> np.ndarray:
 
 def peel_batch(
     chosen: np.ndarray, snr_values: np.ndarray, threshold: float, keep_traces: bool = False
-) -> tuple[np.ndarray, list[list[tuple[int, int, int]]] | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Peel boolean (..., k, s) replica masks until a pass decodes nothing.
 
     Every leading index of `chosen` is one frame; the (..., k, s) SNR grid
@@ -91,9 +91,10 @@ def peel_batch(
     SNR at least `threshold`, and cancels its replicas from every slot. A
     frame stops after a pass that decodes nothing, at most one pass per
     device plus one. Returns the decoded-device count per frame, in the
-    leading shape, and, with keep_traces, each frame's decode events (pass,
-    slot, device) in order, passes counted from 1, one list per frame in C
-    order of the leading axes (else None).
+    leading shape, and, with keep_traces, the decode events as one (n, 4)
+    integer array of (frame, pass, slot, device) rows, frames numbered in C
+    order of the leading axes and passes from 1, stably sorted by frame so
+    each frame's events keep their decode order (else None).
     """
     k, slots = chosen.shape[-2:]
     dtype, words = mask_words(k)
@@ -116,7 +117,7 @@ def peel_batch(
                 if rows.size:
                     bits = bits[rows]
                     masks[:, rows] &= ~bits[..., None]
-                    events.append((iteration, window.start, frames[rows], bits))
+                    events.append((frames[rows], iteration, window.start, bits))
             else:
                 masks &= ~bits[..., None]
         found[frames] |= decoded
@@ -127,23 +128,13 @@ def peel_batch(
     counts = _POPCOUNT[found.view(np.uint8)].sum(axis=-1).reshape(good.shape[:-2])
     if not keep_traces:
         return counts, None
-    traces: list[list[tuple[int, int, int]]] = [[] for _ in range(len(found))]
-    if events:
-        devices = iter(_devices(np.concatenate([bits for *_, bits in events])).tolist())
-        for iteration, slot, frames, _bits in events:
-            for frame in frames.tolist():
-                traces[frame].append((iteration, slot, next(devices)))
-    return counts, traces
-
-
-def peel_trace(
-    chosen: np.ndarray, snr_values: np.ndarray, threshold: float
-) -> list[tuple[int, int, int]]:
-    """Decode events (pass, slot, device) of one device-by-slot mask; see peel_batch.
-
-    Each device appears at most once, so the events count the decoded devices.
-    """
-    return peel_batch(chosen[None], snr_values[None], threshold, keep_traces=True)[1][0]
+    if not events:
+        return counts, np.zeros((0, 4), np.int64)
+    frames, passes, starts, bits = zip(*events)
+    sizes = [len(rows) for rows in frames]
+    trace = np.column_stack([np.concatenate(frames), np.repeat(passes, sizes),
+                             np.repeat(starts, sizes), _devices(np.concatenate(bits))])
+    return counts, trace[np.argsort(trace[:, 0], kind="stable")]
 
 
 def peel(chosen: np.ndarray, snr_values: np.ndarray, threshold: float) -> int:

@@ -14,6 +14,10 @@ in-place kernels to the same bits. The inverse decibel conversions and the
 closed-form irsap mean degree check the simulator's conversions and degree
 distribution; the simulator itself needs neither. energy_efficiency states the
 per-frame ratio the engine divides inline, with its power check.
+frame_traces and peel_trace are no oracles but adapters: they read the
+receiver's (frame, pass, slot, device) trace array as per-frame tuple lists,
+the form loop_peel_trace gives. Like the oracles they import nothing from the
+simulator; peel_trace takes the peel it runs as an argument.
 """
 
 from __future__ import annotations
@@ -151,6 +155,30 @@ def loop_peel_trace(chosen, snr_values, threshold: float) -> list[tuple[int, int
                         live[s2].discard(k)
         if len(trace) == decoded_before:
             return trace
+
+
+def frame_traces(trace, frames: int) -> list[list[tuple[int, int, int]]]:
+    """A peel_batch trace array as each frame's (pass, slot, device) events, one list per frame.
+
+    Asserts the array's form: integer (n, 4) rows, sorted by frame, every frame below `frames`.
+    """
+    assert trace.dtype.kind == "i" and trace.shape[1:] == (4,)
+    assert ((0 <= trace[:, 0]) & (trace[:, 0] < frames)).all()
+    assert (np.diff(trace[:, 0]) >= 0).all()
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(frames)]
+    for frame, *event in trace.tolist():
+        out[frame].append(tuple(event))
+    return out
+
+
+def peel_trace(peel_batch, chosen, snr_values, threshold: float) -> list[tuple[int, int, int]]:
+    """Decode events (pass, slot, device) of one device x slot mask, peeled by
+    `peel_batch` (receiver.peel_batch) as a batch of one frame.
+
+    Each device appears at most once, so the events count the decoded devices.
+    """
+    trace = peel_batch(chosen[None], snr_values[None], threshold, keep_traces=True)[1]
+    return frame_traces(trace, 1)[0]
 
 
 def slot_sets(mask) -> list[set[int]]:

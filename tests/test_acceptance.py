@@ -19,7 +19,7 @@ from risra import receiver as rx
 from risra.access import Policy
 from risra.config import parse_config
 from risra.engine import run_groups, run_monte_carlo
-from oracles import exhaustive_decode, slot_sets, sscp_two_device_optimal_ee
+from oracles import exhaustive_decode, peel_trace, slot_sets, sscp_two_device_optimal_ee
 
 IRSAP_MEAN_DEGREE_S20 = 3.7344627969933493
 STATIC_9_DBW = 7.943282347242815
@@ -127,14 +127,14 @@ def test_c5_sic_matches_exhaustive_oracle():
             if not mask[device].any():
                 mask[device, int(rng.integers(s))] = True
         snr = np.where(rng.random((k, s)) < 0.7, 2.0, 0.5)
-        decoded = {device for *_event, device in rx.peel_trace(mask, snr, 1.0)}
+        decoded = {device for *_event, device in peel_trace(rx.peel_batch, mask, snr, 1.0)}
 
         if decoded != exhaustive_decode(slot_sets(mask), snr >= 1.0):
             ok = False
             break
         # scan-order invariance: decode with slots relabeled by a random shuffle
         perm = rng.permutation(s)
-        shuffled = rx.peel_trace(mask[:, perm], snr[:, perm], 1.0)
+        shuffled = peel_trace(rx.peel_batch, mask[:, perm], snr[:, perm], 1.0)
         if {device for *_event, device in shuffled} != decoded:
             ok = False
             break

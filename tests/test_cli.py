@@ -228,6 +228,17 @@ class TestRunCommand:
         data_lines = [line for line in trace if not line.startswith("#")]
         assert all(len(line.split(",")) == 3 for line in data_lines)
 
+    def test_verbose_trace_without_decodes(self, tmp_path):
+        # a threshold no replica meets: a header per policy and trial, in order, and no events
+        out = tmp_path / "run.csv"
+        assert run_cli(
+            "run", "--out", str(out), "--trials", "5", "--verbose", "--policies", "carp,crdsap",
+            "--set", "radio.snr_threshold_db=200",
+        ) == 0
+        assert (tmp_path / "run.csv.trace").read_text() == "".join(
+            f"# policy {kind} trial {trial}\n" for kind in ("carp", "crdsap") for trial in range(5)
+        )
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_verbose_output_bytes_are_pinned(self, tmp_path, workers):
         out = tmp_path / "run.csv"

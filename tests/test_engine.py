@@ -27,7 +27,7 @@ from risra.engine import (
     trial_rng,
     trial_streams,
 )
-from oracles import KEY_SEEDS, substream
+from oracles import KEY_SEEDS, frame_traces, peel_trace, substream
 
 
 def make_cfg(*overrides):
@@ -40,7 +40,15 @@ def make_resolved(*overrides):
 
 
 def policy_k(cfgs):
-    return [(cfg.policy.label, cfg.k) for cfg in cfgs]
+    return [(cfg.policy.kind, cfg.k) for cfg in cfgs]
+
+
+def same_runs(got, expected):
+    """run_groups results alike: equal aggregates and equal trace arrays, cell by cell."""
+    return len(got) == len(expected) and all(
+        agg == want and np.array_equal(trace, want_trace)
+        for (agg, trace), (want, want_trace) in zip(got, expected)
+    )
 
 
 # single device parked on the boresight configuration; every slot of the
@@ -257,11 +265,15 @@ class TestRunMonteCarlo:
 
     def test_traces_variant_matches_plain_run(self):
         cfg = make_cfg("sim.trials=50")
-        agg, traces = run_groups([cfg], True)[0]
+        [(agg, trace)] = run_groups([cfg], True)
         assert agg == run_monte_carlo(cfg)
-        assert len(traces) == 50
+        # one trace per trial, each that trial's frame
+        assert frame_traces(trace, 50) == [
+            list(simulate_frame(cfg, trial_rng(cfg.seed, trial), keep_trace=True).trace)
+            for trial in range(50)
+        ]
         # the pooled path returns the same aggregate and the traces in trial order
-        assert run_groups([dataclasses.replace(cfg, workers=2)], True)[0] == (agg, traces)
+        assert same_runs(run_groups([dataclasses.replace(cfg, workers=2)], True), [(agg, trace)])
 
 
 class TestSscpSingleReplica:
@@ -280,7 +292,7 @@ class TestSscpSingleReplica:
                 cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles, phases
             )
             chosen = access.choose_slots(cfg.policy, gamma, ())
-            trace = rx.peel_trace(chosen, gamma, cfg.radio.snr_threshold)
+            trace = peel_trace(rx.peel_batch, chosen, gamma, cfg.radio.snr_threshold)
 
             slots = chosen.argmax(axis=1).tolist()
             direct = {
@@ -410,7 +422,7 @@ class TestCellGroups:
         assert _groups(cfgs) == [list(range(len(cfgs)))]
         grouped = run_groups(cfgs, keep_traces=True)
         for cfg, run in zip(cfgs, grouped):
-            assert run == run_groups([dataclasses.replace(cfg, workers=1)], True)[0]
+            assert same_runs([run], run_groups([dataclasses.replace(cfg, workers=1)], True))
 
     def test_groups_follow_the_axis_and_keep_the_cell_order(self):
         cfgs = cell_configs(make_resolved("sim.trials=30", "sim.s=6"), ["sscp", "crdsap", "carp"],
@@ -439,7 +451,7 @@ class TestCellGroups:
             return peel(chosen, *args)
 
         monkeypatch.setattr(rx, "peel_batch", counted)
-        assert run_groups(cfgs, keep_traces=True) == alone
+        assert same_runs(run_groups(cfgs, keep_traces=True), alone)
         assert shapes == [(4, batch, 6, 7), (4, 44, 6, 7)]
 
     def test_group_redraws_a_rejected_crdsap_row(self, monkeypatch):
@@ -464,7 +476,7 @@ class TestCellGroups:
 
         monkeypatch.setattr(access, "decode_draws", forced)
         monkeypatch.setattr(access, "crdsap_indices", counted)
-        assert run_groups(cfgs, keep_traces=True) == alone
+        assert same_runs(run_groups(cfgs, keep_traces=True), alone)
         assert len(redrawn) == len(range(0, 300, 5))  # one batch of 300 trials
 
 
@@ -522,19 +534,21 @@ class TestJobs:
         cfgs = cell_configs(make_resolved(*overrides), kinds, "rho_mtd", [0.01, 0.02])
         k, s = cfgs[0].k, cfgs[0].s
         reference = run_groups([dataclasses.replace(cfg, workers=1) for cfg in cfgs], True)
-        jobs, seen = engine._jobs, []
+        results, seen = engine._results, []
 
-        def shuffled(groups):
-            out = jobs(groups)
-            order.shuffle(out)
-            return out
+        def shuffled(work, workers):
+            # the jobs run in a shuffled order; their results come back in job order
+            ran = list(range(len(work)))
+            order.shuffle(ran)
+            done = dict(zip(ran, results([work[i] for i in ran], workers), strict=True))
+            return (done[i] for i in range(len(work)))
 
         with (mock.patch.object(engine, "_ENTRIES", size * k * s),
-              mock.patch.object(engine, "_jobs", shuffled),
+              mock.patch.object(engine, "_results", shuffled),
               forced_rejections() if force else contextlib.nullcontext()):
             runs = run_groups([dataclasses.replace(cfg, workers=workers) for cfg in cfgs], True,
                               lambda indices, _seconds: seen.append(indices))
-        assert runs == reference
+        assert same_runs(runs, reference)
         # once per group, in group order, whatever order the jobs ran in
         assert seen == _groups(cfgs)
 
@@ -549,6 +563,9 @@ class TestJobs:
         # with workers, a lone group still spreads over all of them
         assert sizes("sim.k=10", "sim.s=5", "sim.trials=2001", "sim.workers=2") == [1001, 1000]
         assert sizes("sim.k=20", "sim.s=20", "sim.trials=600", "sim.workers=2") == [256, 256, 88]
+        # in group and trial order, the order run_groups joins their results in
+        groups = [[make_cfg("sim.trials=600")], [make_cfg("sim.k=20", "sim.trials=300")]]
+        assert engine._jobs(groups) == [(0, 0, 512), (0, 512, 600), (1, 0, 256), (1, 256, 300)]
 
     def test_a_redraw_restarts_its_own_trial(self, monkeypatch):
         # a flagged row of a later job is drawn again from its own trial's stream,
@@ -564,7 +581,7 @@ class TestJobs:
         monkeypatch.setattr(engine, "_ENTRIES", 64 * 6 * 7)
         monkeypatch.setattr(access, "crdsap_indices", recorded)
         with forced_rejections():
-            assert run_groups([cfg], True)[0] == alone
+            assert same_runs(run_groups([cfg], True), [alone])
         assert restarted == [key_of(trial_rng(cfg.seed, lo + row)) for lo in range(0, 300, 64)
                              for row in range(0, min(64, 300 - lo), 3)]
 
@@ -635,7 +652,7 @@ class TestHeap:
         monkeypatch.setattr(engine, "get_context", lambda method: mock.Mock(Pool=Pool))
         cfg = make_cfg("sim.k=6", "sim.s=5", "sim.trials=40")
         alone = run_groups([cfg])
-        assert run_groups([dataclasses.replace(cfg, workers=2)]) == alone
+        assert same_runs(run_groups([dataclasses.replace(cfg, workers=2)]), alone)
         assert pools == [(2, engine._keep_heap)]
 
 
@@ -664,8 +681,7 @@ def full_grid_runs(cfgs, trials):
 
 def assert_runs_equal(got, expected):
     for ours, theirs in zip(got, expected, strict=True):
-        assert all(np.array_equal(a, b) for a, b in zip(ours[:4], theirs[:4], strict=True))
-        assert ours[4] == theirs[4]
+        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs, strict=True))
 
 
 class TestMaskedGrid:

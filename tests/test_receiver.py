@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from risra import receiver as rx
-from oracles import exhaustive_decode, loop_peel_trace, replay_trace, slot_sets
+from oracles import (
+    exhaustive_decode, frame_traces, loop_peel_trace, peel_trace, replay_trace, slot_sets,
+)
 
 
 def mask_of_slots(slots, num_devices):
@@ -54,19 +56,20 @@ class TestBuildOccupancy:
 
 class TestSicDecode:
     def test_peeling_chain_decodes_everyone(self):
-        trace = rx.peel_trace(mask_of_slots([{0}, {0, 1}, {1, 2}, {2}], 3), all_pass(3, 4), 1.0)
+        chain = mask_of_slots([{0}, {0, 1}, {1, 2}, {2}], 3)
+        trace = peel_trace(rx.peel_batch, chain, all_pass(3, 4), 1.0)
         assert decoded(trace) == frozenset({0, 1, 2})
         assert passes(trace) <= 2
 
     def test_two_device_stopping_set(self):
-        assert rx.peel_trace(np.ones((2, 2), dtype=bool), all_pass(2, 2), 1.0) == []
+        assert peel_trace(rx.peel_batch, np.ones((2, 2), dtype=bool), all_pass(2, 2), 1.0) == []
 
     def test_singleton_below_threshold_stays_undecoded(self):
-        assert rx.peel_trace(np.ones((1, 1), dtype=bool), np.array([[0.5]]), 1.0) == []
+        assert peel_trace(rx.peel_batch, np.ones((1, 1), dtype=bool), np.array([[0.5]]), 1.0) == []
 
     def test_low_snr_replica_rescued_through_other_slot(self):
         # device 0 fails in slot 0 but decodes alone in slot 1
-        trace = rx.peel_trace(np.ones((1, 2), dtype=bool), np.array([[0.5, 5.0]]), 1.0)
+        trace = peel_trace(rx.peel_batch, np.ones((1, 2), dtype=bool), np.array([[0.5, 5.0]]), 1.0)
         assert trace == [(1, 1, 0)]
 
     def test_count_successes(self):
@@ -90,7 +93,7 @@ class TestPeelingProperties:
         rng = np.random.default_rng(7)
         for _ in range(300):
             mask, snr = random_instance(rng)
-            trace = rx.peel_trace(mask, snr, 1.0)
+            trace = peel_trace(rx.peel_batch, mask, snr, 1.0)
             assert decoded(trace) == exhaustive_decode(slot_sets(mask), snr >= 1.0)
 
     def test_invariant_under_slot_and_device_relabeling(self):
@@ -103,16 +106,16 @@ class TestPeelingProperties:
             dev_perm = rng.permutation(k)
             new_label = np.argsort(dev_perm)
             cells = np.ix_(dev_perm, slot_perm)
-            base = decoded(rx.peel_trace(mask, snr, 1.0))
-            permuted = decoded(rx.peel_trace(mask[cells], snr[cells], 1.0))
+            base = decoded(peel_trace(rx.peel_batch, mask, snr, 1.0))
+            permuted = decoded(peel_trace(rx.peel_batch, mask[cells], snr[cells], 1.0))
             assert {int(new_label[k_]) for k_ in base} == set(permuted)
 
     def test_raising_threshold_never_helps(self):
         rng = np.random.default_rng(9)
         for _ in range(300):
             mask, snr = random_instance(rng)
-            low = decoded(rx.peel_trace(mask, snr, 0.6))
-            high = decoded(rx.peel_trace(mask, snr, 1.5))
+            low = decoded(peel_trace(rx.peel_batch, mask, snr, 0.6))
+            high = decoded(peel_trace(rx.peel_batch, mask, snr, 1.5))
             assert high <= low
 
     def test_zero_threshold_decodes_every_dedicated_slot(self):
@@ -120,20 +123,20 @@ class TestPeelingProperties:
         for _ in range(200):
             mask, snr = random_instance(rng)
             dedicated = {next(iter(devs)) for devs in slot_sets(mask) if len(devs) == 1}
-            assert dedicated <= decoded(rx.peel_trace(mask, snr, 0.0))
+            assert dedicated <= decoded(peel_trace(rx.peel_batch, mask, snr, 0.0))
 
     def test_trace_replay_reproduces_decoded_set(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             mask, snr = random_instance(rng)
-            trace = rx.peel_trace(mask, snr, 1.0)
+            trace = peel_trace(rx.peel_batch, mask, snr, 1.0)
             assert replay_trace(slot_sets(mask), trace) == decoded(trace)
 
     def test_terminates_within_device_count_passes(self):
         rng = np.random.default_rng(12)
         for _ in range(300):
             mask, snr = random_instance(rng)
-            assert passes(rx.peel_trace(mask, snr, 1.0)) <= snr.shape[0]
+            assert passes(peel_trace(rx.peel_batch, mask, snr, 1.0)) <= snr.shape[0]
 
     def test_mask_peel_agrees_with_sic_decode(self):
         # the count the engine uses equals the oracle's decoded-set size
@@ -144,9 +147,10 @@ class TestPeelingProperties:
 
 
 def assert_matches_loop(chosen, snr, threshold):
-    counts, traces = rx.peel_batch(chosen, snr, threshold, keep_traces=True)
-    plain, no_traces = rx.peel_batch(chosen, snr, threshold)
-    assert no_traces is None
+    counts, trace = rx.peel_batch(chosen, snr, threshold, keep_traces=True)
+    plain, no_trace = rx.peel_batch(chosen, snr, threshold)
+    assert no_trace is None
+    traces = frame_traces(trace, chosen.shape[0])
     for frame in range(chosen.shape[0]):
         want = loop_peel_trace(chosen[frame], snr[frame], threshold)
         assert traces[frame] == want
@@ -181,8 +185,9 @@ class TestPeelBatch:
     @settings(max_examples=50, deadline=None)
     def test_all_below_threshold_decodes_nothing(self, batch):
         chosen, snr = batch
-        counts, traces = rx.peel_batch(chosen, snr, 3.0, keep_traces=True)
-        assert not counts.any() and traces == [[]] * chosen.shape[0]
+        counts, trace = rx.peel_batch(chosen, snr, 3.0, keep_traces=True)
+        assert not counts.any()
+        assert trace.shape == (0, 4) and trace.dtype.kind == "i"
         assert_matches_loop(chosen, snr, 3.0)
 
     def test_mixed_finished_and_unfinished_frames(self):
@@ -195,16 +200,16 @@ class TestPeelBatch:
         frames[2][1, 3] = True
         chosen = np.stack(frames)
         snr = np.full(chosen.shape, 2.0)
-        counts, traces = rx.peel_batch(chosen, snr, 1.0, keep_traces=True)
+        counts, trace = rx.peel_batch(chosen, snr, 1.0, keep_traces=True)
         assert counts.tolist() == [0, 3, 1, 0]
-        assert traces[1] == [(1, 2, 2), (2, 1, 1), (3, 0, 0)]
+        assert frame_traces(trace, 4)[1] == [(1, 2, 2), (2, 1, 1), (3, 0, 0)]
         assert_matches_loop(chosen, snr, 1.0)
 
     def test_frame_of_one_equals_peel_trace(self):
         rng = np.random.default_rng(14)
         for _ in range(200):
             mask, snr = random_instance(rng)
-            assert rx.peel_trace(mask, snr, 1.0) == loop_peel_trace(mask, snr, 1.0)
+            assert peel_trace(rx.peel_batch, mask, snr, 1.0) == loop_peel_trace(mask, snr, 1.0)
 
     @given(peel_batches(), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -233,12 +238,11 @@ def stacked_batches(draw):
 
 def assert_stack_matches_loop(chosen, snr, threshold):
     """Counts in the leading shape and one trace per frame in C order, each the loop oracle's."""
-    counts, traces = rx.peel_batch(chosen, snr, threshold, keep_traces=True)
+    counts, trace = rx.peel_batch(chosen, snr, threshold, keep_traces=True)
     assert counts.shape == chosen.shape[:-2]
     assert np.array_equal(rx.peel_batch(chosen, snr, threshold)[0], counts)
     frames = list(np.ndindex(chosen.shape[:-2]))
-    assert len(traces) == len(frames)
-    for index, trace in zip(frames, traces):
+    for index, trace in zip(frames, frame_traces(trace, len(frames)), strict=True):
         want = loop_peel_trace(chosen[index], np.broadcast_to(snr, chosen.shape)[index], threshold)
         assert trace == want
         assert counts[index] == len(want)
@@ -252,12 +256,13 @@ class TestStackedPeel:
     def test_stack_equals_each_member_alone(self, batch):
         chosen, snr = batch
         assert_stack_matches_loop(chosen, snr, 1.0)
-        counts, traces = rx.peel_batch(chosen, snr, 1.0, keep_traces=True)
+        counts, trace = rx.peel_batch(chosen, snr, 1.0, keep_traces=True)
         b = len(snr)
+        traces = frame_traces(trace, counts.size)
         for member, alone in enumerate(chosen):
-            own_counts, own_traces = rx.peel_batch(alone, snr, 1.0, keep_traces=True)
+            own_counts, own_trace = rx.peel_batch(alone, snr, 1.0, keep_traces=True)
             assert np.array_equal(counts[member], own_counts)
-            assert traces[member * b:(member + 1) * b] == own_traces
+            assert traces[member * b:(member + 1) * b] == frame_traces(own_trace, b)
 
     # the masks widen where k outgrows a word (receiver.mask_words): uint8 to
     # uint16 between k = 8 and 9, uint16 to uint32 between 16 and 17, uint32
@@ -277,9 +282,9 @@ class TestStackedPeel:
         for snr in (np.full(full.shape, 2.0), np.full(full.shape, 0.5), mixed):
             assert_stack_matches_loop(full, snr, 1.0)
             assert_stack_matches_loop(np.stack([full, full[::-1]]), snr, 1.0)
-        counts, traces = rx.peel_batch(full, np.full(full.shape, 2.0), 1.0, keep_traces=True)
+        counts, trace = rx.peel_batch(full, np.full(full.shape, 2.0), 1.0, keep_traces=True)
         assert counts.tolist() == [0, 0, k, 0]
-        assert traces[2][-1] == (2, 0, 0)
+        assert frame_traces(trace, 4)[2][-1] == (2, 0, 0)
         masks = rng.random((2, 16, k, 8)) < 0.3
         snr = np.where(rng.random((16, k, 8)) < 0.7, 2.0, 0.5)
         assert_stack_matches_loop(masks, snr, 1.0)
