@@ -10,11 +10,11 @@ are scheduled or how many worker processes run them. Because placement draws
 precede policy draws, different policies at the same seed contend over
 identical device drops.
 
-_philox_keys derives those keys for a whole range of trials in one numpy
-pass, running SeedSequence's published hash on uint32 arrays, and a batch of
-trials is its (b, 2) array of keys, the one input of the frame pipeline.
-_streams re-keys one reused Philox generator per trial; a Philox stream is
-fixed by its key and counter alone, so this is the same stream as
+_philox_keys derives those keys for a whole range of trials in one pass: the
+seed's pool comes from numpy's SeedSequence(seed), and only the trial word is
+hashed on uint32 arrays. A batch of trials is its (b, 2) keys, the pipeline's
+input. _streams re-keys one reused Philox generator per trial; a Philox
+stream is fixed by its key and counter alone, so this is the same stream as
 constructing it from the SeedSequence.
 
 Cells run in groups: a group is the cells of one run that differ only in
@@ -43,16 +43,17 @@ group's range of consecutive trials. A range holds at most _ENTRIES grid
 entries (b·k·s, the 256 trials of K = S = 20), so small frames run in long
 batches and peak memory stays bounded; with sim.workers > 1 a range is also
 at most ceil(trials / workers) trials. The jobs are listed in group and trial
-order and run in this process or on one pool for the command, forked where
-the platform can fork and spawned where it cannot; either way their results
-arrive in list order, so a member's per-trial arrays and its decode trace, an
-(n, 4) array of (trial, pass, slot, device) rows, are its jobs' parts
-concatenated. Each trial's stream is its own and each member's results are
-reduced in trial order, so every output byte is independent of the batch
-size, the worker count and the order the jobs run in. On glibc each
-process that runs jobs first fixes malloc's mmap and trim thresholds
-(_keep_heap), so one batch's freed temporaries serve the next from the heap
-rather than being unmapped and faulted in again; this moves no byte.
+order and run in this process or on one pool for the command, of at most
+os.cpu_count() processes, forked where the platform can fork and spawned
+where it cannot; either way their results arrive in list order, so a member's
+per-trial arrays and its decode trace, an (n, 4) array of (trial, pass, slot,
+device) rows, are its jobs' parts concatenated. Each trial's stream is its
+own and each member's results are reduced in trial order, so every output
+byte is independent of the batch size, the worker count and the order the
+jobs run in. On glibc each process that runs jobs first fixes malloc's mmap
+and trim thresholds (_keep_heap), so one batch's freed temporaries serve the
+next from the heap rather than being unmapped and faulted in again; this
+moves no byte.
 run_monte_carlo is a group of one cell, and simulate_frame a batch of one
 trial of it: it passes its generator's key, so it rejects a generator that is
 not a fresh Philox stream such as trial_rng gives.
@@ -100,34 +101,15 @@ def _mix(x, y):
     return out ^ out >> 16
 
 
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """SeedSequence's pool after mixing every word of `seed`, and the hash constant after it.
-
-    The seed's 32-bit words are zero-padded to the pool size, as SeedSequence
-    does when a spawn key follows; the spawn word is mixed in by _philox_keys.
-    """
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words))
-    const = _INIT_A
-    pool = []
-    for word in words[:_POOL]:
-        value, const = _hash(word, const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                value, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL:]:
-        for dst in range(_POOL):
-            value, const = _hash(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
-    return pool, const
-
-
 def _philox_keys(seed: int, trials: np.ndarray) -> np.ndarray:
-    """(n, 2) uint64 Philox keys: SeedSequence(seed, spawn_key=(t,)).generate_state(2, uint64)."""
-    pool, const = _seed_pool(seed)
+    """(n, 2) uint64 Philox keys: SeedSequence(seed, spawn_key=(t,)).generate_state(2, uint64).
+
+    SeedSequence(seed) mixes the seed's words into its pool with 4 hashes per
+    pool word and 4 per seed word past the fourth; the trial word follows.
+    """
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    words = -(-seed.bit_length() // 32)
+    const = _INIT_A * pow(_MULT_A, _POOL * max(_POOL, words), 1 << 32) & _MASK32
     mixed = []
     for word in pool:
         value, const = _hash(trials, const, _MULT_A)
@@ -473,7 +455,7 @@ def run_groups(
     indices = _groups(cfgs)
     groups = [[cfgs[i] for i in group] for group in indices]
     jobs = _jobs(groups)
-    workers = min(max((cfg.workers for cfg in cfgs), default=1), len(jobs))
+    workers = min(max((cfg.workers for cfg in cfgs), default=1), len(jobs), os.cpu_count() or 1)
     work = [(groups[index], lo, hi, keep_traces) for index, lo, hi in jobs]
     results = zip((index for index, _lo, _hi in jobs), _results(work, workers), strict=True)
     runs: list = [None] * len(cfgs)

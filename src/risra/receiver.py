@@ -61,12 +61,13 @@ def _decodable(live: np.ndarray, good: np.ndarray) -> np.ndarray:
     """The devices that (n, words, s) masks decode at once, ORed per frame: (n, words).
 
     A slot decodes when its live mask holds at most one bit and its good
-    mask, a subset, is not empty. The bits may name several devices.
+    mask, a subset, is not empty. The bits may name several devices; the
+    nonzero words are counted in a dtype that holds their number.
     """
     ready = (
         (good != 0).any(axis=-2)
         & ((live & (live - 1)) == 0).all(axis=-2)
-        & ((live != 0).sum(axis=-2, dtype=np.uint8) <= 1)
+        & ((live != 0).sum(axis=-2, dtype=np.min_scalar_type(live.shape[-2])) <= 1)
     )
     return np.bitwise_or.reduce(good * ready[..., None, :], axis=-1)
 

@@ -255,6 +255,7 @@ class TestRunCommand:
         # platform has no fork start method, spawns it
         pools = []
         get_context = engine.get_context
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(engine, "get_context",
                             lambda method: pools.append(method) or get_context(method))
         argv = ["run", "--trials", "50", "--seed", "1", "--policies", "carp,sscp,crdsap,irsap",

@@ -608,6 +608,29 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cfg.trials
 """
 
 
+@pytest.fixture
+def stand_in_pools(monkeypatch):
+    """The (processes, initializer) of every pool asked for; a stand-in context
+    runs the pool's jobs in this process, so no process starts."""
+    pools = []
+
+    class Pool:
+        def __init__(self, processes, initializer=None):
+            pools.append((processes, initializer))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(engine, "get_context", lambda method: mock.Mock(Pool=Pool))
+    return pools
+
+
 class TestHeap:
     """On glibc every process that runs jobs keeps a batch's freed memory for the next."""
 
@@ -632,28 +655,22 @@ class TestHeap:
         assert engine._keep_heap() == ()
         engine.ctypes.CDLL.assert_not_called()
 
-    def test_pool_workers_keep_their_heap(self, monkeypatch):
-        # a stand-in context runs the pool's jobs in this process: no process starts
-        pools = []
-
-        class Pool:
-            def __init__(self, processes, initializer=None):
-                pools.append((processes, initializer))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, work):
-                return map(fn, work)
-
-        monkeypatch.setattr(engine, "get_context", lambda method: mock.Mock(Pool=Pool))
+    def test_pool_workers_keep_their_heap(self, monkeypatch, stand_in_pools):
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
         cfg = make_cfg("sim.k=6", "sim.s=5", "sim.trials=40")
         alone = run_groups([cfg])
         assert same_runs(run_groups([dataclasses.replace(cfg, workers=2)]), alone)
-        assert pools == [(2, engine._keep_heap)]
+        assert stand_in_pools == [(2, engine._keep_heap)]
+
+
+@pytest.mark.parametrize("cpus, pools", [(3, [(3, engine._keep_heap)]), (1, []), (None, [])])
+def test_pool_is_at_most_the_cpu_count(monkeypatch, stand_in_pools, cpus, pools):
+    # sim.workers=1000 cuts 40 trials into 40 jobs: one process per CPU, and
+    # none past this one on one CPU or where the count is unknown
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+    cfg = make_cfg("sim.k=6", "sim.s=5", "sim.trials=40")
+    assert same_runs(run_groups([dataclasses.replace(cfg, workers=1000)]), run_groups([cfg]))
+    assert stand_in_pools == pools
 
 
 def batch_runs(cfgs, trials):

@@ -289,6 +289,14 @@ class TestStackedPeel:
         snr = np.where(rng.random((16, k, 8)) < 0.7, 2.0, 0.5)
         assert_stack_matches_loop(masks, snr, 1.0)
 
+    @pytest.mark.parametrize("replicas", [255, 256])
+    def test_one_replica_in_every_word_of_a_slot_collides(self, replicas):
+        # at k = 16384 a slot takes 256 words: a count of its nonzero words
+        # must not wrap to 0 when every word holds one replica
+        chosen = np.zeros((16384, 1), dtype=bool)
+        chosen[64 * np.arange(replicas), 0] = True
+        assert rx.peel(chosen, np.full(chosen.shape, 2.0), 1.0) == 0
+
     @pytest.mark.parametrize("k", [5, 6, 8, 9, 16, 17, 32, 33, 39, 40, 64, 65, 129])
     def test_mask_words_are_the_narrowest_that_hold_a_full_slot(self, k):
         # a slot holding every device needs k bits: one word of the narrowest
