@@ -160,11 +160,6 @@ def irsap_slots(degrees: np.ndarray, u: np.ndarray) -> np.ndarray:
     return chosen
 
 
-def draws_noise(policy: Policy, noise_std: float) -> bool:
-    """Whether a trial draws estimation noise: trained policies with noise_std > 0."""
-    return policy.requires_training and noise_std > 0
-
-
 def policy_words(policy: Policy, k: int, s: int) -> int:
     """Raw 64-bit stream words one trial's access draws take, for k devices and s slots.
 
@@ -234,21 +229,14 @@ def decode_draws(
     return (), clean
 
 
-def choose_slots(
-    policy: Policy, snr_values: np.ndarray, draws, c: float = 1.0, noise_std: float = 0.0
-) -> np.ndarray:
-    """Replica mask of one policy over an SNR grid of shape (..., k, s).
+def choose_slots(policy: Policy, quality: np.ndarray, draws) -> np.ndarray:
+    """Replica mask of one policy over a quality grid of shape (..., k, s) (measure_quality).
 
-    `draws` are decode_draws' arrays, after the estimation noise (trained
-    policies with noise_std > 0 only), stacked along the same leading axes.
+    `draws` are decode_draws' arrays, stacked along the same leading axes.
     Untrained policies read only the grid's shape (blind_slots).
     """
     if not policy.requires_training:
-        return blind_slots(policy, draws, snr_values.shape[-1])
-    noise = None
-    if draws_noise(policy, noise_std):
-        noise, *draws = draws
-    quality = measure_quality(snr_values, c, noise_std, noise)
+        return blind_slots(policy, draws, quality.shape[-1])
     if policy.kind == "carp":
         return carp_slots(quality, *draws)
     return sscp_slots(quality, policy.sscp_s)

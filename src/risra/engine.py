@@ -23,9 +23,10 @@ There is one frame pipeline, _simulate_batch, and it runs a group over a
 batch of trials. It reads each trial's stream as raw 64-bit words with one
 random_raw call: 2k for the placement, then as many as the group's members
 take at most (access.policy_words). It decodes the placement and builds the
-SNR grid once for the batch, and each member decodes its own prefix of the
-words after the placement exactly as numpy's Generator would (_batch_draws)
-and makes its slot choice. The members' masks are stacked and peeled as one
+SNR grid and, when a member is trained, the quality grid once for the batch;
+each member decodes its own prefix of the words after the placement exactly
+as numpy's Generator would (_batch_draws) and makes its slot choice on the
+shared quality grid. The members' masks are stacked and peeled as one
 batch on the shared grid (one receiver.peel_batch call), and each member's
 frame metrics follow from its own counts. When no member is trained, no slot
 choice reads the grid, so the members choose first and the grid is computed
@@ -33,27 +34,30 @@ only at the union of their replicas, the only entries a peel reads; the rest
 stay 0. A Philox stream is fixed by its key and counter and every policy's
 words start at offset 2k, so a member reads exactly the words it would read
 alone, and a frame's peel does not depend on the other frames it is stacked
-with: a group's results equal its cells run one by one. A trained member
-with estimation noise draws its normals between the placement and its policy
-words with a variable number of words, so it reads the batch's streams again
-on a pass of its own; its placement and grid still come from the group.
+with: a group's results equal its cells run one by one. Estimation (c and
+the noise std) is not a policy key, so it is the group's. With noise, each
+trained member draws the same k·s normals between the placement and its
+policy words, through numpy and so with a variable number of words: the
+trained members share a read of their own (placement, normals, then the most
+policy words any of them takes), and the normals feed the one quality grid.
+A group reads its streams at most once per layout.
 
 run_groups runs a whole command as one list of jobs, each one batch: a
 group's range of consecutive trials. A range holds at most _ENTRIES grid
 entries (b·k·s, the 256 trials of K = S = 20), so small frames run in long
-batches and peak memory stays bounded; with sim.workers > 1 a range is also
-at most ceil(trials / workers) trials. The jobs are listed in group and trial
-order and run in this process or on one pool for the command, of at most
-os.cpu_count() processes, forked where the platform can fork and spawned
-where it cannot; either way their results arrive in list order, so a member's
-per-trial arrays and its decode trace, an (n, 4) array of (trial, pass, slot,
-device) rows, are its jobs' parts concatenated. Each trial's stream is its
-own and each member's results are reduced in trial order, so every output
-byte is independent of the batch size, the worker count and the order the
-jobs run in. On glibc each process that runs jobs first fixes malloc's mmap
-and trim thresholds (_keep_heap), so one batch's freed temporaries serve the
-next from the heap rather than being unmapped and faulted in again; this
-moves no byte.
+batches and peak memory stays bounded; on a pool of more than one process a
+range is also at most ceil(trials / processes) trials, the pool being
+sim.workers capped at os.cpu_count(). The jobs are listed in group and trial
+order and run in this process or on that one pool for the command, forked
+where the platform can fork and spawned where it cannot; either way their
+results arrive in list order, so a member's per-trial arrays and its decode
+trace, an (n, 4) array of (trial, pass, slot, device) rows, are its jobs'
+parts concatenated. Each trial's stream is its own and each member's results
+are reduced in trial order, so every output byte is independent of the batch
+size, the worker count and the order the jobs run in. On glibc each process
+that runs jobs first fixes malloc's mmap and trim thresholds (_keep_heap), so
+one batch's freed temporaries serve the next from the heap rather than being
+unmapped and faulted in again; this moves no byte.
 run_monte_carlo is a group of one cell, and simulate_frame a batch of one
 trial of it: it passes its generator's key, so it rejects a generator that is
 not a fresh Philox stream such as trial_rng gives.
@@ -219,48 +223,48 @@ def simulate_frame(
 
 
 def _batch_draws(cfgs: list[ScenarioConfig], keys: np.ndarray):
-    """A group's placement and every member's access draws, decoded on the batch from raw words.
+    """A group's placement, estimation noise and each member's access draws, for a batch.
 
-    keys holds the batch's (b, 2) Philox keys, one per trial; each pass over
-    the batch reads their fresh streams one after another (_streams, module
-    docstring). Estimation noise is drawn through numpy, which does not
-    expose its ziggurat tables. A row whose bounded integers hit a Lemire
-    rejection needs more words than were read; it is drawn again from a fresh
-    stream of its key. Returns device distances and angles (b, k) and, per
-    member, the draws choose_slots takes.
+    keys holds the batch's (b, 2) Philox keys, one per trial; each read of the
+    batch takes their fresh streams one after another (_streams, module
+    docstring), once per layout. Members that draw no noise read the 2k
+    placement words and then their policy words; with noise, trained members
+    read the placement, k·s normals and then theirs. The normals are drawn
+    through numpy, which does not expose its ziggurat tables. A row whose
+    bounded integers hit a Lemire rejection needs more words than were read;
+    it is drawn again from a fresh stream of its key. Returns device distances
+    and angles (b, k), the (b, k, s) normals or None, and per member the
+    draws choose_slots takes.
     """
     cfg = cfgs[0]
     k, s = cfg.k, cfg.s
     lead = 2 * k
     sizes = [access.policy_words(member.policy, k, s) for member in cfgs]
-    noisy = [access.draws_noise(member.policy, member.estimation_noise_std) for member in cfgs]
-    shared = [n for n, own in zip(sizes, noisy) if not own]
-    words = None
-    if shared:
-        count = lead + max(shared)
-        words = np.array([rng.bit_generator.random_raw(count) for rng in _streams(keys)])
+    noisy = [cfg.estimation_noise_std > 0 and member.policy.requires_training for member in cfgs]
+    tails, normals = {}, None
+    if not all(noisy):
+        count = max(n for n, own in zip(sizes, noisy) if not own)
+        words = np.array([rng.bit_generator.random_raw(lead + count) for rng in _streams(keys)])
+        heads, tails[False] = words[:, :lead], words[:, lead:]
+    if any(noisy):
+        count = max(n for n, own in zip(sizes, noisy) if own)
+        parts = [
+            (rng.bit_generator.random_raw(lead), rng.standard_normal((k, s)),
+             rng.bit_generator.random_raw(count))
+            for rng in _streams(keys)
+        ]
+        heads, normals, tails[True] = (np.array(column) for column in zip(*parts))
     members = []
     for member, n, own in zip(cfgs, sizes, noisy):
-        if own:
-            parts = [
-                (rng.bit_generator.random_raw(lead), rng.standard_normal((k, s)),
-                 rng.bit_generator.random_raw(n))
-                for rng in _streams(keys)
-            ]
-            heads, normals, tails = (np.array(column) for column in zip(*parts))
-            words = heads if words is None else words
-            draws, rejected = access.decode_draws(member.policy, tails, k, s)
-            draws = (normals, *draws)
-        else:
-            draws, rejected = access.decode_draws(member.policy, words[:, lead:lead + n], k, s)
+        draws, rejected = access.decode_draws(member.policy, tails[own][:, :n], k, s)
         _redraw_rows(member, draws, keys, np.flatnonzero(rejected).tolist())
         members.append(draws)
     distances, angles = channel.sample_mtd_placements(
-        words[:, :lead],
+        heads,
         (cfg.mtd_d_min_m, cfg.mtd_d_max_m),
         (cfg.mtd_angle_min_rad, cfg.mtd_angle_max_rad),
     )
-    return distances, angles, members
+    return distances, angles, normals, members
 
 
 def _redraw_rows(cfg: ScenarioConfig, draws, keys: np.ndarray, rows: list[int]) -> None:
@@ -286,14 +290,13 @@ def _simulate_batch(cfgs: list[ScenarioConfig], keys: np.ndarray, keep_traces: b
     """
     cfg = cfgs[0]
     phases = phase_shift_set(cfg.s)
-    distances, angles, members = _batch_draws(cfgs, keys)
+    distances, angles, normals, members = _batch_draws(cfgs, keys)
     grid = (cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles, phases)
     if any(member.policy.requires_training for member in cfgs):
         gamma = channel.snr_matrix(*grid)
+        quality = access.measure_quality(gamma, cfg.estimation_c, cfg.estimation_noise_std, normals)
         chosen = np.stack([
-            access.choose_slots(
-                member.policy, gamma, draws, member.estimation_c, member.estimation_noise_std
-            )
+            access.choose_slots(member.policy, quality, draws)
             for member, draws in zip(cfgs, members)
         ])
     else:
@@ -408,18 +411,18 @@ def _keep_heap() -> tuple[int, ...]:
             libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
 
 
-def _jobs(groups: list[list[ScenarioConfig]]) -> list[tuple[int, int, int]]:
+def _jobs(groups: list[list[ScenarioConfig]], workers: int) -> list[tuple[int, int, int]]:
     """Every group's (group, start, stop) trial ranges, in group and trial order.
 
     A range holds at least one trial and at most _ENTRIES grid entries, b·k·s;
-    with workers > 1 at most ceil(trials / workers) trials.
+    on a pool of workers > 1 processes at most ceil(trials / workers) trials.
     """
     jobs = []
     for index, members in enumerate(groups):
         cfg = members[0]
         size = max(1, _ENTRIES // (cfg.k * cfg.s))
-        if cfg.workers > 1:
-            size = min(size, -(-cfg.trials // cfg.workers))
+        if workers > 1:
+            size = min(size, -(-cfg.trials // workers))
         jobs += [(index, lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
     return jobs
 
@@ -454,8 +457,9 @@ def run_groups(
     """
     indices = _groups(cfgs)
     groups = [[cfgs[i] for i in group] for group in indices]
-    jobs = _jobs(groups)
-    workers = min(max((cfg.workers for cfg in cfgs), default=1), len(jobs), os.cpu_count() or 1)
+    pool = min(max((cfg.workers for cfg in cfgs), default=1), os.cpu_count() or 1)
+    jobs = _jobs(groups, pool)
+    workers = min(pool, len(jobs))
     work = [(groups[index], lo, hi, keep_traces) for index, lo, hi in jobs]
     results = zip((index for index, _lo, _hi in jobs), _results(work, workers), strict=True)
     runs: list = [None] * len(cfgs)

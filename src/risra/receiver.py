@@ -41,16 +41,23 @@ def _pack(flags: np.ndarray, dtype: np.dtype, words: int) -> np.ndarray:
 
     One float32 matmul sums each 16 consecutive bits of a word, weighted by
     their place value, into a piece; such a sum has at most 16 significant
-    bits, so float32 holds it exactly. A word is the OR of its pieces.
+    bits, so float32 holds it exactly. A word is the OR of its pieces. Past
+    k = 64 the flags are padded to whole words, which share one weight block.
     """
     k, slots = flags.shape[-2:]
+    block = min(k, _WORD_BITS)
     piece = min(8 * dtype.itemsize, _PIECE_BITS)
     pieces = 8 * dtype.itemsize // piece
-    devices = np.arange(k)
-    weights = np.zeros((words * pieces, k), np.float32)
-    weights[devices // piece, devices] = 2.0 ** (devices % _WORD_BITS)
-    parts = np.matmul(weights, flags.astype(np.float32)).astype(dtype)
-    parts = parts.reshape(parts.shape[:-2] + (words, pieces, slots))
+    devices = np.arange(block)
+    weights = np.zeros((pieces, block), np.float32)
+    weights[devices // piece, devices] = 2.0 ** devices
+    if k > block:
+        values = np.zeros(flags.shape[:-2] + (words * block, slots), np.float32)
+        values[..., :k, :] = flags
+    else:
+        values = flags.astype(np.float32)
+    values = values.reshape(values.shape[:-2] + (words, block, slots))
+    parts = np.matmul(weights, values).astype(dtype)
     word = parts[..., 0, :]
     for index in range(1, pieces):
         word = word | parts[..., index, :]

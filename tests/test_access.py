@@ -346,10 +346,15 @@ def decode_cfg(kind, k, s, noise_std):
 
 def group_draws(cfgs, seed):
     """Trials FIRST_TRIAL..STOP_TRIAL-1 of `seed` through the engine's batch decode of a
-    group: per member, its placement and draws, and the trials' keys."""
+    group: per member, its placement, the group's normals if it draws them, and its draws,
+    in stream order; and the trials' keys."""
     keys = engine._philox_keys(seed, np.arange(FIRST_TRIAL, STOP_TRIAL, dtype=np.uint32))
-    distances, angles, members = engine._batch_draws(cfgs, keys)
-    return [[distances, angles, *draws] for draws in members], keys
+    distances, angles, normals, members = engine._batch_draws(cfgs, keys)
+    return [
+        [distances, angles, *([normals] if cfg.policy.requires_training
+                              and cfg.estimation_noise_std > 0 else []), *draws]
+        for cfg, draws in zip(cfgs, members)
+    ], keys
 
 
 def batch_draws(cfg, seed):
@@ -385,8 +390,9 @@ class TestDecodeDraws:
 
     @pytest.mark.parametrize("noise_std", [0.0, 2.0])
     def test_group_decode_equals_generator_draws(self, noise_std):
-        # every member of a group decodes its own prefix of the shared words,
-        # or its own pass with noise, into its own Generator draws
+        # every member of a group decodes its own prefix of the words of its
+        # layout (with noise, trained members share one read of the normals)
+        # into its own Generator draws
         for (k, s), seed in itertools.product(DECODE_POINTS, KEY_SEEDS[:3]):
             kinds = ac.POLICY_KINDS if s >= 2 else ("carp", "sscp")
             cfgs = [decode_cfg(kind, k, s, noise_std) for kind in kinds]

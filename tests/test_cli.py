@@ -250,6 +250,25 @@ class TestRunCommand:
         trace = (tmp_path / "run.csv.trace").read_bytes()
         assert hashlib.sha256(trace).hexdigest() == RUN_50_TRACE_SHA256
 
+    def test_jobs_are_cut_by_the_pool_not_by_sim_workers(self, tmp_path, monkeypatch):
+        # sim.workers=1000 on two CPUs runs on a pool of two, so the group's
+        # 1000 trials make two jobs, not 1000, with the bytes of one process
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        results, jobs, outputs = engine._results, [], []
+
+        def counted(work, workers):
+            jobs.append(len(work))
+            return results(work, workers)
+
+        monkeypatch.setattr(engine, "_results", counted)
+        for workers in (1000, 1):
+            out = tmp_path / f"{workers}.csv"
+            assert run_cli("run", "--out", str(out), "--trials", "1000",
+                           "--set", f"sim.workers={workers}") == 0
+            outputs.append(out.read_bytes())
+        assert jobs == [2, 2]
+        assert outputs[0] == outputs[1]
+
     def test_without_fork_workers_run_on_a_spawn_pool(self, tmp_path, capsys, monkeypatch):
         # the same bytes whether sim.workers=2 forks its pool or, where the
         # platform has no fork start method, spawns it

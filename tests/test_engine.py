@@ -306,14 +306,13 @@ class TestSscpSingleReplica:
 def masks_and_decoded(cfg):
     """Every trial's replica mask, composed from the pipeline's stages, and its
     decoded count from the pipeline itself."""
-    distances, angles, [draws] = _batch_draws([cfg], trial_keys(cfg.seed, cfg.trials))
+    distances, angles, normals, [draws] = _batch_draws([cfg], trial_keys(cfg.seed, cfg.trials))
     gamma = channel.snr_matrix(
         cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles,
         channel.phase_shift_set(cfg.s),
     )
-    chosen = access.choose_slots(
-        cfg.policy, gamma, draws, cfg.estimation_c, cfg.estimation_noise_std
-    )
+    quality = access.measure_quality(gamma, cfg.estimation_c, cfg.estimation_noise_std, normals)
+    chosen = access.choose_slots(cfg.policy, quality, draws)
     [(a, _g, _p, _traces)] = _simulate_range([cfg], 0, cfg.trials)
     assert np.array_equal(rx.peel_batch(chosen, gamma, cfg.radio.snr_threshold)[0], a)
     return chosen, a
@@ -454,6 +453,23 @@ class TestCellGroups:
         assert same_runs(run_groups(cfgs, keep_traces=True), alone)
         assert shapes == [(4, batch, 6, 7), (4, 44, 6, 7)]
 
+    def test_a_noisy_group_measures_once_per_batch(self, monkeypatch):
+        # carp and sscp draw the same normals after the placement: one read of
+        # the batch's streams and one quality grid serve both members, and
+        # each still equals its cell alone
+        cfgs = cell_configs(make_resolved("sim.trials=100", "sim.workers=1", "sim.k=6",
+                                          "sim.s=7", "estimation.noise_std=2.0"), ["carp", "sscp"])
+        alone = [run_groups([cfg], True)[0] for cfg in cfgs]
+        calls = []
+        for module, name in ((engine, "_streams"), (access, "measure_quality")):
+            def counted(*args, _name=name, _fn=getattr(module, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        assert same_runs(run_groups(cfgs, True), alone)
+        assert calls == ["_streams", "measure_quality"]
+
     def test_group_redraws_a_rejected_crdsap_row(self, monkeypatch):
         # flag every fifth crdsap row as a Lemire rejection: numpy's own redraw
         # from a fresh stream of the row's key must give back the same draws
@@ -554,7 +570,8 @@ class TestJobs:
 
     def test_jobs_are_sized_by_grid_entries(self):
         def sizes(*overrides):
-            return [hi - lo for _index, lo, hi in engine._jobs([[make_cfg(*overrides)]])]
+            cfg = make_cfg(*overrides)
+            return [hi - lo for _index, lo, hi in engine._jobs([[cfg]], cfg.workers)]
 
         assert sizes("sim.k=20", "sim.s=20", "sim.trials=600") == [256, 256, 88]
         assert sizes("sim.k=10", "sim.s=20", "sim.trials=600") == [512, 88]
@@ -565,7 +582,7 @@ class TestJobs:
         assert sizes("sim.k=20", "sim.s=20", "sim.trials=600", "sim.workers=2") == [256, 256, 88]
         # in group and trial order, the order run_groups joins their results in
         groups = [[make_cfg("sim.trials=600")], [make_cfg("sim.k=20", "sim.trials=300")]]
-        assert engine._jobs(groups) == [(0, 0, 512), (0, 512, 600), (1, 0, 256), (1, 256, 300)]
+        assert engine._jobs(groups, 1) == [(0, 0, 512), (0, 512, 600), (1, 0, 256), (1, 256, 300)]
 
     def test_a_redraw_restarts_its_own_trial(self, monkeypatch):
         # a flagged row of a later job is drawn again from its own trial's stream,
@@ -665,8 +682,8 @@ class TestHeap:
 
 @pytest.mark.parametrize("cpus, pools", [(3, [(3, engine._keep_heap)]), (1, []), (None, [])])
 def test_pool_is_at_most_the_cpu_count(monkeypatch, stand_in_pools, cpus, pools):
-    # sim.workers=1000 cuts 40 trials into 40 jobs: one process per CPU, and
-    # none past this one on one CPU or where the count is unknown
+    # sim.workers=1000 runs one process per CPU, and none past this one on
+    # one CPU or where the count is unknown
     monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
     cfg = make_cfg("sim.k=6", "sim.s=5", "sim.trials=40")
     assert same_runs(run_groups([dataclasses.replace(cfg, workers=1000)]), run_groups([cfg]))

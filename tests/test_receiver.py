@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -296,6 +298,22 @@ class TestStackedPeel:
         chosen = np.zeros((16384, 1), dtype=bool)
         chosen[64 * np.arange(replicas), 0] = True
         assert rx.peel(chosen, np.full(chosen.shape, 2.0), 1.0) == 0
+
+    def test_packing_memory_is_linear_in_k(self):
+        # one slot of k = 16384 devices is 64 KiB of float32 flags: a packing
+        # whose memory is linear in k stays within a small multiple of that
+        k = 16384
+        flags = np.zeros((k, 1), dtype=bool)
+        flags[::7] = True
+        dtype, words = rx.mask_words(k)
+        tracemalloc.start()
+        try:
+            packed = rx._pack(flags, dtype, words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.array_equal(packed[:, 0], np.packbits(flags[:, 0], bitorder="little").view("<u8"))
 
     @pytest.mark.parametrize("k", [5, 6, 8, 9, 16, 17, 32, 33, 39, 40, 64, 65, 129])
     def test_mask_words_are_the_narrowest_that_hold_a_full_slot(self, k):
