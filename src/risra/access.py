@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import unit_doubles
-
 POLICY_KINDS = ("carp", "sscp", "crdsap", "irsap")
 
 
@@ -196,9 +194,10 @@ def crdsap_indices(rng: np.random.Generator, k: int, s: int) -> tuple[np.ndarray
 
 
 def decode_draws(
-    policy: Policy, words: np.ndarray, k: int, s: int
+    policy: Policy, words: np.ndarray, units: np.ndarray, k: int, s: int
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """A batch's access draws from its raw words, shape (b, policy_words(policy, k, s)).
+    """A batch's access draws from its raw words, shape (b, policy_words(policy, k, s)),
+    and `units`, their unit_doubles: carp and irsap read those, crdsap the words.
 
     The draws equal numpy's Generator on the same words: carp `random((k, s))`;
     crdsap `integers(0, s, k)` then `integers(0, s - 1, k)` on the words'
@@ -211,10 +210,9 @@ def decode_draws(
     b = words.shape[0]
     clean = np.zeros(b, dtype=bool)
     if policy.kind == "carp":
-        return (unit_doubles(words).reshape(b, k, s),), clean
+        return (units.reshape(b, k, s),), clean
     if policy.kind == "irsap":
-        u = unit_doubles(words)
-        return (irsap_sample_degrees(u[:, :k], s), u[:, k:].reshape(b, k, s)), clean
+        return (irsap_sample_degrees(units[:, :k], s), units[:, k:].reshape(b, k, s)), clean
     if policy.kind == "crdsap":
         if s < 2:
             raise ValueError("crdsap needs at least 2 slots")

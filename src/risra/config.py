@@ -117,6 +117,8 @@ class ScenarioConfig:
             raise ValueError("mtd angle range must be ordered within [0, pi/2]")
         if self.mtd_gain <= 0:
             raise ValueError("mtd gain must be positive")
+        if self.estimation_c < 0:  # measure_quality's clamp at 0 would zero every quality
+            raise ValueError("estimation.c must be nonnegative")
         if self.estimation_noise_std < 0:
             raise ValueError("estimation.noise_std must be nonnegative")
         if self.policy.kind == "sscp" and self.policy.sscp_s > self.s:
@@ -256,12 +258,20 @@ def build_config(resolved: dict[str, Any]) -> ScenarioConfig:
     return cfg
 
 
+# numpy's normals lie within ±13.7: its ziggurat's tail returns r - log1p(-u) / r,
+# r = 3.6541528853610088, for a unit double u <= 1 - 2**-53
+_NORMAL_MAX = 3.6541528853610088 - math.log(2.0**-53) / 3.6541528853610088
+
+
 def _check_overflow(cfg: ScenarioConfig) -> None:
-    """Reject a config whose largest possible SNR, frame power, throughput or efficiency overflows.
+    """Reject a config whose largest possible SNR, quality, frame power, throughput or
+    efficiency overflows.
 
     The largest SNR puts a device at d_min and angle_min in a slot where the
-    array factor peaks, (n_x n_z)^2. The largest frame power charges the
-    training and has every device send in every slot; the largest throughput
+    array factor peaks, (n_x n_z)^2. The largest measured quality adds the
+    largest normal numpy draws, times the noise std, to c times that SNR, and
+    carp sums a device's qualities over the S slots. The largest frame power
+    charges the training and has every device send in every slot; the largest throughput
     decodes every device without the training block. Over the trials, the CI
     of each sums up to `trials` squared deviations, each below its square, and
     the mean efficiency sums `trials` ratios, each below the largest throughput
@@ -277,6 +287,10 @@ def _check_overflow(cfg: ScenarioConfig) -> None:
     if not math.isfinite(snr):
         raise ValueError("the largest possible SNR overflows a float: lower "
                          "radio.mtd_tx_power_w or raise a distance or the noise power")
+    quality = cfg.estimation_c * snr + cfg.estimation_noise_std * _NORMAL_MAX
+    if not math.isfinite(cfg.s * quality):
+        raise ValueError("the largest possible measured quality, summed over the slots, overflows "
+                         "a float: lower estimation.c or estimation.noise_std")
     surface_w = ris_power(ris.n_elements, power.phase_shifter_w)
     replica_w = power.mtd_pa_inverse_eff * power.mtd_tx_power_w
     frame_w = ap_power(power, cfg.s, True) + surface_w + cfg.k * (cfg.s * replica_w + power.mtd_static_w)

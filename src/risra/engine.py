@@ -17,38 +17,41 @@ input. _streams re-keys one reused Philox generator per trial; a Philox
 stream is fixed by its key and counter alone, so this is the same stream as
 constructing it from the SeedSequence.
 
-Cells run in groups: a group is the cells of one run that differ only in
-their policy (policy.*), so they share every trial's stream and device drop.
-There is one frame pipeline, _simulate_batch, and it runs a group over a
-batch of trials. It reads each trial's stream as raw 64-bit words with one
-random_raw call: 2k for the placement, then as many as the group's members
-take at most (access.policy_words). It decodes the placement and builds the
-SNR grid and, when a member is trained, the quality grid once for the batch;
-each member decodes its own prefix of the words after the placement exactly
-as numpy's Generator would (_batch_draws) and makes its slot choice on the
-shared quality grid. The members' masks are stacked and peeled as one
-batch on the shared grid (one receiver.peel_batch call), and each member's
-frame metrics follow from its own counts. When no member is trained, no slot
-choice reads the grid, so the members choose first and the grid is computed
-only at the union of their replicas, the only entries a peel reads; the rest
-stay 0. A Philox stream is fixed by its key and counter and every policy's
-words start at offset 2k, so a member reads exactly the words it would read
-alone, and a frame's peel does not depend on the other frames it is stacked
-with: a group's results equal its cells run one by one. Estimation (c and
-the noise std) is not a policy key, so it is the group's. With noise, each
-trained member draws the same k·s normals between the placement and its
-policy words, through numpy and so with a variable number of words: the
-trained members share a read of their own (placement, normals, then the most
-policy words any of them takes), and the normals feed the one quality grid.
-A group reads its streams at most once per layout.
+Cells run in groups: a group is the cells of one run whose trials draw the
+same streams and device drops (equal seed, trials, K and placement ranges),
+and a point the cells of a group that differ only in policy (policy.*). An
+S, rho_mtd or N sweep is one group, a K sweep one group per K; past _RESULTS
+member-trials a group's points are cut into runs, each a group, so the
+per-trial results a group holds until its last job stay bounded. There is one
+frame pipeline, _simulate_batch, and it runs a group over a batch of trials.
+Its members that draw no noise read each trial's stream once, with one
+random_raw call: 2k words for the placement, then the most words any of them
+takes at its own S (access.policy_words). The placement, and the words after
+it as unit doubles, are decoded once, and each member decodes its own prefix
+exactly as numpy's Generator would (_batch_draws). A point builds one SNR
+grid and, when a member is trained, one quality grid; its members choose
+their slots on it and their stacked masks are peeled as one batch (one
+receiver.peel_batch call), and each member's metrics follow from its own
+counts. When no member of a point is trained, no slot choice reads the grid,
+so the members choose first and the grid is computed only at the union of
+their replicas, the only entries a peel reads; the rest stay 0. A Philox
+stream is fixed by its key and counter and every policy's words start at
+offset 2k, so a member reads exactly the words it would read alone, and a
+frame's peel does not depend on the frames stacked with it: a group's
+results equal its cells run one by one. Estimation (c, noise std) is not a
+policy key, so it is the point's. With noise, each trained member draws k·S
+normals between the placement and its policy words, through numpy and so
+with a variable number of words: the trained members at one S share a read
+of their own, and its normals feed their point's quality grid.
 
 run_groups runs a whole command as one list of jobs, each one batch: a
 group's range of consecutive trials. A range holds at most _ENTRIES grid
-entries (b·k·s, the 256 trials of K = S = 20), so small frames run in long
-batches and peak memory stays bounded; on a pool of more than one process a
-range is also at most ceil(trials / processes) trials, the pool being
-sim.workers capped at os.cpu_count(). The jobs are listed in group and trial
-order and run in this process or on that one pool for the command, forked
+entries per point (b·k·s at the group's largest S; the 256 trials of K = S =
+20), so small frames run in long batches and peak memory stays bounded; on a
+pool of more than one process a range is also at most ceil(trials /
+processes) trials, the pool being sim.workers capped at os.cpu_count(). The
+jobs are listed in group and trial order and run in this process or on that
+one pool for the command, forked
 where the platform can fork and spawned where it cannot; either way their
 results arrive in list order, so a member's per-trial arrays and its decode
 trace, an (n, 4) array of (trial, pass, slot, device) rows, are its jobs'
@@ -211,7 +214,7 @@ def simulate_frame(
     if (state["bit_generator"] != "Philox" or any(state["state"]["counter"])
             or state["buffer_pos"] != 4 or state["has_uint32"]):
         raise ValueError("simulate_frame needs a fresh Philox stream, such as trial_rng gives")
-    [(a, g, p, counts, trace)] = _simulate_batch([cfg], state["state"]["key"][None], keep_trace)
+    [(a, g, p, counts, trace)] = _simulate_batch([[cfg]], state["state"]["key"][None], keep_trace)
     return TrialResult(
         successes=int(a[0]),
         replica_counts=counts[0],
@@ -223,48 +226,64 @@ def simulate_frame(
 
 
 def _batch_draws(cfgs: list[ScenarioConfig], keys: np.ndarray):
-    """A group's placement, estimation noise and each member's access draws, for a batch.
+    """A group's placement, and an iterator over its members' normals and access draws.
 
-    keys holds the batch's (b, 2) Philox keys, one per trial; each read of the
-    batch takes their fresh streams one after another (_streams, module
-    docstring), once per layout. Members that draw no noise read the 2k
-    placement words and then their policy words; with noise, trained members
-    read the placement, k·s normals and then theirs. The normals are drawn
-    through numpy, which does not expose its ziggurat tables. A row whose
-    bounded integers hit a Lemire rejection needs more words than were read;
-    it is drawn again from a fresh stream of its key. Returns device distances
-    and angles (b, k), the (b, k, s) normals or None, and per member the
-    draws choose_slots takes.
+    keys holds the batch's (b, 2) Philox keys. Members that draw no noise
+    share one read of the batch's fresh streams (_streams): the 2k placement
+    words, then the most policy words any of them takes at its own S. Trained
+    members at S with noise share a read of the placement, k·S normals (drawn
+    through numpy, whose ziggurat tables are hidden) and then their policy
+    words. A read's words after the placement become unit doubles once, and
+    each member decodes its own prefix of them; a row with a Lemire rejection
+    is drawn again from a fresh stream of its key. Returns distances and
+    angles (b, k) and, member by member, its (b, k, S) normals or None and its
+    choose_slots draws. A read is made when its first member is reached (the
+    first at once, for the placement) and dropped after its last member.
     """
     cfg = cfgs[0]
-    k, s = cfg.k, cfg.s
-    lead = 2 * k
-    sizes = [access.policy_words(member.policy, k, s) for member in cfgs]
-    noisy = [cfg.estimation_noise_std > 0 and member.policy.requires_training for member in cfgs]
-    tails, normals = {}, None
-    if not all(noisy):
-        count = max(n for n, own in zip(sizes, noisy) if not own)
-        words = np.array([rng.bit_generator.random_raw(lead + count) for rng in _streams(keys)])
-        heads, tails[False] = words[:, :lead], words[:, lead:]
-    if any(noisy):
-        count = max(n for n, own in zip(sizes, noisy) if own)
-        parts = [
-            (rng.bit_generator.random_raw(lead), rng.standard_normal((k, s)),
-             rng.bit_generator.random_raw(count))
-            for rng in _streams(keys)
-        ]
-        heads, normals, tails[True] = (np.array(column) for column in zip(*parts))
-    members = []
-    for member, n, own in zip(cfgs, sizes, noisy):
-        draws, rejected = access.decode_draws(member.policy, tails[own][:, :n], k, s)
-        _redraw_rows(member, draws, keys, np.flatnonzero(rejected).tolist())
-        members.append(draws)
+    k, lead = cfg.k, 2 * cfg.k
+    sizes = [access.policy_words(member.policy, k, member.s) for member in cfgs]
+    # a member's read: the S of its normals, or None when it draws none
+    layouts = [member.s if member.estimation_noise_std > 0 and member.policy.requires_training
+               else None for member in cfgs]
+    last = {layout: index for index, layout in enumerate(layouts)}
+
+    def read(layout):
+        count = max(n for n, own in zip(sizes, layouts) if own == layout)
+        if layout is None:
+            words = np.array([rng.bit_generator.random_raw(lead + count) for rng in _streams(keys)])
+            heads, normals, tail = words[:, :lead], None, words[:, lead:]
+        else:
+            parts = [
+                (rng.bit_generator.random_raw(lead), rng.standard_normal((k, layout)),
+                 rng.bit_generator.random_raw(count))
+                for rng in _streams(keys)
+            ]
+            heads, normals, tail = (np.array(column) for column in zip(*parts))
+        return heads, (normals, tail, channel.unit_doubles(tail))
+
+    reads = {}
+    heads, reads[layouts[0]] = read(layouts[0])
     distances, angles = channel.sample_mtd_placements(
         heads,
         (cfg.mtd_d_min_m, cfg.mtd_d_max_m),
         (cfg.mtd_angle_min_rad, cfg.mtd_angle_max_rad),
     )
-    return distances, angles, normals, members
+
+    def members():
+        for index, (member, n, own) in enumerate(zip(cfgs, sizes, layouts)):
+            if own not in reads:
+                reads[own] = read(own)[1]
+            normals, tail, units = reads[own]
+            if last[own] == index:
+                del reads[own]
+            draws, rejected = access.decode_draws(member.policy, tail[:, :n], units[:, :n], k,
+                                                  member.s)
+            del tail, units  # a read dropped above is not held while the generator waits
+            _redraw_rows(member, draws, keys, np.flatnonzero(rejected).tolist())
+            yield normals, draws
+
+    return distances, angles, members()
 
 
 def _redraw_rows(cfg: ScenarioConfig, draws, keys: np.ndarray, rows: list[int]) -> None:
@@ -276,73 +295,80 @@ def _redraw_rows(cfg: ScenarioConfig, draws, keys: np.ndarray, rows: list[int]) 
             draw[row] = redrawn
 
 
-def _simulate_batch(cfgs: list[ScenarioConfig], keys: np.ndarray, keep_traces: bool):
+def _simulate_batch(points: list[list[ScenarioConfig]], keys: np.ndarray, keep_traces: bool):
     """The frame pipeline of a group over a batch of trials, given their Philox keys (_batch_draws).
 
-    The members share one placement and one SNR grid; everything after the
-    draws runs on (b, k, s) arrays, and the peel on the members' (m, b, k, s)
-    stack of masks. When no member is trained, none reads the grid to choose
-    its slots, so the members choose first and the grid is computed only
-    where one of them placed a replica: the peel reads no other entry.
-    Returns per member the per-trial (successes, throughput, power, replica
-    counts) arrays and its decode trace: peel_batch's (n, 4) rows with the
-    frame rebased to the trial within the batch, empty without keep_traces.
+    The group is given as its points, each the cells that differ only in
+    policy. Its members share one placement; a point's members share one SNR
+    grid, and everything after the draws runs on (b, k, s) arrays, the peel
+    on the point's (m, b, k, s) stack of masks. When no member of a point is
+    trained, none reads the grid to choose its slots, so they choose first
+    and the grid is computed only where one of them placed a replica: the
+    peel reads no other entry. Yields per member, point by point, the
+    per-trial (successes, throughput, power, replica counts) arrays and its
+    decode trace: peel_batch's (n, 4) rows with the frame rebased to the
+    trial within the batch, empty without keep_traces.
     """
-    cfg = cfgs[0]
-    phases = phase_shift_set(cfg.s)
-    distances, angles, normals, members = _batch_draws(cfgs, keys)
-    grid = (cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles, phases)
-    if any(member.policy.requires_training for member in cfgs):
-        gamma = channel.snr_matrix(*grid)
-        quality = access.measure_quality(gamma, cfg.estimation_c, cfg.estimation_noise_std, normals)
-        chosen = np.stack([
-            access.choose_slots(member.policy, quality, draws)
-            for member, draws in zip(cfgs, members)
-        ])
-    else:
-        chosen = np.stack([
-            access.blind_slots(member.policy, draws, len(phases))
-            for member, draws in zip(cfgs, members)
-        ])
-        gamma = channel.snr_matrix(*grid, mask=chosen.any(axis=0))
-    # one peel for the stacked members: they differ only in policy, so they
-    # share the threshold as well as the grid
-    decoded, trace = receiver.peel_batch(chosen, gamma, cfg.radio.snr_threshold, keep_traces)
-    if trace is None:
-        trace = np.zeros((0, 4), np.int64)
-    # frames run in C order over (member, trial): cut at each member's first frame
-    batch = len(gamma)
-    cuts = np.searchsorted(trace[:, 0], batch * np.arange(1, len(cfgs)))
-    trace[:, 0] %= batch
-    out = []
-    for member, a, counts, member_trace in zip(
-        cfgs, decoded.astype(float), chosen.sum(axis=-1), np.split(trace, cuts)
-    ):
-        p, g = power_metrics.frame_metrics(
-            member.power,
-            member.timing,
-            member.ris.n_elements,
-            counts,
-            a,
-            power_training_used=member.training_used,
-            frame_training_used=member.policy.requires_training,
-        )
-        out.append((a, g, p, counts, member_trace))
-    return out
+    distances, angles, members = _batch_draws(list(itertools.chain(*points)), keys)
+    for point in points:
+        cfg = point[0]
+        phases = phase_shift_set(cfg.s)
+        normals, point_draws = zip(*itertools.islice(members, len(point)))
+        grid = (cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles, phases)
+        if any(member.policy.requires_training for member in point):
+            gamma = channel.snr_matrix(*grid)
+            # the normals of the point's trained members, None without noise
+            noise = next((own for own in normals if own is not None), None)
+            quality = access.measure_quality(gamma, cfg.estimation_c, cfg.estimation_noise_std,
+                                             noise)
+            chosen = np.stack([
+                access.choose_slots(member.policy, quality, own)
+                for member, own in zip(point, point_draws)
+            ])
+        else:
+            chosen = np.stack([
+                access.blind_slots(member.policy, own, len(phases))
+                for member, own in zip(point, point_draws)
+            ])
+            gamma = channel.snr_matrix(*grid, mask=chosen.any(axis=0))
+        # one peel for the stacked members: they differ only in policy, so they
+        # share the threshold as well as the grid
+        decoded, trace = receiver.peel_batch(chosen, gamma, cfg.radio.snr_threshold, keep_traces)
+        if trace is None:
+            trace = np.zeros((0, 4), np.int64)
+        # frames run in C order over (member, trial): cut at each member's first frame
+        batch = len(gamma)
+        cuts = np.searchsorted(trace[:, 0], batch * np.arange(1, len(point)))
+        trace[:, 0] %= batch
+        for member, a, counts, member_trace in zip(
+            point, decoded.astype(float), chosen.sum(axis=-1), np.split(trace, cuts)
+        ):
+            p, g = power_metrics.frame_metrics(
+                member.power,
+                member.timing,
+                member.ris.n_elements,
+                counts,
+                a,
+                power_training_used=member.training_used,
+                frame_training_used=member.policy.requires_training,
+            )
+            yield a, g, p, counts, member_trace
 
 
-def _simulate_range(cfgs: list[ScenarioConfig], start: int, stop: int, keep_traces: bool = False):
-    """One job: a group's trials [start, stop) as one batch; per member (a, g, p, trace),
-    the trace's rows numbering trials of the run."""
-    keys = _philox_keys(cfgs[0].seed, np.arange(start, stop, dtype=np.uint32))
-    runs = _simulate_batch(cfgs, keys, keep_traces)
-    for *_, trace in runs:
+def _simulate_range(points: list[list[ScenarioConfig]], start: int, stop: int,
+                    keep_traces: bool = False):
+    """One job: a group's trials [start, stop) as one batch; per member, point by point,
+    (a, g, p, trace), the trace's rows numbering trials of the run."""
+    keys = _philox_keys(points[0][0].seed, np.arange(start, stop, dtype=np.uint32))
+    runs = []
+    for a, g, p, _counts, trace in _simulate_batch(points, keys, keep_traces):
         trace[:, 0] += start
-    return [(a, g, p, trace) for a, g, p, _counts, trace in runs]
+        runs.append((a, g, p, trace))
+    return runs
 
 
 def _run_job(job):
-    """_simulate_range of one (members, start, stop, keep_traces) job, as a pool maps it."""
+    """_simulate_range of one (points, start, stop, keep_traces) job, as a pool maps it."""
     return _simulate_range(*job)
 
 
@@ -373,17 +399,42 @@ def _aggregate(cfg: ScenarioConfig, a: np.ndarray, g: np.ndarray, p: np.ndarray)
     )
 
 
-def _groups(cfgs: list[ScenarioConfig]) -> list[list[int]]:
-    """Indices of the cells that differ only in their policy, groups in order of first cell."""
-    groups: dict[str, list[int]] = {}
+# the fields that fix a trial's streams and device drops: cells equal in them form a group
+_DROPS = ("seed", "trials", "k", "mtd_d_min_m", "mtd_d_max_m", "mtd_angle_min_rad",
+          "mtd_angle_max_rad")
+# member-trials of per-trial results (a, g, p: 24 bytes) a group holds until its
+# last job arrives, 12 MiB: past it, a group's points are cut into runs
+_RESULTS = 1 << 19
+
+
+def _groups(cfgs: list[ScenarioConfig]) -> list[list[list[int]]]:
+    """The cells' groups, each as its points' cell indices, all in order of first cell.
+
+    A group is the cells that draw the same streams and device drops (_DROPS),
+    a point the cells of a group that differ only in their policy. Consecutive
+    points form one group while they hold at most _RESULTS member-trials.
+    """
+    drops: dict[tuple, dict[str, list[int]]] = {}
     for index, cfg in enumerate(cfgs):
-        shared = tuple(getattr(cfg, f.name) for f in fields(cfg) if f.name != "policy")
-        groups.setdefault(repr(shared), []).append(index)
-    return list(groups.values())
+        point = tuple(getattr(cfg, f.name) for f in fields(cfg) if f.name != "policy")
+        key = tuple(getattr(cfg, name) for name in _DROPS)
+        drops.setdefault(key, {}).setdefault(repr(point), []).append(index)
+    groups = []
+    for points in drops.values():
+        held = _RESULTS  # the first point starts a group
+        for point in points.values():
+            size = len(point) * cfgs[point[0]].trials
+            if held + size > _RESULTS:
+                groups.append([])
+                held = 0
+            held += size
+            groups[-1].append(point)
+    return groups
 
 
-# grid entries b·k·s per job: 256 trials at K = S = 20, a 0.8 MB SNR block;
-# smaller frames take more trials per batch, larger ones fewer
+# grid entries b·k·s per point of a job, s the group's largest S: 256 trials
+# at K = S = 20, a 0.8 MB SNR block; smaller frames take more trials per
+# batch, larger ones fewer
 _ENTRIES = 256 * 20 * 20
 
 # glibc malloc's thresholds (mallopt(3)), fixed so that a job's temporaries,
@@ -411,16 +462,18 @@ def _keep_heap() -> tuple[int, ...]:
             libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
 
 
-def _jobs(groups: list[list[ScenarioConfig]], workers: int) -> list[tuple[int, int, int]]:
+def _jobs(groups: list[list[list[ScenarioConfig]]], workers: int) -> list[tuple[int, int, int]]:
     """Every group's (group, start, stop) trial ranges, in group and trial order.
 
-    A range holds at least one trial and at most _ENTRIES grid entries, b·k·s;
-    on a pool of workers > 1 processes at most ceil(trials / workers) trials.
+    groups holds each group's points. A range holds at least one trial and at
+    most _ENTRIES grid entries b·k·s, s the group's largest S, so no point's
+    arrays exceed it; on a pool of workers > 1 processes at most
+    ceil(trials / workers) trials.
     """
     jobs = []
-    for index, members in enumerate(groups):
-        cfg = members[0]
-        size = max(1, _ENTRIES // (cfg.k * cfg.s))
+    for index, points in enumerate(groups):
+        cfg = points[0][0]
+        size = max(1, _ENTRIES // (cfg.k * max(point[0].s for point in points)))
         if workers > 1:
             size = min(size, -(-cfg.trials // workers))
         jobs += [(index, lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
@@ -456,7 +509,7 @@ def run_groups(
     previous group was reported (since the start, for the first).
     """
     indices = _groups(cfgs)
-    groups = [[cfgs[i] for i in group] for group in indices]
+    groups = [[[cfgs[i] for i in point] for point in points] for points in indices]
     pool = min(max((cfg.workers for cfg in cfgs), default=1), os.cpu_count() or 1)
     jobs = _jobs(groups, pool)
     workers = min(pool, len(jobs))
@@ -466,12 +519,14 @@ def run_groups(
     start = time.perf_counter()
     for index, group_results in itertools.groupby(results, key=lambda result: result[0]):
         parts = [part for _index, part in group_results]
-        for cell, cfg, member in zip(indices[index], groups[index], zip(*parts)):
+        cells = list(itertools.chain(*indices[index]))
+        for cell, member in zip(cells, zip(*parts)):
             a, g, p, trace = _join(member)
-            runs[cell] = (_aggregate(cfg, a, g, p), trace)
+            runs[cell] = (_aggregate(cfgs[cell], a, g, p), trace)
+        del parts  # drop the group's per-trial results before the next group's jobs run
         if finished is not None:
             now = time.perf_counter()
-            finished(indices[index], now - start)
+            finished(sorted(cells), now - start)
             start = now
     return runs
 

@@ -53,7 +53,8 @@ def test_c1_replica_count_exactness():
     crdsap, sscp2, sscp3 = Policy("crdsap"), Policy("sscp", 2), Policy("sscp", 3)
     # one trial of frames * k devices takes the same words numpy's integers would
     words = rng.bit_generator.random_raw((1, ac.policy_words(crdsap, frames * k, s)))
-    (first, second), _rejected = ac.decode_draws(crdsap, words, frames * k, s)
+    units = ch.unit_doubles(words)
+    (first, second), _rejected = ac.decode_draws(crdsap, words, units, frames * k, s)
     draws = (first.reshape(frames, k), second.reshape(frames, k))
     totals = ac.choose_slots(crdsap, np.empty((frames, k, s)), draws).sum(axis=(1, 2))
     ok = bool(np.all(totals == 2 * k))
@@ -70,7 +71,7 @@ def test_c2_irsap_degree_statistics():
     rng = np.random.default_rng(202)
     irsap = Policy("irsap")
     words = rng.bit_generator.random_raw((1, ac.policy_words(irsap, n, s)))
-    draws, _rejected = ac.decode_draws(irsap, words, n, s)
+    draws, _rejected = ac.decode_draws(irsap, words, ch.unit_doubles(words), n, s)
     sizes = ac.choose_slots(irsap, np.empty((1, n, s)), draws)[0].sum(axis=1)
 
     mean_ok = abs(sizes.mean() - IRSAP_MEAN_DEGREE_S20) <= 0.01 * IRSAP_MEAN_DEGREE_S20

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risra import access as ac
-from risra import engine
+from risra import channel, engine
 from risra.config import parse_config
 from oracles import (
     KEY_SEEDS,
@@ -28,7 +28,7 @@ def trial_draws(kind, rng, k, s):
     """One trial's access draws for k devices, decoded from the stream's next raw words."""
     policy = ac.Policy(kind)
     words = rng.bit_generator.random_raw((1, ac.policy_words(policy, k, s)))
-    draws, rejected = ac.decode_draws(policy, words, k, s)
+    draws, rejected = ac.decode_draws(policy, words, channel.unit_doubles(words), k, s)
     assert not rejected.any()
     return draws
 
@@ -349,12 +349,14 @@ def group_draws(cfgs, seed):
     group: per member, its placement, the group's normals if it draws them, and its draws,
     in stream order; and the trials' keys."""
     keys = engine._philox_keys(seed, np.arange(FIRST_TRIAL, STOP_TRIAL, dtype=np.uint32))
-    distances, angles, normals, members = engine._batch_draws(cfgs, keys)
-    return [
-        [distances, angles, *([normals] if cfg.policy.requires_training
-                              and cfg.estimation_noise_std > 0 else []), *draws]
-        for cfg, draws in zip(cfgs, members)
-    ], keys
+    distances, angles, members = engine._batch_draws(cfgs, keys)
+    got = []
+    for cfg, (normals, draws) in zip(cfgs, members, strict=True):
+        # a member draws normals exactly when it is trained and the noise is on
+        noisy = cfg.policy.requires_training and cfg.estimation_noise_std > 0
+        assert (normals is not None) == noisy
+        got.append([distances, angles, *([] if normals is None else [normals]), *draws])
+    return got, keys
 
 
 def batch_draws(cfg, seed):
@@ -446,4 +448,5 @@ class TestDecodeDraws:
 
     def test_crdsap_needs_two_slots(self):
         with pytest.raises(ValueError):
-            ac.decode_draws(ac.Policy("crdsap"), np.zeros((1, 3), np.uint64), 3, 1)
+            words = np.zeros((1, 3), np.uint64)
+            ac.decode_draws(ac.Policy("crdsap"), words, channel.unit_doubles(words), 3, 1)

@@ -336,11 +336,15 @@ class TestRunCommand:
     ])
     def test_sweeps_report_rate_per_point(self, tmp_path, capsys, argv):
         # one point sequence over every cell of the command, across policies;
-        # the cells (sorted by policy, then value) finish by groups, one per value
+        # the cells (sorted by policy, then value) finish by groups: one per K
+        # value, since K changes the device drops, and one for an optimal-s
+        # command, whose cells all draw the same drops
         policies, cells = (2, 6) if "--policies" in argv else (1, 2)
         values = cells // policies
         groups = [[value + policy * values for policy in range(policies)]
                   for value in range(values)]
+        if argv[0] == "optimal-s":
+            groups = [list(range(cells))]
         out = tmp_path / "o.csv"
         assert run_cli(*argv, "--out", str(out), "--trials", "3", "--verbose") == 0
         lines = capsys.readouterr().err.splitlines()
@@ -504,8 +508,9 @@ class TestCellList:
         out = tmp_path / "o.csv"
         assert run_cli(*argv, "--out", str(out), "--trials", "2", "--set", "sim.k=2") == 0
         assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [["carp", "2"]]
-        # one job of one group of one cell
-        assert [len(args[0]) for name, args in run_calls if name == "_simulate_range"] == [1]
+        # one job of one group of one point of one cell
+        assert [[len(point) for point in args[0]]
+                for name, args in run_calls if name == "_simulate_range"] == [[1]]
 
 
 class TestValidateCommand:
@@ -568,6 +573,29 @@ class TestOverflow:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error:") and what in line
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting, what", [
+        ("estimation.c=-1", "estimation.c must be nonnegative"),
+        ("estimation.noise_std=1e308", "measured quality"),
+    ])
+    def test_bad_estimation_settings_are_rejected(self, tmp_path, capsys, setting, what):
+        # the clamp at 0 turned c = -1 into every quality 0, and a 1e308 noise
+        # std overflowed the qualities and carp's sum of them; both now stop
+        # before any trial runs
+        out = tmp_path / "o.csv"
+        assert run_cli("run", "--trials", "50", "--policies", "carp,sscp", "--set", setting,
+                       "--out", str(out)) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and what in line
+        assert not out.exists()
+
+    def test_large_noise_within_the_bound_runs(self, tmp_path):
+        # 20 slots of qualities up to 1.4e306 sum to a float, and numpy never warns
+        out = tmp_path / "o.csv"
+        assert run_cli("run", "--set", "estimation.noise_std=1e305", "--trials", "50",
+                       "--policies", "carp,sscp", "--out", str(out)) == 0
+        for row in out.read_text().splitlines()[1:]:
+            assert all(math.isfinite(float(x)) for x in row.split(",")[4:])
 
     def test_largest_values_within_the_bound_run(self, tmp_path):
         # 8 trials are the most over which the largest efficiency, 2.16e307

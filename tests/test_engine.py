@@ -233,7 +233,7 @@ class TestRunMonteCarlo:
                 cfg = make_cfg(
                     "sim.trials=50", "sim.k=7", "sim.s=9", f"policy.kind={kind}", *extra
                 )
-                [(a, g, p, _)] = _simulate_range([cfg], 0, cfg.trials)
+                [(a, g, p, _)] = _simulate_range([[cfg]], 0, cfg.trials)
                 for trial in range(cfg.trials):
                     frame = simulate_frame(cfg, trial_rng(cfg.seed, trial))
                     assert frame.successes == a[trial]
@@ -248,7 +248,7 @@ class TestRunMonteCarlo:
 
     def test_trial_order_is_immaterial(self):
         cfg = make_cfg("sim.trials=40")
-        [(a, g, p, _)] = _simulate_range([cfg], 0, 40)
+        [(a, g, p, _)] = _simulate_range([[cfg]], 0, 40)
         for trial in (31, 7, 18):
             frame = simulate_frame(cfg, trial_rng(cfg.seed, trial))
             assert (frame.successes, frame.power_w) == (a[trial], p[trial])
@@ -306,14 +306,14 @@ class TestSscpSingleReplica:
 def masks_and_decoded(cfg):
     """Every trial's replica mask, composed from the pipeline's stages, and its
     decoded count from the pipeline itself."""
-    distances, angles, normals, [draws] = _batch_draws([cfg], trial_keys(cfg.seed, cfg.trials))
+    distances, angles, [(normals, draws)] = _batch_draws([cfg], trial_keys(cfg.seed, cfg.trials))
     gamma = channel.snr_matrix(
         cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles,
         channel.phase_shift_set(cfg.s),
     )
     quality = access.measure_quality(gamma, cfg.estimation_c, cfg.estimation_noise_std, normals)
     chosen = access.choose_slots(cfg.policy, quality, draws)
-    [(a, _g, _p, _traces)] = _simulate_range([cfg], 0, cfg.trials)
+    [(a, _g, _p, _traces)] = _simulate_range([[cfg]], 0, cfg.trials)
     assert np.array_equal(rx.peel_batch(chosen, gamma, cfg.radio.snr_threshold)[0], a)
     return chosen, a
 
@@ -388,37 +388,55 @@ class TestSweep:
 
 # (K, S) points of the group tests: S = 1 admits only the trained policies
 GROUP_POINTS = ((3, 1), (4, 2), (5, 3), (10, 20))
+# the axes whose cells draw the same device drops, each with values to sweep
+GROUP_AXES = {"S": (1, 2, 3, 7, 20), "rho_mtd": (0.005, 0.01, 0.04), "N": (4, 25, 100)}
+
+
+def axis_case(draw, s):
+    """An axis of GROUP_AXES, one to three of its values, and the least S along it."""
+    axis = draw(st.sampled_from(sorted(GROUP_AXES)))
+    values = draw(st.lists(st.sampled_from(GROUP_AXES[axis]), min_size=1, max_size=3, unique=True))
+    return axis, values, min(values) if axis == "S" else s
+
+
+def point_indices(kinds, values):
+    """A group's points over cells sorted by (policy, value): one per value, in value order."""
+    return [[value + kind * len(values) for kind in range(len(kinds))]
+            for value in range(len(values))]
 
 
 @st.composite
 def group_cases(draw):
-    """A group's flat overrides and its policy subset."""
+    """A group's flat overrides, its policy subset, its axis and the axis values."""
     k, s = draw(st.sampled_from(GROUP_POINTS))
-    kinds = access.POLICY_KINDS if s >= 2 else ("carp", "sscp")
+    axis, values, least = axis_case(draw, s)
+    kinds = access.POLICY_KINDS if least >= 2 else ("carp", "sscp")
     overrides = (
         f"sim.k={k}", f"sim.s={s}",
-        f"policy.sscp_s={draw(st.integers(1, min(s, 3)))}",
+        f"policy.sscp_s={draw(st.integers(1, min(least, 3)))}",
         f"estimation.noise_std={draw(st.sampled_from((0.0, 2.0)))}",
         f"sim.trials={draw(st.sampled_from((1, 255, 257, 300)))}",
         f"sim.workers={draw(st.sampled_from((1, 2)))}",
         f"sim.seed={draw(st.integers(0, 2**64))}",
     )
-    return overrides, draw(st.lists(st.sampled_from(kinds), min_size=1, unique=True))
+    return overrides, draw(st.lists(st.sampled_from(kinds), min_size=1, unique=True)), axis, values
 
 
 class TestCellGroups:
-    """A group of cells that differ only in policy equals its cells run one by one."""
+    """A group of cells that draw the same device drops equals its cells run one by one."""
 
     @given(group_cases())
     @example((("sim.k=10", "sim.s=20", "policy.sscp_s=3", "estimation.noise_std=2.0",
-               "sim.trials=257", "sim.workers=2", "sim.seed=1"), list(access.POLICY_KINDS)))
+               "sim.trials=257", "sim.workers=2", "sim.seed=1"), list(access.POLICY_KINDS),
+              "S", [3, 20]))
     @example((("sim.k=3", "sim.s=1", "policy.sscp_s=1", "estimation.noise_std=2.0",
-               "sim.trials=255", "sim.workers=1", "sim.seed=7"), ["carp", "sscp"]))
+               "sim.trials=255", "sim.workers=1", "sim.seed=7"), ["carp", "sscp"],
+              "rho_mtd", [0.005, 0.01]))
     @settings(max_examples=30, deadline=None)
     def test_group_equals_its_cells_alone(self, case):
-        overrides, kinds = case
-        cfgs = cell_configs(make_resolved(*overrides), kinds)
-        assert _groups(cfgs) == [list(range(len(cfgs)))]
+        overrides, kinds, axis, values = case
+        cfgs = cell_configs(make_resolved(*overrides), kinds, axis, values)
+        assert _groups(cfgs) == [point_indices(kinds, values)]
         grouped = run_groups(cfgs, keep_traces=True)
         for cfg, run in zip(cfgs, grouped):
             assert same_runs([run], run_groups([dataclasses.replace(cfg, workers=1)], True))
@@ -429,10 +447,10 @@ class TestCellGroups:
         assert policy_k(cfgs) == [
             ("carp", 2), ("carp", 5), ("crdsap", 2), ("crdsap", 5), ("sscp", 2), ("sscp", 5)
         ]
-        assert _groups(cfgs) == [[0, 2, 4], [1, 3, 5]]
+        assert _groups(cfgs) == [[[0, 2, 4]], [[1, 3, 5]]]
         seen = []
         runs = run_groups(cfgs, finished=lambda indices, seconds: seen.append(indices))
-        assert seen == _groups(cfgs)
+        assert seen == [[0, 2, 4], [1, 3, 5]]
         assert [agg for agg, _traces in runs] == [run_monte_carlo(cfg) for cfg in cfgs]
 
     def test_group_peels_once_per_batch(self, monkeypatch):
@@ -470,6 +488,59 @@ class TestCellGroups:
         assert same_runs(run_groups(cfgs, True), alone)
         assert calls == ["_streams", "measure_quality"]
 
+    @pytest.mark.parametrize("noise_std, reads", [(0.0, 1), (2.0, 6)])
+    def test_an_s_sweep_reads_each_trial_once(self, monkeypatch, noise_std, reads):
+        # an optimal-s cell list over S = 2..6 is one group: a batch re-keys each
+        # trial once for all 20 cells and decodes its words to unit doubles once,
+        # and each point still builds one grid and makes one peel; with noise,
+        # carp and sscp at each S take one more read for their normals
+        cfgs = cell_configs(make_resolved("sim.trials=200", "sim.k=6",
+                                          f"estimation.noise_std={noise_std}"),
+                            access.POLICY_KINDS, "S", range(2, 7))
+        assert _groups(cfgs) == [point_indices(access.POLICY_KINDS, range(2, 7))]
+        alone = [run_groups([cfg], True)[0] for cfg in cfgs]
+        streams, rekeys, redrawn, units, peels = engine._streams, [], [], [], []
+
+        def counted_streams(keys):
+            for rng in streams(keys):
+                rekeys.append(key_of(rng))
+                yield rng
+
+        def counted(calls, fn):
+            def call(*args):
+                calls.append(args)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(engine, "_streams", counted_streams)
+        monkeypatch.setattr(access, "crdsap_indices", counted(redrawn, access.crdsap_indices))
+        monkeypatch.setattr(channel, "unit_doubles", counted(units, channel.unit_doubles))
+        monkeypatch.setattr(rx, "peel_batch", counted(peels, rx.peel_batch))
+        assert same_runs(run_groups(cfgs, keep_traces=True), alone)
+        # a rejected crdsap row re-keys its trial once more (none at this seed)
+        assert len(rekeys) == reads * 200 + len(redrawn)
+        assert redrawn == []
+        # the placement's words, then each read's words after it
+        assert len(units) == 1 + reads
+        assert [chosen.shape for chosen, *_ in peels] == [(4, 200, 6, s) for s in range(2, 7)]
+
+    def test_a_group_holds_a_bounded_number_of_results(self, monkeypatch):
+        # a group holds its members' per-trial results until its last job: past
+        # _RESULTS member-trials its consecutive points are cut into groups of
+        # their own, and every cell still equals its run alone
+        cfgs = cell_configs(make_resolved("sim.trials=50", "sim.k=6"), ["carp", "crdsap"], "S",
+                            range(2, 7))
+        alone = [run_groups([cfg], True)[0] for cfg in cfgs]
+        monkeypatch.setattr(engine, "_RESULTS", 2 * 2 * 50)
+        assert _groups(cfgs) == [[[0, 5], [1, 6]], [[2, 7], [3, 8]], [[4, 9]]]
+        seen = []
+        runs = run_groups(cfgs, True, lambda indices, _seconds: seen.append(indices))
+        assert same_runs(runs, alone)
+        assert seen == [[0, 1, 5, 6], [2, 3, 7, 8], [4, 9]]
+        # a point is never cut: each is a group of its own below one point's results
+        monkeypatch.setattr(engine, "_RESULTS", 1)
+        assert _groups(cfgs) == [[[s, s + 5]] for s in range(5)]
+
     def test_group_redraws_a_rejected_crdsap_row(self, monkeypatch):
         # flag every fifth crdsap row as a Lemire rejection: numpy's own redraw
         # from a fresh stream of the row's key must give back the same draws
@@ -479,8 +550,8 @@ class TestCellGroups:
         decode, indices = access.decode_draws, access.crdsap_indices
         redrawn = []
 
-        def forced(policy, words, k, s):
-            draws, rejected = decode(policy, words, k, s)
+        def forced(policy, words, units, k, s):
+            draws, rejected = decode(policy, words, units, k, s)
             if policy.kind == "crdsap":
                 rejected = rejected.copy()
                 rejected[::5] = True
@@ -501,8 +572,8 @@ def forced_rejections(every: int = 3):
     rejection, so those rows are drawn again from fresh streams of their keys."""
     decode = access.decode_draws
 
-    def forced(policy, words, k, s):
-        draws, rejected = decode(policy, words, k, s)
+    def forced(policy, words, units, k, s):
+        draws, rejected = decode(policy, words, units, k, s)
         if policy.kind == "crdsap":
             rejected = rejected.copy()
             rejected[::every] = True
@@ -517,22 +588,23 @@ JOB_POINTS = ((3, 1), (4, 2), (10, 5), (10, 20), (20, 20))
 
 @st.composite
 def job_cases(draw):
-    """A two-group command's flat overrides and policies, the trials per job, the worker
-    count, a shuffler of the job list and whether crdsap rows are forced to redraw."""
+    """A group's flat overrides, policies, axis and axis values, the trials per job, the
+    worker count, a shuffler of the job list and whether crdsap rows are forced to redraw."""
     k, s = draw(st.sampled_from(JOB_POINTS))
-    kinds = access.POLICY_KINDS if s >= 2 else ("carp", "sscp")
+    axis, values, least = axis_case(draw, s)
+    kinds = access.POLICY_KINDS if least >= 2 else ("carp", "sscp")
     size = draw(st.sampled_from((1, 7, 64, 256)))
     # on, just before or just after a job boundary
     trials = max(1, size * draw(st.integers(1, 2)) + draw(st.integers(-1, 1)))
     overrides = (
         f"sim.k={k}", f"sim.s={s}",
-        f"policy.sscp_s={draw(st.integers(1, min(s, 3)))}",
+        f"policy.sscp_s={draw(st.integers(1, min(least, 3)))}",
         f"estimation.noise_std={draw(st.sampled_from((0.0, 2.0)))}",
         f"sim.trials={trials}",
         f"sim.seed={draw(st.integers(0, 2**64))}",
     )
     kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, unique=True))
-    return (overrides, kinds, size, draw(st.sampled_from((1, 2))),
+    return (overrides, kinds, axis, values, size, draw(st.sampled_from((1, 2))),
             draw(st.randoms(use_true_random=False)), draw(st.booleans()))
 
 
@@ -542,13 +614,19 @@ class TestJobs:
 
     @given(job_cases())
     @example((("sim.k=10", "sim.s=5", "policy.sscp_s=2", "estimation.noise_std=2.0",
-               "sim.trials=129", "sim.seed=1"), list(access.POLICY_KINDS), 64, 2, random.Random(3),
-              True))
+               "sim.trials=129", "sim.seed=1"), list(access.POLICY_KINDS), "S", [2, 5], 64, 2,
+              random.Random(3), True))
     @settings(max_examples=30, deadline=None)
     def test_outputs_do_not_depend_on_the_jobs(self, case):
-        overrides, kinds, size, workers, order, force = case
-        cfgs = cell_configs(make_resolved(*overrides), kinds, "rho_mtd", [0.01, 0.02])
-        k, s = cfgs[0].k, cfgs[0].s
+        overrides, kinds, axis, values, size, workers, order, force = case
+        # two groups: the axis's cells at two seeds
+        resolved = make_resolved(*overrides)
+        cfgs = [cfg for seed in (resolved["sim.seed"], resolved["sim.seed"] + 1)
+                for cfg in cell_configs({**resolved, "sim.seed": seed}, kinds, axis, values)]
+        cells, points = len(cfgs) // 2, point_indices(kinds, values)
+        assert _groups(cfgs) == [points, [[cells + i for i in point] for point in points]]
+        # a job's trials are sized by the group's largest S
+        k, s = cfgs[0].k, max(cfg.s for cfg in cfgs)
         reference = run_groups([dataclasses.replace(cfg, workers=1) for cfg in cfgs], True)
         results, seen = engine._results, []
 
@@ -566,12 +644,12 @@ class TestJobs:
                               lambda indices, _seconds: seen.append(indices))
         assert same_runs(runs, reference)
         # once per group, in group order, whatever order the jobs ran in
-        assert seen == _groups(cfgs)
+        assert seen == [list(range(cells)), list(range(cells, 2 * cells))]
 
     def test_jobs_are_sized_by_grid_entries(self):
         def sizes(*overrides):
             cfg = make_cfg(*overrides)
-            return [hi - lo for _index, lo, hi in engine._jobs([[cfg]], cfg.workers)]
+            return [hi - lo for _index, lo, hi in engine._jobs([[[cfg]]], cfg.workers)]
 
         assert sizes("sim.k=20", "sim.s=20", "sim.trials=600") == [256, 256, 88]
         assert sizes("sim.k=10", "sim.s=20", "sim.trials=600") == [512, 88]
@@ -581,8 +659,11 @@ class TestJobs:
         assert sizes("sim.k=10", "sim.s=5", "sim.trials=2001", "sim.workers=2") == [1001, 1000]
         assert sizes("sim.k=20", "sim.s=20", "sim.trials=600", "sim.workers=2") == [256, 256, 88]
         # in group and trial order, the order run_groups joins their results in
-        groups = [[make_cfg("sim.trials=600")], [make_cfg("sim.k=20", "sim.trials=300")]]
+        groups = [[[make_cfg("sim.trials=600")]], [[make_cfg("sim.k=20", "sim.trials=300")]]]
         assert engine._jobs(groups, 1) == [(0, 0, 512), (0, 512, 600), (1, 0, 256), (1, 256, 300)]
+        # a group's ranges are sized by its largest S: S = 5 alone would take 2048 trials
+        s_sweep = [[make_cfg(f"sim.s={s}", "sim.trials=600")] for s in (5, 20)]
+        assert engine._jobs([s_sweep], 1) == [(0, 0, 512), (0, 512, 600)]
 
     def test_a_redraw_restarts_its_own_trial(self, monkeypatch):
         # a flagged row of a later job is drawn again from its own trial's stream,
@@ -702,7 +783,7 @@ def batch_runs(cfgs, trials):
         return out
 
     with mock.patch.object(channel, "array_factor_power", counted):
-        runs = _simulate_batch(cfgs, trial_keys(cfgs[0].seed, trials), True)
+        runs = list(_simulate_batch([cfgs], trial_keys(cfgs[0].seed, trials), True))
     return runs, sum(sizes)
 
 

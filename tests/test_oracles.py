@@ -10,7 +10,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from risra import access, receiver
+from risra import access, channel, receiver
 from risra.config import parse_config
 from risra.engine import Z95, run_monte_carlo
 from oracles import (
@@ -145,7 +145,7 @@ def test_decoded_draws_match_the_fixed_grid_oracle(grid, kind):
     policy = access.Policy(kind, sscp_s)
     words = np.random.default_rng(2024).bit_generator.random_raw(
         (GRID_FRAMES, access.policy_words(policy, k, s)))
-    draws, rejected = access.decode_draws(policy, words, k, s)
+    draws, rejected = access.decode_draws(policy, words, channel.unit_doubles(words), k, s)
     gamma = np.broadcast_to(np.array(snr), (GRID_FRAMES, k, s))
     chosen = access.choose_slots(policy, gamma, draws)
     decoded = receiver.peel_batch(chosen, gamma, 1.0)[0][~rejected]
