@@ -36,7 +36,7 @@ import numpy as np
 HALF_PI = math.pi / 2
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class RisGeometry:
     """Reflecting surface: element counts along x and z, element size, carrier wavelength."""
 
@@ -63,7 +63,7 @@ class RisGeometry:
         return 2 * math.pi / self.wavelength_m
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class NodePlacement:
     """The AP's distance from the surface center plus its linear antenna power gain."""
 
@@ -77,7 +77,7 @@ class NodePlacement:
             raise ValueError("antenna_gain must be positive (linear ratio)")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class RadioParams:
     """MTD transmit power, receiver noise power and the SIC decoding SNR threshold (all linear)."""
 

@@ -164,8 +164,8 @@ def _run_cells(cfgs, verbose: bool, keep_traces: bool = False):
     its trials, its wall time since the group before it finished, and
     policy-frames per second. With verbose, one stderr line per finished
     cell gives cells done of all, seconds since the first group started and
-    frames per second so far, counting the frames of the finished cells; a
-    group's cells finish together, so they share a time.
+    frames per second so far, counting the frames of the finished groups; a
+    group's cells finish together, so they share a time and a rate.
     """
     faults = _minor_faults()
     start = time.perf_counter()
@@ -184,9 +184,9 @@ def _run_cells(cfgs, verbose: bool, keep_traces: bool = False):
             "policy_frames_per_s": len(members) * trials / seconds,
         })
         elapsed = time.perf_counter() - start
-        for cfg in members:
+        frames += len(members) * trials
+        for _cfg in members:
             done += 1
-            frames += cfg.trials
             if verbose:
                 print(f"point {done}/{len(cfgs)} {elapsed:.2f} s {frames / elapsed:.0f} frames/s",
                       file=sys.stderr)
@@ -284,9 +284,12 @@ def replay_manifest(manifest_path: str | Path, out: str | Path) -> Path:
     """Re-run the command recorded in a manifest, writing the CSV to `out`.
 
     The resolved config stored in the manifest fully determines the result, so
-    the regenerated CSV is byte-identical to the original. Keys this version
-    removed (config.REMOVED_KEYS) are skipped; no output read them. The
-    manifest's `stats` are timings of the recorded run and are not read.
+    the regenerated CSV is byte-identical to the original. A key this version
+    removed (config.REMOVED_KEYS) is dropped when it holds the value at which
+    the recorded run gave this version's outputs, or at any value when no
+    output read it; any other value raises ValueError naming the key, since
+    no run of this version reproduces that manifest. The manifest's `stats`
+    are timings of the recorded run and are not read.
     """
     manifest = json.loads(Path(manifest_path).read_text())
     resolved = manifest["config"]
@@ -294,6 +297,9 @@ def replay_manifest(manifest_path: str | Path, out: str | Path) -> Path:
     for key, value in resolved.items():
         if key not in REMOVED_KEYS:
             argv += ["--set", f"{key}={value}"]
+        elif REMOVED_KEYS[key] is not None and value != REMOVED_KEYS[key]:
+            raise ValueError(f"manifest sets removed config key {key!r} to {value!r}; this "
+                             f"version runs only as {key}={REMOVED_KEYS[key]!r} did")
     if manifest["command"] == "sweep":
         argv += ["--axis", manifest["axis"], "--values", ",".join(str(v) for v in manifest["values"])]
     elif manifest["command"] == "optimal-s":

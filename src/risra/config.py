@@ -29,7 +29,7 @@ from .channel import (
 )
 from .power_metrics import FrameTiming, PowerParams, ap_power, ris_power
 
-# key -> (python type, default). Booleans parse from true/false.
+# key -> (python type, default)
 CONFIG_SCHEMA: dict[str, tuple[type, Any]] = {
     "ris.n_x": (int, 10),
     "ris.n_z": (int, 10),
@@ -56,7 +56,6 @@ CONFIG_SCHEMA: dict[str, tuple[type, Any]] = {
     "power.mtd_xi": (float, 1.2),
     "power.mtd_static_w": (float, 0.04),
     "power.phase_shifter_mw": (float, 1.5),
-    "power.always_charge_training": (bool, False),
     "timing.t_as_s": (float, 1.0),
     "timing.r": (float, 0.2),
     "sim.k": (int, 10),
@@ -66,8 +65,10 @@ CONFIG_SCHEMA: dict[str, tuple[type, Any]] = {
     "sim.workers": (int, 1),
 }
 
-# keys of earlier versions that no output read; a manifest replay drops them
-REMOVED_KEYS = frozenset({"ap.angle_rad"})
+# keys of earlier versions -> the value at which their outputs equal this
+# version's, None where no output read the key: a manifest replay drops a
+# removed key at that value and refuses any other (cli.replay_manifest)
+REMOVED_KEYS: dict[str, Any] = {"ap.angle_rad": None, "power.always_charge_training": False}
 
 # sweep axis -> the flat keys one axis value sets
 SWEEP_AXES: dict[str, tuple[str, ...]] = {
@@ -78,7 +79,7 @@ SWEEP_AXES: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class ScenarioConfig:
     """Everything one Monte Carlo run needs; validated on construction."""
 
@@ -99,7 +100,6 @@ class ScenarioConfig:
     trials: int
     seed: int
     workers: int
-    always_charge_training: bool
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -132,22 +132,11 @@ class ScenarioConfig:
     def s(self) -> int:
         return self.timing.slots
 
-    @property
-    def training_used(self) -> bool:
-        return self.policy.requires_training or self.always_charge_training
-
 
 def _parse_value(key: str, raw: Any) -> Any:
     kind, _default = CONFIG_SCHEMA[key]
     if isinstance(raw, kind) and not (kind is int and isinstance(raw, bool)):
         value = raw
-    elif kind is bool:
-        text = str(raw).strip().lower()
-        if text in ("true", "1", "yes"):
-            return True
-        if text in ("false", "0", "no"):
-            return False
-        raise ValueError(f"config key {key!r} expects true/false, got {text!r}")
     else:
         text = str(raw).strip()
         try:
@@ -252,7 +241,6 @@ def build_config(resolved: dict[str, Any]) -> ScenarioConfig:
         trials=resolved["sim.trials"],
         seed=resolved["sim.seed"],
         workers=resolved["sim.workers"],
-        always_charge_training=resolved["power.always_charge_training"],
     )
     _check_overflow(cfg)
     return cfg

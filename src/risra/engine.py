@@ -343,15 +343,8 @@ def _simulate_batch(points: list[list[ScenarioConfig]], keys: np.ndarray, keep_t
         for member, a, counts, member_trace in zip(
             point, decoded.astype(float), chosen.sum(axis=-1), np.split(trace, cuts)
         ):
-            p, g = power_metrics.frame_metrics(
-                member.power,
-                member.timing,
-                member.ris.n_elements,
-                counts,
-                a,
-                power_training_used=member.training_used,
-                frame_training_used=member.policy.requires_training,
-            )
+            p, g = power_metrics.frame_metrics(member.power, member.timing, member.ris.n_elements,
+                                               counts, a, member.policy.requires_training)
             yield a, g, p, counts, member_trace
 
 
@@ -414,11 +407,11 @@ def _groups(cfgs: list[ScenarioConfig]) -> list[list[list[int]]]:
     a point the cells of a group that differ only in their policy. Consecutive
     points form one group while they hold at most _RESULTS member-trials.
     """
-    drops: dict[tuple, dict[str, list[int]]] = {}
+    drops: dict[tuple, dict[tuple, list[int]]] = {}
     for index, cfg in enumerate(cfgs):
         point = tuple(getattr(cfg, f.name) for f in fields(cfg) if f.name != "policy")
         key = tuple(getattr(cfg, name) for name in _DROPS)
-        drops.setdefault(key, {}).setdefault(repr(point), []).append(index)
+        drops.setdefault(key, {}).setdefault(point, []).append(index)
     groups = []
     for points in drops.values():
         held = _RESULTS  # the first point starts a group

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class PowerParams:
     """Hardware power model: PA inverse efficiencies, transmit and static powers."""
 
@@ -42,7 +42,7 @@ class PowerParams:
                 raise ValueError("powers must be strictly positive")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class FrameTiming:
     """Slot count, access-slot duration and training/access slot duration ratio."""
 
@@ -87,24 +87,22 @@ def frame_metrics(
     n_elements: int,
     replica_counts: np.ndarray,
     successes: np.ndarray,
-    power_training_used: bool,
-    frame_training_used: bool,
+    training_used: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frame power and throughput, batched over the leading axes.
 
     `replica_counts` has shape (..., k), one entry per contending device, and
     `successes` shape (...). Returns (power_w, throughput_pps) of shape (...).
-    The two flags usually coincide but are separate knobs: power_training_used
-    says whether the AP's training transmissions are charged, while
-    frame_training_used says whether the frame duration includes the training
-    block (it never does for policies that skip training).
+    training_used says whether the frame runs the training block: if it does,
+    the AP's training transmissions are charged and the block lengthens the
+    frame; if not, neither.
     """
     counts = np.asarray(replica_counts)
     if np.any(counts < 1):
         raise ValueError("every contending device sends at least one replica")
-    p_ap = ap_power(params, timing.slots, power_training_used)
+    p_ap = ap_power(params, timing.slots, training_used)
     p_ris = ris_power(n_elements, params.phase_shifter_w)
     p_mtd = (counts * (params.mtd_pa_inverse_eff * params.mtd_tx_power_w)).sum(
         axis=-1
     ) + counts.shape[-1] * params.mtd_static_w
-    return p_ap + p_ris + p_mtd, throughput(successes, timing, frame_training_used)
+    return p_ap + p_ris + p_mtd, throughput(successes, timing, training_used)

@@ -190,7 +190,7 @@ def test_c7_power_spot_values():
     ap_ok = ap_value == pytest.approx(2.4 + STATIC_9_DBW, rel=1e-6)
     # one device's share of the frame power: P(one device, 2 replicas) - P(no devices)
     with_device, without = (
-        pm.frame_metrics(params, timing, 100, np.array(counts, dtype=int), 0, True, True)[0]
+        pm.frame_metrics(params, timing, 100, np.array(counts, dtype=int), 0, True)[0]
         for counts in ([2], [])
     )
     mtd_ok = with_device - without == pytest.approx(0.064, rel=1e-12)

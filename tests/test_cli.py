@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -67,7 +68,6 @@ class TestParseConfig:
         assert cfg.power.ap_static_w == pytest.approx(STATIC_9_DBW, rel=1e-12)
         assert cfg.power.mtd_static_w == 0.04
         assert cfg.power.phase_shifter_w == pytest.approx(0.0015, rel=1e-12)
-        assert not cfg.always_charge_training
         assert (cfg.timing.access_slot_s, cfg.timing.training_ratio) == (1.0, 0.2)
         assert (cfg.trials, cfg.seed, cfg.workers) == (1000, 1, 1)
         assert set(resolved) == set(CONFIG_SCHEMA)
@@ -96,8 +96,17 @@ class TestParseConfig:
     def test_type_errors_are_reported(self):
         with pytest.raises(ValueError, match="expects int"):
             parse_config(None, ["sim.k=ten"])
-        with pytest.raises(ValueError, match="true/false"):
-            parse_config(None, ["power.always_charge_training=maybe"])
+
+    def test_config_is_frozen(self):
+        # cells are grouped by the value of their fields (engine._groups), so no
+        # field of a config can change after it is built
+        cfg, _ = parse_config(None, [])
+        for part in (cfg, cfg.ris, cfg.ap, cfg.radio, cfg.policy, cfg.power, cfg.timing):
+            for field in dataclasses.fields(part):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(part, field.name, getattr(part, field.name))
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg and hash(copy) == hash(cfg)
 
     def test_file_then_overrides(self, tmp_path):
         path = tmp_path / "scenario.cfg"
@@ -316,6 +325,32 @@ class TestRunCommand:
         cli.replay_manifest(old, replayed)
         assert replayed.read_bytes() == out.read_bytes()
 
+    def test_removed_training_charge_key(self, tmp_path, capsys):
+        # a policy's own training decides both its AP power and its frame
+        # length: --set rejects the key that split them, a manifest written with
+        # it false replays to the same bytes, and one with it true cannot
+        out = tmp_path / "run.csv"
+        assert run_cli("run", "--out", str(out), "--set", "power.always_charge_training=false") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown config key 'power.always_charge_training'"
+        ]
+        assert not out.exists()
+        argv = ["--trials", "15", "--set", "sim.k=3", "--policies", "carp,crdsap"]
+        assert run_cli("run", "--out", str(out), *argv) == 0
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        for value in (False, True):
+            manifest["config"]["power.always_charge_training"] = value
+            old = tmp_path / f"old_{value}.manifest.json"
+            old.write_text(json.dumps(manifest))
+            replayed = tmp_path / f"replayed_{value}.csv"
+            if value:
+                with pytest.raises(ValueError, match=re.escape("'power.always_charge_training'")):
+                    cli.replay_manifest(old, replayed)
+                assert not replayed.exists()
+            else:
+                cli.replay_manifest(old, replayed)
+                assert replayed.read_bytes() == out.read_bytes()
+
     def test_verbose_reports_progress_per_policy(self, tmp_path, capsys):
         argv = ["run", "--out", str(tmp_path / "run.csv"), "--trials", "3",
                 "--policies", "crdsap,carp"]
@@ -349,19 +384,21 @@ class TestRunCommand:
         assert run_cli(*argv, "--out", str(out), "--trials", "3", "--verbose") == 0
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == cells
-        elapsed = []
+        elapsed, rates = [], []
         for done, line in enumerate(lines, start=1):
-            match = re.fullmatch(rf"point {done}/{cells} (\d+\.\d\d) s \d+ frames/s", line)
+            match = re.fullmatch(rf"point {done}/{cells} (\d+\.\d\d) s (\d+) frames/s", line)
             assert match, line
             elapsed.append(float(match[1]))
+            rates.append(match[2])
         assert elapsed == sorted(elapsed)
         stats = json.loads(Path(f"{out}.manifest.json").read_text())["stats"]
         assert [group["cells"] for group in stats["groups"]] == groups
         assert all(group["trials"] == 3 for group in stats["groups"])
-        # a group's cells finish together
+        # a group's cells finish together, so their lines count the same frames
         starts = itertools.accumulate((len(group) for group in groups), initial=0)
         for first, group in zip(starts, groups):
             assert len(set(elapsed[first:first + len(group)])) == 1
+            assert len(set(rates[first:first + len(group)])) == 1
         plain = tmp_path / "plain.csv"
         assert run_cli(*argv, "--out", str(plain), "--trials", "3") == 0
         assert out.read_bytes() == plain.read_bytes()

@@ -30,7 +30,7 @@ def timing(slots=20, r=0.2, t_as=1.0):
 def frame_power(counts, params=None):
     """Power of one trained frame on a 100-element surface with these replica counts."""
     power, _g = pm.frame_metrics(
-        params or table_params(), timing(), 100, np.array(counts, dtype=int), 0, True, True
+        params or table_params(), timing(), 100, np.array(counts, dtype=int), 0, True
     )
     return float(power)
 
@@ -139,7 +139,7 @@ class TestFrameMetrics:
         t = timing()
         counts = np.array([[2, 1, 3, 2], [1, 1, 1, 4]])
         successes = np.array([3, 0])
-        power, g = pm.frame_metrics(params, t, 100, counts, successes, True, True)
+        power, g = pm.frame_metrics(params, t, 100, counts, successes, True)
         for row, a, p_frame, g_frame in zip(counts, successes, power, g):
             expected = pm.ap_power(params, 20, True) + pm.ris_power(100, 0.0015) + sum(
                 int(c) * 1.2 * 0.01 + 0.04 for c in row
@@ -150,15 +150,17 @@ class TestFrameMetrics:
                 g_frame, rel=1e-12
             )
 
-    def test_power_only_training_charge(self):
-        # charging the training block affects power but never the frame length
+    def test_training_charges_power_and_lengthens_the_frame(self):
+        # one flag: a frame that runs the training block pays the AP's training
+        # transmissions and the block's time; a frame without it pays neither
         params = table_params()
         t = timing()
         counts = np.array([2, 2])
-        p_charged, g_charged = pm.frame_metrics(params, t, 100, counts, 2, True, False)
-        p_uncharged, g_uncharged = pm.frame_metrics(params, t, 100, counts, 2, False, False)
-        assert g_charged == g_uncharged
-        assert p_charged - p_uncharged == pytest.approx(2.4, rel=1e-9)
+        p_trained, g_trained = pm.frame_metrics(params, t, 100, counts, 2, True)
+        p_untrained, g_untrained = pm.frame_metrics(params, t, 100, counts, 2, False)
+        assert p_trained - p_untrained == pytest.approx(2.4, rel=1e-9)
+        assert g_trained == pm.throughput(2, t, True)
+        assert g_untrained == pm.throughput(2, t, False)
 
     @given(
         st.integers(1, 40),
@@ -168,7 +170,7 @@ class TestFrameMetrics:
     def test_throughput_bound_and_ee_identity(self, slots, successes, r):
         params = table_params()
         t = timing(slots=slots, r=r)
-        power, g = pm.frame_metrics(params, t, 64, np.full(12, 2), successes, True, True)
+        power, g = pm.frame_metrics(params, t, 64, np.full(12, 2), successes, True)
         bound = 12 / ((1.0 + r) * slots * 1.0)
         assert g <= bound + 1e-15
         assert energy_efficiency(g, power) * power == pytest.approx(g, rel=1e-12)
