@@ -88,11 +88,8 @@ def carp_probabilities(quality: np.ndarray) -> np.ndarray:
 def carp_slots(quality: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One Bernoulli trial per slot (uniforms `u`); empty rows fall back to the best slot."""
     chosen = u < carp_probabilities(quality)
-    empty = ~chosen.any(axis=-1)
-    if empty.any():
-        best = np.argmax(quality, axis=-1)
-        rows = np.nonzero(empty)
-        chosen[(*rows, best[rows])] = True
+    rows = np.nonzero(~chosen.any(axis=-1))
+    chosen[(*rows, np.argmax(quality[rows], axis=-1))] = True
     return chosen
 
 

@@ -373,8 +373,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (OSError, MemoryError) as err:  # numpy's ArrayMemoryError is a MemoryError
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

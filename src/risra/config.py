@@ -13,6 +13,7 @@ threshold, 20 slots, 10 contending devices.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
@@ -214,7 +215,6 @@ def build_config(resolved: dict[str, Any]) -> ScenarioConfig:
         ap_tx_power_w=resolved["power.ap_tx_power_w"],
         ap_static_w=dbw_to_watts(resolved["power.ap_static_dbw"]),
         mtd_pa_inverse_eff=resolved["power.mtd_xi"],
-        mtd_tx_power_w=resolved["radio.mtd_tx_power_w"],
         mtd_static_w=resolved["power.mtd_static_w"],
         phase_shifter_w=resolved["power.phase_shifter_mw"] * 1e-3,
     )
@@ -252,8 +252,8 @@ _NORMAL_MAX = 3.6541528853610088 - math.log(2.0**-53) / 3.6541528853610088
 
 
 def _check_overflow(cfg: ScenarioConfig) -> None:
-    """Reject a config whose largest possible SNR, quality, frame power, throughput or
-    efficiency overflows.
+    """Reject a config with a count beyond a float, or whose largest possible SNR,
+    quality, frame power, throughput or efficiency overflows.
 
     The largest SNR puts a device at d_min and angle_min in a slot where the
     array factor peaks, (n_x n_z)^2. The largest measured quality adds the
@@ -266,21 +266,24 @@ def _check_overflow(cfg: ScenarioConfig) -> None:
     over the least frame power (no training, one replica per device).
     """
     ris, power = cfg.ris, cfg.power
+    for key, value in (("ris.n_x", ris.n_x), ("ris.n_z", ris.n_z), ("sim.s", cfg.s), ("sim.k", cfg.k)):
+        if value > sys.float_info.max:
+            raise ValueError(f"config key {key!r} exceeds the largest float, {sys.float_info.max:.6g}")
     reach = ris.d_x_m * ris.d_z_m / (cfg.ap.distance_m * cfg.mtd_d_min_m)
-    elements = float(ris.n_elements)
+    elements = float(ris.n_x) * ris.n_z  # inf past a float, which the SNR check refuses
     # in the order channel.snr_matrix multiplies: (P/N0 · β) · |AF|²
     beta = cfg.ap.antenna_gain * cfg.mtd_gain / (4 * math.pi) ** 2 * reach * reach
     beta *= math.cos(cfg.mtd_angle_min_rad) ** 2
     snr = cfg.radio.mtd_tx_power_w / cfg.radio.noise_power_w * beta * (elements * elements)
     if not math.isfinite(snr):
-        raise ValueError("the largest possible SNR overflows a float: lower "
-                         "radio.mtd_tx_power_w or raise a distance or the noise power")
+        raise ValueError("the largest possible SNR overflows a float: lower radio.mtd_tx_power_w "
+                         "or ris.n_x * ris.n_z, or raise a distance or the noise power")
     quality = cfg.estimation_c * snr + cfg.estimation_noise_std * _NORMAL_MAX
     if not math.isfinite(cfg.s * quality):
         raise ValueError("the largest possible measured quality, summed over the slots, overflows "
                          "a float: lower estimation.c or estimation.noise_std")
     surface_w = ris_power(ris.n_elements, power.phase_shifter_w)
-    replica_w = power.mtd_pa_inverse_eff * power.mtd_tx_power_w
+    replica_w = power.mtd_pa_inverse_eff * cfg.radio.mtd_tx_power_w
     frame_w = ap_power(power, cfg.s, True) + surface_w + cfg.k * (cfg.s * replica_w + power.mtd_static_w)
     pps = cfg.k / (cfg.s * cfg.timing.access_slot_s)
     ee = pps / (power.ap_static_w + surface_w + cfg.k * (replica_w + power.mtd_static_w))
@@ -321,7 +324,8 @@ def _axis_items(axis: str, value: Any) -> dict[str, Any]:
 def cell_configs(
     resolved: dict[str, Any], kinds: Iterable[str], axis: str | None = None, values: Iterable = ()
 ) -> list[ScenarioConfig]:
-    """Every (policy, axis value) cell's config, each built from `resolved`.
+    """Every (policy, axis value) cell's config, each built from the resolved mapping
+    `resolved` with only the keys it sets, policy.kind and the axis keys, parsed.
 
     Cells are sorted by (policy, value) with duplicates dropped; without an
     axis there is one cell per policy. Every cell is built and validated
@@ -330,11 +334,9 @@ def cell_configs(
     if axis is not None and axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {', '.join(SWEEP_AXES)}, got {axis!r}")
     items = [{}] if axis is None else [_axis_items(axis, v) for v in sorted(set(values))]
-    cfgs = [
-        build_config(resolve_config({**resolved, "policy.kind": kind, **item}))
-        for kind in sorted(set(kinds))
-        for item in items
-    ]
+    cells = ({"policy.kind": kind, **item} for kind in sorted(set(kinds)) for item in items)
+    cfgs = [build_config({**resolved, **{key: _parse_value(key, value) for key, value in cell.items()}})
+            for cell in cells]
     if not cfgs:
         raise ValueError("a run needs at least one policy and one axis value")
     return cfgs

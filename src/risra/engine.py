@@ -334,8 +334,6 @@ def _simulate_batch(points: list[list[ScenarioConfig]], keys: np.ndarray, keep_t
         # one peel for the stacked members: they differ only in policy, so they
         # share the threshold as well as the grid
         decoded, trace = receiver.peel_batch(chosen, gamma, cfg.radio.snr_threshold, keep_traces)
-        if trace is None:
-            trace = np.zeros((0, 4), np.int64)
         # frames run in C order over (member, trial): cut at each member's first frame
         batch = len(gamma)
         cuts = np.searchsorted(trace[:, 0], batch * np.arange(1, len(point)))
@@ -344,7 +342,8 @@ def _simulate_batch(points: list[list[ScenarioConfig]], keys: np.ndarray, keep_t
             point, decoded.astype(float), chosen.sum(axis=-1), np.split(trace, cuts)
         ):
             p, g = power_metrics.frame_metrics(member.power, member.timing, member.ris.n_elements,
-                                               counts, a, member.policy.requires_training)
+                                               member.radio.mtd_tx_power_w, counts, a,
+                                               member.policy.requires_training)
             yield a, g, p, counts, member_trace
 
 

@@ -18,26 +18,19 @@ import numpy as np
 
 @dataclass(slots=True, frozen=True)
 class PowerParams:
-    """Hardware power model: PA inverse efficiencies, transmit and static powers."""
+    """Hardware power model: PA inverse efficiencies, the AP's transmit power, static powers."""
 
     ap_pa_inverse_eff: float
     ap_tx_power_w: float
     ap_static_w: float
     mtd_pa_inverse_eff: float
-    mtd_tx_power_w: float
     mtd_static_w: float
     phase_shifter_w: float
 
     def __post_init__(self) -> None:
         if self.ap_pa_inverse_eff <= 1 or self.mtd_pa_inverse_eff <= 1:
             raise ValueError("PA inverse efficiencies must exceed 1")
-        for value in (
-            self.ap_tx_power_w,
-            self.ap_static_w,
-            self.mtd_tx_power_w,
-            self.mtd_static_w,
-            self.phase_shifter_w,
-        ):
+        for value in (self.ap_tx_power_w, self.ap_static_w, self.mtd_static_w, self.phase_shifter_w):
             if value <= 0:
                 raise ValueError("powers must be strictly positive")
 
@@ -85,14 +78,17 @@ def frame_metrics(
     params: PowerParams,
     timing: FrameTiming,
     n_elements: int,
+    mtd_tx_power_w: float,
     replica_counts: np.ndarray,
     successes: np.ndarray,
     training_used: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frame power and throughput, batched over the leading axes.
 
-    `replica_counts` has shape (..., k), one entry per contending device, and
-    `successes` shape (...). Returns (power_w, throughput_pps) of shape (...).
+    `replica_counts` has shape (..., k), one entry per contending device, each
+    replica sent at `mtd_tx_power_w`, the power that sets the devices' SNR
+    (RadioParams), and `successes` shape (...). Returns (power_w,
+    throughput_pps) of shape (...).
     training_used says whether the frame runs the training block: if it does,
     the AP's training transmissions are charged and the block lengthens the
     frame; if not, neither.
@@ -102,7 +98,6 @@ def frame_metrics(
         raise ValueError("every contending device sends at least one replica")
     p_ap = ap_power(params, timing.slots, training_used)
     p_ris = ris_power(n_elements, params.phase_shifter_w)
-    p_mtd = (counts * (params.mtd_pa_inverse_eff * params.mtd_tx_power_w)).sum(
-        axis=-1
-    ) + counts.shape[-1] * params.mtd_static_w
+    replica_w = params.mtd_pa_inverse_eff * mtd_tx_power_w
+    p_mtd = (counts * replica_w).sum(axis=-1) + counts.shape[-1] * params.mtd_static_w
     return p_ap + p_ris + p_mtd, throughput(successes, timing, training_used)

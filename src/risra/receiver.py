@@ -88,7 +88,7 @@ def _devices(bits: np.ndarray) -> np.ndarray:
 
 def peel_batch(
     chosen: np.ndarray, snr_values: np.ndarray, threshold: float, keep_traces: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Peel boolean (..., k, s) replica masks until a pass decodes nothing.
 
     Every leading index of `chosen` is one frame; the (..., k, s) SNR grid
@@ -99,10 +99,10 @@ def peel_batch(
     SNR at least `threshold`, and cancels its replicas from every slot. A
     frame stops after a pass that decodes nothing, at most one pass per
     device plus one. Returns the decoded-device count per frame, in the
-    leading shape, and, with keep_traces, the decode events as one (n, 4)
-    integer array of (frame, pass, slot, device) rows, frames numbered in C
-    order of the leading axes and passes from 1, stably sorted by frame so
-    each frame's events keep their decode order (else None).
+    leading shape, and the decode events as one (n, 4) integer array of
+    (frame, pass, slot, device) rows, frames numbered in C order of the
+    leading axes and passes from 1, stably sorted by frame so each frame's
+    events keep their decode order; without keep_traces it has no rows.
     """
     k, slots = chosen.shape[-2:]
     dtype, words = mask_words(k)
@@ -134,9 +134,7 @@ def peel_batch(
         if more.size < frames.size:
             frames, masks = frames[more], masks.take(more, axis=1)
     counts = _POPCOUNT[found.view(np.uint8)].sum(axis=-1).reshape(good.shape[:-2])
-    if not keep_traces:
-        return counts, None
-    if not events:
+    if not events:  # always so without keep_traces
         return counts, np.zeros((0, 4), np.int64)
     frames, passes, starts, bits = zip(*events)
     sizes = [len(rows) for rows in frames]

@@ -183,14 +183,14 @@ def test_c6_closed_form_single_device_throughput():
 
 
 def test_c7_power_spot_values():
-    params = pm.PowerParams(1.2, 0.1, ch.dbw_to_watts(9.0), 1.2, 0.01, 0.04, 0.0015)
+    params = pm.PowerParams(1.2, 0.1, ch.dbw_to_watts(9.0), 1.2, 0.04, 0.0015)
     timing = pm.FrameTiming(access_slot_s=1.0, training_ratio=0.2, slots=20)
     ris_ok = pm.ris_power(100, 0.0015) == pytest.approx(0.15, rel=1e-12)
     ap_value = pm.ap_power(params, 20, True)
     ap_ok = ap_value == pytest.approx(2.4 + STATIC_9_DBW, rel=1e-6)
     # one device's share of the frame power: P(one device, 2 replicas) - P(no devices)
     with_device, without = (
-        pm.frame_metrics(params, timing, 100, np.array(counts, dtype=int), 0, True)[0]
+        pm.frame_metrics(params, timing, 100, 0.01, np.array(counts, dtype=int), 0, True)[0]
         for counts in ([2], [])
     )
     mtd_ok = with_device - without == pytest.approx(0.064, rel=1e-12)

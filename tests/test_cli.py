@@ -6,6 +6,7 @@ import math
 import pickle
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -573,6 +574,21 @@ class TestValidateCommand:
             assert "sim.trials" in capsys.readouterr().err
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB"),
+        (MemoryError(), "error: out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch, error, line):
+        # `run --set sim.s=100000000000` asked numpy for 7.28 TiB and ended in
+        # a traceback; the run is replaced here, so nothing is allocated
+        monkeypatch.setattr(cli, "run_groups", mock.Mock(side_effect=error))
+        out = tmp_path / "o.csv"
+        assert run_cli("run", "--trials", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
+
+
 class TestNumberFormat:
     def test_nine_significant_digits(self, tmp_path):
         out = tmp_path / "fmt.csv"
@@ -609,6 +625,20 @@ class TestOverflow:
         assert run_cli("run", *argv, "--out", str(out)) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error:") and what in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (("sweep", "--axis", "K", "--values", "1e400", "--trials", "1"), "sim.k"),
+        (("validate", "--set", f"sim.s={10**400}"), "sim.s"),
+        (("validate", "--set", f"ris.n_x={10**400}"), "ris.n_x"),
+    ], ids=["sim.k", "sim.s", "ris.n_x"])
+    def test_integer_beyond_a_float_is_rejected(self, tmp_path, capsys, argv, key):
+        # a 10**400 count met a float in the config's overflow bounds and
+        # ended in an OverflowError traceback
+        out = tmp_path / "o.csv"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and repr(key) in line and "largest float" in line
         assert not out.exists()
 
     @pytest.mark.parametrize("setting, what", [

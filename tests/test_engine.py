@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import math
 import os
 import random
 import subprocess
@@ -318,8 +319,15 @@ def masks_and_decoded(cfg):
     return chosen, a
 
 
+def louder(cfg, factor):
+    """cfg with the device transmit power, RadioParams' one field, scaled by factor."""
+    return dataclasses.replace(
+        cfg, radio=dataclasses.replace(cfg.radio, mtd_tx_power_w=cfg.radio.mtd_tx_power_w * factor))
+
+
 class TestPowerScaling:
-    """Metamorphic: scaling the device transmit power by 2**m scales every SNR exactly."""
+    """Metamorphic: scaling the device transmit power by 2**m scales every SNR exactly,
+    and the devices' PA terms of the frame power with it."""
 
     @given(
         st.integers(0, 2**64),
@@ -333,14 +341,21 @@ class TestPowerScaling:
         k, s = point
         cfg = make_cfg(f"sim.k={k}", f"sim.s={s}", f"policy.kind={kind}", "sim.trials=48",
                        f"sim.seed={seed}")
-        runs = [
-            masks_and_decoded(dataclasses.replace(cfg, radio=dataclasses.replace(
-                cfg.radio, mtd_tx_power_w=cfg.radio.mtd_tx_power_w * 2.0**m)))
-            for m in range(-3, 4)
-        ]
-        masks, decoded = zip(*runs)
+        masks, decoded = zip(*(masks_and_decoded(louder(cfg, 2.0**m)) for m in range(-3, 4)))
         assert all(np.array_equal(mask, masks[0]) for mask in masks[1:])
         assert np.all(np.diff(np.stack(decoded), axis=0) >= 0)
+
+    @pytest.mark.parametrize("kind", access.POLICY_KINDS)
+    def test_device_power_follows_the_transmit_power(self, kind):
+        # the PA is charged for the power that sets the SNR: doubling it keeps
+        # every mask and doubles each frame's replica term, xi * rho per replica
+        cfg = make_cfg(f"policy.kind={kind}", "sim.trials=64")
+        keys = trial_keys(cfg.seed, cfg.trials)
+        [(_a, _g, p, counts, _trace)] = _simulate_batch([[cfg]], keys, False)
+        [(_a, _g, p_louder, counts_louder, _trace)] = _simulate_batch([[louder(cfg, 2.0)]], keys, False)
+        assert np.array_equal(counts_louder, counts)
+        replica_w = cfg.power.mtd_pa_inverse_eff * cfg.radio.mtd_tx_power_w * counts.sum(axis=-1)
+        np.testing.assert_allclose(p_louder - p, replica_w, rtol=1e-9)
 
 
 class TestSweep:
@@ -366,10 +381,27 @@ class TestSweep:
         with pytest.raises(ValueError, match="perfect square"):
             cell_configs(make_resolved(), ["carp"], "N", [10])
 
-    def test_axis_rho_updates_both_radio_and_power(self):
+    def test_axis_rho_sets_the_one_transmit_power(self):
+        # RadioParams holds the device transmit power, for the SNR and the frame power alike
         [cfg] = cell_configs(make_resolved(), ["carp"], "rho_mtd", [0.05])
         assert cfg.radio.mtd_tx_power_w == 0.05
-        assert cfg.power.mtd_tx_power_w == 0.05
+        holders = [field.name for field in dataclasses.fields(cfg)
+                   if hasattr(getattr(cfg, field.name), "mtd_tx_power_w")]
+        assert holders == ["radio"]
+
+    @pytest.mark.parametrize("axis, values, keys", [
+        ("K", [7, 2], lambda v: [f"sim.k={v}"]),
+        ("rho_mtd", [1, 0.05], lambda v: [f"radio.mtd_tx_power_w={v}"]),
+        ("N", [100, 4], lambda v: [f"ris.n_x={math.isqrt(v)}", f"ris.n_z={math.isqrt(v)}"]),
+        ("S", [20, 3], lambda v: [f"sim.s={v}"]),
+    ])
+    def test_cells_equal_fully_parsed_configs(self, axis, values, keys):
+        # a cell parses only policy.kind and its axis keys; the rest of it is
+        # the resolved mapping, as a parse of every key gives it
+        base = ("sim.trials=5", "estimation.noise_std=0.5")
+        cells = cell_configs(make_resolved(*base), ["sscp", "carp"], axis, values)
+        assert cells == [make_cfg(*base, f"policy.kind={kind}", *keys(value))
+                         for kind in ("carp", "sscp") for value in sorted(values)]
 
     def test_axis_s_revalidates_policy(self):
         with pytest.raises(ValueError):

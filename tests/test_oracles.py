@@ -3,6 +3,7 @@ convergence, and the Monte Carlo engine checked against it; the fixed-grid
 slot-choice oracle checked against the decoded draws, slot choice and peel."""
 
 import ast
+import itertools
 import math
 from pathlib import Path
 from statistics import NormalDist
@@ -152,3 +153,34 @@ def test_decoded_draws_match_the_fixed_grid_oracle(grid, kind):
     expected = fixed_grid_decoded(kind, snr, 1.0, sscp_s)
     half_width = Z_GRID * decoded.std(ddof=1) / math.sqrt(decoded.size)
     assert abs(decoded.mean() - expected) <= half_width, (decoded.mean(), expected, half_width)
+
+
+# rows that put all or most of their weight on a few slots, and an all-zero
+# row: most Bernoulli patterns fire nothing, so carp falls back on most rows
+SPARSE_GRID = [[0.0, 0.0, 0.0, 2.0, 0.0],
+               [0.0, 1.5, 0.0, 0.0, 0.5],
+               [0.0, 0.0, 0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("snr", [*(snr for snr, _sscp_s in FIXED_GRIDS.values()), SPARSE_GRID],
+                         ids=[*FIXED_GRIDS, "sparse"])
+def test_carp_slots_match_the_fixed_grid_oracle_on_every_pattern(snr):
+    """carp_slots on every Bernoulli pattern of every device of a fixed grid, as one
+    batch: the masks, each weighted by its pattern's probability, give the oracle's
+    slot sets, the fallback of the patterns that fire nothing included."""
+    s = len(snr[0])
+    patterns = np.array(list(itertools.product((False, True), repeat=s)))
+    quality = np.repeat(np.array(snr)[:, None], len(patterns), axis=1)
+    # a zero uniform fires every slot of positive probability, a unit one none
+    chosen = access.carp_slots(quality, np.broadcast_to(np.where(patterns, 0.0, 1.0), quality.shape))
+    probabilities = access.carp_probabilities(np.array(snr)).tolist()
+    for row, masks, probs in zip(snr, chosen, probabilities):
+        got: dict[frozenset, float] = {}
+        for pattern, mask in zip(patterns.tolist(), masks):
+            mass = math.prod(p if on else 1.0 - p for p, on in zip(probs, pattern))
+            if mass:  # a pattern firing a zero-probability slot fires nothing
+                slots = frozenset(np.flatnonzero(mask).tolist())
+                got[slots] = got.get(slots, 0.0) + mass
+        want = {slots: mass for slots, mass in slot_choice_distribution("carp", row) if mass}
+        assert got.keys() == want.keys()
+        assert all(got[slots] == pytest.approx(mass, rel=1e-12) for slots, mass in want.items())

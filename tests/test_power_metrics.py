@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +17,6 @@ def table_params(**overrides):
         ap_tx_power_w=0.1,
         ap_static_w=STATIC_9_DBW,
         mtd_pa_inverse_eff=1.2,
-        mtd_tx_power_w=0.01,
         mtd_static_w=0.04,
         phase_shifter_w=0.0015,
     )
@@ -27,12 +28,21 @@ def timing(slots=20, r=0.2, t_as=1.0):
     return pm.FrameTiming(access_slot_s=t_as, training_ratio=r, slots=slots)
 
 
-def frame_power(counts, params=None):
+def frame_power(counts, params=None, tx_power_w=0.01):
     """Power of one trained frame on a 100-element surface with these replica counts."""
     power, _g = pm.frame_metrics(
-        params or table_params(), timing(), 100, np.array(counts, dtype=int), 0, True
+        params or table_params(), timing(), 100, tx_power_w, np.array(counts, dtype=int), 0, True
     )
     return float(power)
+
+
+class TestPowerParams:
+    def test_takes_no_transmit_power(self):
+        # a device's PA is charged for the power that sets its SNR, which
+        # RadioParams alone holds and frame_metrics is given
+        assert "mtd_tx_power_w" not in {field.name for field in dataclasses.fields(pm.PowerParams)}
+        with pytest.raises(TypeError):
+            table_params(mtd_tx_power_w=0.01)
 
 
 class TestApPower:
@@ -76,8 +86,8 @@ class TestMtdPower:
         assert frame_power([2]) - frame_power([1]) == pytest.approx(1.2 * 0.01, rel=1e-9)
 
     def test_vanishing_tx_power_leaves_static(self):
-        params = table_params(mtd_tx_power_w=1e-12)
-        assert frame_power([1], params) - frame_power([], params) == pytest.approx(0.04, rel=1e-9)
+        replica_and_static = frame_power([1], tx_power_w=1e-12) - frame_power([], tx_power_w=1e-12)
+        assert replica_and_static == pytest.approx(0.04, rel=1e-9)
 
     def test_rejects_zero_replicas(self):
         with pytest.raises(ValueError):
@@ -139,7 +149,7 @@ class TestFrameMetrics:
         t = timing()
         counts = np.array([[2, 1, 3, 2], [1, 1, 1, 4]])
         successes = np.array([3, 0])
-        power, g = pm.frame_metrics(params, t, 100, counts, successes, True)
+        power, g = pm.frame_metrics(params, t, 100, 0.01, counts, successes, True)
         for row, a, p_frame, g_frame in zip(counts, successes, power, g):
             expected = pm.ap_power(params, 20, True) + pm.ris_power(100, 0.0015) + sum(
                 int(c) * 1.2 * 0.01 + 0.04 for c in row
@@ -156,8 +166,8 @@ class TestFrameMetrics:
         params = table_params()
         t = timing()
         counts = np.array([2, 2])
-        p_trained, g_trained = pm.frame_metrics(params, t, 100, counts, 2, True)
-        p_untrained, g_untrained = pm.frame_metrics(params, t, 100, counts, 2, False)
+        p_trained, g_trained = pm.frame_metrics(params, t, 100, 0.01, counts, 2, True)
+        p_untrained, g_untrained = pm.frame_metrics(params, t, 100, 0.01, counts, 2, False)
         assert p_trained - p_untrained == pytest.approx(2.4, rel=1e-9)
         assert g_trained == pm.throughput(2, t, True)
         assert g_untrained == pm.throughput(2, t, False)
@@ -170,7 +180,7 @@ class TestFrameMetrics:
     def test_throughput_bound_and_ee_identity(self, slots, successes, r):
         params = table_params()
         t = timing(slots=slots, r=r)
-        power, g = pm.frame_metrics(params, t, 64, np.full(12, 2), successes, True)
+        power, g = pm.frame_metrics(params, t, 64, 0.01, np.full(12, 2), successes, True)
         bound = 12 / ((1.0 + r) * slots * 1.0)
         assert g <= bound + 1e-15
         assert energy_efficiency(g, power) * power == pytest.approx(g, rel=1e-12)
