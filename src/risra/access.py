@@ -43,7 +43,7 @@ class Policy:
                 f"policy.kind must be one of {', '.join(POLICY_KINDS)}, got {self.kind!r}"
             )
         if self.kind == "sscp" and self.sscp_s < 1:
-            raise ValueError("sscp replica count must be >= 1")
+            raise ValueError("policy.sscp_s must be >= 1")
 
     @property
     def requires_training(self) -> bool:

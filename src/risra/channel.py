@@ -47,12 +47,12 @@ class RisGeometry:
     wavelength_m: float
 
     def __post_init__(self) -> None:
-        if self.n_x < 1 or self.n_z < 1:
-            raise ValueError("element counts n_x, n_z must be >= 1")
-        if not (0 < self.d_x_m <= self.wavelength_m):
-            raise ValueError("element width d_x_m must be in (0, wavelength]")
-        if not (0 < self.d_z_m <= self.wavelength_m):
-            raise ValueError("element height d_z_m must be in (0, wavelength]")
+        for key, count in (("ris.n_x", self.n_x), ("ris.n_z", self.n_z)):
+            if count < 1:
+                raise ValueError(f"{key} must be >= 1")
+        for key, size in (("ris.d_x_m", self.d_x_m), ("ris.d_z_m", self.d_z_m)):
+            if not (0 < size <= self.wavelength_m):
+                raise ValueError(f"{key} must be in (0, radio.wavelength_m]")
 
     @property
     def n_elements(self) -> int:
@@ -72,9 +72,9 @@ class NodePlacement:
 
     def __post_init__(self) -> None:
         if self.distance_m <= 0:
-            raise ValueError("distance_m must be positive")
+            raise ValueError("ap.distance_m must be positive")
         if self.antenna_gain <= 0:
-            raise ValueError("antenna_gain must be positive (linear ratio)")
+            raise ValueError(f"ap.gain_db must give a positive linear gain, not {self.antenna_gain}")
 
 
 @dataclass(slots=True, frozen=True)
@@ -86,8 +86,11 @@ class RadioParams:
     snr_threshold: float
 
     def __post_init__(self) -> None:
-        if self.mtd_tx_power_w <= 0 or self.noise_power_w <= 0 or self.snr_threshold <= 0:
-            raise ValueError("radio parameters must be strictly positive")
+        for key, value in (("radio.mtd_tx_power_w", self.mtd_tx_power_w),
+                           ("radio.noise_power_dbm", self.noise_power_w),
+                           ("radio.snr_threshold_db", self.snr_threshold)):
+            if value <= 0:
+                raise ValueError(f"{key} must give a positive linear value, not {value}")
 
 
 def phase_shift_set(num_slots: int) -> tuple[float, ...]:

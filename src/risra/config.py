@@ -7,7 +7,8 @@ defaults below, which describe the baseline scenario used throughout the test
 suite: a 10x10 surface with 0.1 m elements at 0.1 m wavelength, the AP at
 20 m with 5 dB gain, devices uniform over 25..100 m and the full
 angle quadrant, 10 mW device transmit power, -94 dBm noise, 0 dB SIC
-threshold, 20 slots, 10 contending devices.
+threshold, 20 slots, 10 contending devices. A validation error names the key
+that sets the value, also for a dB key whose linear value underflows to 0.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -106,32 +108,38 @@ class ScenarioConfig:
         if self.k < 1:
             raise ValueError("sim.k must be >= 1")
         if not 1 <= self.trials <= 2**32:
-            # trial indices key the streams as one 32-bit word (engine.trial_streams)
-            raise ValueError(f"sim.trials must be between 1 and 2**32, got {self.trials}")
+            # trial indices key the streams as one 32-bit word (engine._trial_keys)
+            raise ValueError(f"sim.trials must be between 1 and 2**32, got {_shown(self.trials)}")
         if self.workers < 1:
             raise ValueError("sim.workers must be >= 1")
         if self.seed < 0:
             raise ValueError("sim.seed must be a nonnegative integer")
         if not (0 < self.mtd_d_min_m <= self.mtd_d_max_m):
-            raise ValueError("mtd distance range must satisfy 0 < d_min <= d_max")
+            raise ValueError("0 < mtd.d_min_m <= mtd.d_max_m must hold")
         if not (0 <= self.mtd_angle_min_rad <= self.mtd_angle_max_rad <= HALF_PI):
-            raise ValueError("mtd angle range must be ordered within [0, pi/2]")
+            raise ValueError("0 <= mtd.angle_min_rad <= mtd.angle_max_rad <= pi/2 must hold")
         if self.mtd_gain <= 0:
-            raise ValueError("mtd gain must be positive")
+            raise ValueError(f"mtd.gain_db must give a positive linear gain, not {self.mtd_gain}")
         if self.estimation_c < 0:  # measure_quality's clamp at 0 would zero every quality
             raise ValueError("estimation.c must be nonnegative")
         if self.estimation_noise_std < 0:
             raise ValueError("estimation.noise_std must be nonnegative")
         if self.policy.kind == "sscp" and self.policy.sscp_s > self.s:
-            raise ValueError(
-                f"policy.sscp_s = {self.policy.sscp_s} exceeds sim.s = {self.s}"
-            )
+            raise ValueError(f"policy.sscp_s = {_shown(self.policy.sscp_s)} exceeds "
+                             f"sim.s = {_shown(self.s)}")
         if self.policy.kind in ("crdsap", "irsap") and self.s < 2:
             raise ValueError(f"policy {self.policy.kind!r} needs sim.s >= 2")
 
     @property
     def s(self) -> int:
         return self.timing.slots
+
+
+def _shown(value: int | str) -> str:
+    """An int or a text as an error line shows it, in at most 35 characters."""
+    if isinstance(value, str):
+        return repr(value if len(value) <= 32 else value[:29] + "...")
+    return str(value) if abs(value) < 10**12 else f"{Decimal(value):.6g}"
 
 
 def _parse_value(key: str, raw: Any) -> Any:
@@ -143,7 +151,8 @@ def _parse_value(key: str, raw: Any) -> Any:
         try:
             value = kind(text)
         except ValueError:
-            raise ValueError(f"config key {key!r} expects {kind.__name__}, got {text!r}") from None
+            raise ValueError(f"config key {key!r} expects {kind.__name__}, "
+                             f"got {_shown(text)}") from None
     if kind is float and not math.isfinite(value):
         raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
     return value
@@ -177,7 +186,7 @@ def resolve_config(
     for source in (file_items or {}).items(), _split_overrides(overrides):
         for key, value in source:
             if key not in CONFIG_SCHEMA:
-                raise ValueError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {_shown(key)}")
             resolved[key] = _parse_value(key, value)
     return resolved
 

@@ -10,11 +10,12 @@ are scheduled or how many worker processes run them. Because placement draws
 precede policy draws, different policies at the same seed contend over
 identical device drops.
 
-_philox_keys derives those keys for a whole range of trials in one pass: the
-seed's pool comes from numpy's SeedSequence(seed), and only the trial word is
-hashed on uint32 arrays. A batch of trials is its (b, 2) keys, the pipeline's
-input. _streams re-keys one reused Philox generator per trial; a Philox
-stream is fixed by its key and counter alone, so this is the same stream as
+_trial_keys derives those keys for a whole range of trials in one pass, and
+is the one place that checks a seed and its trial indices: the seed's pool
+comes from numpy's SeedSequence(seed), and only the trial word is hashed on
+uint32 arrays. A batch of trials is its (b, 2) keys, the pipeline's input.
+_streams re-keys one reused Philox generator per trial; a Philox stream is
+fixed by its key and counter alone, so this is the same stream as
 constructing it from the SeedSequence.
 
 Cells run in groups: a group is the cells of one run whose trials draw the
@@ -51,19 +52,17 @@ entries per point (b·k·s at the group's largest S; the 256 trials of K = S =
 pool of more than one process a range is also at most ceil(trials /
 processes) trials, the pool being sim.workers capped at os.cpu_count(). The
 jobs are listed in group and trial order and run in this process or on that
-one pool for the command, forked
-where the platform can fork and spawned where it cannot; either way their
-results arrive in list order, so a member's per-trial arrays and its decode
-trace, an (n, 4) array of (trial, pass, slot, device) rows, are its jobs'
-parts concatenated. Each trial's stream is its own and each member's results
-are reduced in trial order, so every output byte is independent of the batch
-size, the worker count and the order the jobs run in. On glibc each process
-that runs jobs first fixes malloc's mmap and trim thresholds (_keep_heap), so
-one batch's freed temporaries serve the next from the heap rather than being
-unmapped and faulted in again; this moves no byte.
-run_monte_carlo is a group of one cell, and simulate_frame a batch of one
-trial of it: it passes its generator's key, so it rejects a generator that is
-not a fresh Philox stream such as trial_rng gives.
+one pool for the command, forked where the platform can fork and spawned
+where it cannot; either way their results arrive in list order, so a member's
+per-trial arrays and its decode trace, an (n, 4) array of (trial, pass, slot,
+device) rows, are its jobs' parts concatenated. Each trial's stream is its
+own and each member's results are reduced in trial order, so every output
+byte is independent of the batch size, the worker count and the order the
+jobs run in. On glibc each process that runs jobs first fixes malloc's mmap
+and trim thresholds (_keep_heap), so one batch's freed temporaries serve the
+next from the heap rather than being unmapped and faulted in again; this
+moves no byte. run_monte_carlo is a group of one cell, and
+simulate_frame(cfg, t) a batch of its one trial t, keyed as the run keys it.
 """
 
 from __future__ import annotations
@@ -108,27 +107,6 @@ def _mix(x, y):
     return out ^ out >> 16
 
 
-def _philox_keys(seed: int, trials: np.ndarray) -> np.ndarray:
-    """(n, 2) uint64 Philox keys: SeedSequence(seed, spawn_key=(t,)).generate_state(2, uint64).
-
-    SeedSequence(seed) mixes the seed's words into its pool with 4 hashes per
-    pool word and 4 per seed word past the fourth; the trial word follows.
-    """
-    pool = np.random.SeedSequence(seed).pool.tolist()
-    words = -(-seed.bit_length() // 32)
-    const = _INIT_A * pow(_MULT_A, _POOL * max(_POOL, words), 1 << 32) & _MASK32
-    mixed = []
-    for word in pool:
-        value, const = _hash(trials, const, _MULT_A)
-        mixed.append(_mix(word, value))
-    const = _INIT_B
-    state = []
-    for word in mixed:
-        value, const = _hash(word, const, _MULT_B)
-        state.append(value)
-    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
-
-
 def _streams(keys: np.ndarray):
     """Yield the fresh Philox stream of each row of `keys`, (b, 2) uint64, in order.
 
@@ -152,19 +130,33 @@ def _streams(keys: np.ndarray):
         yield rng
 
 
-def trial_streams(seed: int, start: int, stop: int):
-    """The streams of trials start..stop-1 (_streams), their keys derived in one pass.
-
-    Trial indices are one 32-bit spawn word; a negative seed or range past it raises ValueError.
+def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """The (n, 2) uint64 keys SeedSequence(seed, spawn_key=(t,)).generate_state(2, uint64) of
+    trials t = start..stop-1; a negative seed, or a t outside 0..2**32-1 (one spawn word),
+    raises ValueError. SeedSequence(seed) mixes the seed's words into its pool with 4 hashes
+    per pool word and 4 per seed word past the fourth; the trial word follows.
     """
-    if seed < 0 or not (0 <= start <= 2**32 and 0 <= stop <= 2**32):
-        raise ValueError(f"trial streams need seed >= 0 and trials in [0, 2**32]: {seed}, {start}..{stop}")
-    return _streams(_philox_keys(seed, np.arange(start, stop, dtype=np.uint32)))
+    if seed < 0 or not 0 <= start <= stop <= 2**32:
+        raise ValueError(f"need seed >= 0 and trials in 0..2**32-1, not {seed}, {start}..{stop - 1}")
+    trials = np.arange(start, stop, dtype=np.uint32)
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    words = -(-seed.bit_length() // 32)
+    const = _INIT_A * pow(_MULT_A, _POOL * max(_POOL, words), 1 << 32) & _MASK32
+    mixed = []
+    for word in pool:
+        value, const = _hash(trials, const, _MULT_A)
+        mixed.append(_mix(word, value))
+    const = _INIT_B
+    state = []
+    for word in mixed:
+        value, const = _hash(word, const, _MULT_B)
+        state.append(value)
+    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """The random stream owned by one trial, on a generator of its own."""
-    return next(trial_streams(seed, trial, trial + 1))
+    return next(_streams(_trial_keys(seed, trial, trial + 1)))
 
 
 @dataclass(slots=True)
@@ -176,7 +168,7 @@ class TrialResult:
     throughput_pps: float
     power_w: float
     energy_efficiency: float
-    trace: tuple[tuple[int, int, int], ...] | None = None
+    trace: np.ndarray
 
 
 @dataclass(slots=True)
@@ -199,29 +191,23 @@ class AggregateResult:
     seed: int
 
 
-def simulate_frame(
-    cfg: ScenarioConfig, rng: np.random.Generator, keep_trace: bool = False
-) -> TrialResult:
-    """Run one frame end to end: drop devices, measure, contend, decode, meter.
+def simulate_frame(cfg: ScenarioConfig, trial: int, keep_trace: bool = False) -> TrialResult:
+    """Trial `trial` of cfg's run end to end: drop devices, measure, contend, decode, meter.
 
-    The frame pipeline on a group of one cell and a batch of one key, so it is
-    deterministic given (cfg, rng's key) and equals trial t of run_monte_carlo
-    when rng is trial_rng(cfg.seed, t). rng must be a fresh Philox stream: the
-    pipeline reads it from its first word. It is read from its key, not drawn
-    from, so rng is left as it was.
+    The frame pipeline on a group of one cell and a batch of one trial, so it
+    equals that trial of run_monte_carlo, and its trace is that trial's rows
+    of the run's trace (run_groups), (0, 4) without keep_trace.
     """
-    state = rng.bit_generator.state
-    if (state["bit_generator"] != "Philox" or any(state["state"]["counter"])
-            or state["buffer_pos"] != 4 or state["has_uint32"]):
-        raise ValueError("simulate_frame needs a fresh Philox stream, such as trial_rng gives")
-    [(a, g, p, counts, trace)] = _simulate_batch([[cfg]], state["state"]["key"][None], keep_trace)
+    keys = _trial_keys(cfg.seed, trial, trial + 1)
+    [(a, g, p, counts, trace)] = _simulate_batch([[cfg]], keys, keep_trace)
+    trace[:, 0] += trial
     return TrialResult(
         successes=int(a[0]),
         replica_counts=counts[0],
         throughput_pps=float(g[0]),
         power_w=float(p[0]),
         energy_efficiency=float(g[0]) / float(p[0]),
-        trace=tuple(map(tuple, trace[:, 1:].tolist())) if keep_trace else None,
+        trace=trace,
     )
 
 
@@ -351,7 +337,7 @@ def _simulate_range(points: list[list[ScenarioConfig]], start: int, stop: int,
                     keep_traces: bool = False):
     """One job: a group's trials [start, stop) as one batch; per member, point by point,
     (a, g, p, trace), the trace's rows numbering trials of the run."""
-    keys = _philox_keys(points[0][0].seed, np.arange(start, stop, dtype=np.uint32))
+    keys = _trial_keys(points[0][0].seed, start, stop)
     runs = []
     for a, g, p, _counts, trace in _simulate_batch(points, keys, keep_traces):
         trace[:, 0] += start
@@ -362,11 +348,6 @@ def _simulate_range(points: list[list[ScenarioConfig]], start: int, stop: int,
 def _run_job(job):
     """_simulate_range of one (points, start, stop, keep_traces) job, as a pool maps it."""
     return _simulate_range(*job)
-
-
-def _join(parts):
-    """One member's (a, g, p, trace) from its parts over consecutive trial ranges."""
-    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _ci95(values: np.ndarray) -> float:
@@ -512,8 +493,8 @@ def run_groups(
     for index, group_results in itertools.groupby(results, key=lambda result: result[0]):
         parts = [part for _index, part in group_results]
         cells = list(itertools.chain(*indices[index]))
-        for cell, member in zip(cells, zip(*parts)):
-            a, g, p, trace = _join(member)
+        for cell, member in zip(cells, zip(*parts)):  # a member's parts over consecutive ranges
+            a, g, p, trace = map(np.concatenate, zip(*member))
             runs[cell] = (_aggregate(cfgs[cell], a, g, p), trace)
         del parts  # drop the group's per-trial results before the next group's jobs run
         if finished is not None:

@@ -28,11 +28,16 @@ class PowerParams:
     phase_shifter_w: float
 
     def __post_init__(self) -> None:
-        if self.ap_pa_inverse_eff <= 1 or self.mtd_pa_inverse_eff <= 1:
-            raise ValueError("PA inverse efficiencies must exceed 1")
-        for value in (self.ap_tx_power_w, self.ap_static_w, self.mtd_static_w, self.phase_shifter_w):
+        for key, xi in (("power.ap_xi", self.ap_pa_inverse_eff),
+                        ("power.mtd_xi", self.mtd_pa_inverse_eff)):
+            if xi <= 1:
+                raise ValueError(f"{key} must exceed 1")
+        for key, value in (("power.ap_tx_power_w", self.ap_tx_power_w),
+                           ("power.ap_static_dbw", self.ap_static_w),
+                           ("power.mtd_static_w", self.mtd_static_w),
+                           ("power.phase_shifter_mw", self.phase_shifter_w)):
             if value <= 0:
-                raise ValueError("powers must be strictly positive")
+                raise ValueError(f"{key} must give a positive power, not {value} W")
 
 
 @dataclass(slots=True, frozen=True)
@@ -45,11 +50,11 @@ class FrameTiming:
 
     def __post_init__(self) -> None:
         if self.access_slot_s <= 0:
-            raise ValueError("access_slot_s must be positive")
+            raise ValueError("timing.t_as_s must be positive")
         if self.training_ratio < 0:
-            raise ValueError("training_ratio must be nonnegative")
+            raise ValueError("timing.r must be nonnegative")
         if self.slots < 1:
-            raise ValueError("slots must be >= 1")
+            raise ValueError("sim.s must be >= 1")
 
 
 def ap_power(params: PowerParams, slots: int, training_used: bool) -> float:

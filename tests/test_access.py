@@ -348,7 +348,7 @@ def group_draws(cfgs, seed):
     """Trials FIRST_TRIAL..STOP_TRIAL-1 of `seed` through the engine's batch decode of a
     group: per member, its placement, the group's normals if it draws them, and its draws,
     in stream order; and the trials' keys."""
-    keys = engine._philox_keys(seed, np.arange(FIRST_TRIAL, STOP_TRIAL, dtype=np.uint32))
+    keys = engine._trial_keys(seed, FIRST_TRIAL, STOP_TRIAL)
     distances, angles, members = engine._batch_draws(cfgs, keys)
     got = []
     for cfg, (normals, draws) in zip(cfgs, members, strict=True):

@@ -93,6 +93,9 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config(None, ["radio.mtd_power=1"])
+        # a long key is cut: the message held all 3000 characters before
+        with pytest.raises(ValueError, match=r"^unknown config key 'x{29}\.\.\.'$"):
+            parse_config(None, ["x" * 3000 + "=1"])
 
     def test_type_errors_are_reported(self):
         with pytest.raises(ValueError, match="expects int"):
@@ -572,6 +575,48 @@ class TestValidateCommand:
                 parse_config(None, [f"sim.trials={trials}"])
             assert run_cli("validate", "--set", f"sim.trials={trials}") == 2
             assert "sim.trials" in capsys.readouterr().err
+
+
+class TestConfigErrors:
+    """A rejected config is one short `error:` line naming the key the user set."""
+
+    @pytest.mark.parametrize("settings", [
+        ("ris.n_x=0",), ("ris.n_z=0",), ("ris.d_x_m=0",), ("ris.d_z_m=0.2",),
+        ("ap.distance_m=0",), ("ap.gain_db=-4000",), ("radio.mtd_tx_power_w=0",),
+        ("radio.noise_power_dbm=-5000",), ("radio.snr_threshold_db=-4000",),
+        ("mtd.gain_db=-4000",), ("mtd.d_min_m=0",), ("mtd.angle_max_rad=2",),
+        ("power.ap_xi=1",), ("power.mtd_xi=1",), ("power.ap_tx_power_w=0",),
+        ("power.ap_static_dbw=-4000",), ("power.mtd_static_w=0",), ("power.phase_shifter_mw=0",),
+        ("timing.t_as_s=0",), ("timing.r=-1",), ("sim.s=0",), ("sim.k=0",), ("sim.trials=0",),
+        ("sim.seed=-1",), ("sim.workers=0",), ("estimation.noise_std=-1",),
+        ("policy.kind=sscp", "policy.sscp_s=0"),
+    ], ids=lambda settings: settings[-1])
+    def test_error_names_the_key(self, tmp_path, capsys, settings):
+        # the dB settings are finite but their linear values underflow to 0;
+        # the parameter classes named a field, or nothing, before
+        key = settings[-1].split("=")[0]
+        out = tmp_path / "o.csv"
+        assert run_cli("run", *itertools.chain(*(("--set", s) for s in settings)),
+                       "--out", str(out)) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and key in line and len(line) < 100
+        assert not out.exists()
+
+    @pytest.mark.parametrize("settings, shown", [
+        ((f"sim.trials={10**400}",), "got 1.00000e+400"),
+        (("policy.kind=sscp", f"policy.sscp_s={10**400}"), "policy.sscp_s = 1.00000e+400"),
+        (("sim.trials=1" + "0" * 5000,), "got '1" + "0" * 28 + "...'"),
+    ], ids=["sim.trials", "policy.sscp_s", "sim.trials-unparsed"])
+    def test_a_huge_integer_is_shown_bounded(self, tmp_path, capsys, settings, shown):
+        # the messages held every digit: 453 and 444 bytes for the 401-digit
+        # values, and 5052 for the 5001 digits int() refuses
+        key = settings[-1].split("=")[0]
+        out = tmp_path / "o.csv"
+        assert run_cli("validate", *itertools.chain(*(("--set", s) for s in settings)),
+                       "--out", str(out)) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and key in line and shown in line and len(line) < 100
+        assert not out.exists()
 
 
 class TestOutOfMemory:

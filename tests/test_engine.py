@@ -26,7 +26,6 @@ from risra.engine import (
     run_monte_carlo,
     simulate_frame,
     trial_rng,
-    trial_streams,
 )
 from oracles import KEY_SEEDS, frame_traces, peel_trace, substream
 
@@ -70,7 +69,7 @@ def aligned_cfg(*overrides):
 
 def trial_keys(seed, trials):
     """The (trials, 2) Philox keys of trials 0..trials-1, the frame pipeline's input."""
-    return engine._philox_keys(seed, np.arange(trials, dtype=np.uint32))
+    return engine._trial_keys(seed, 0, trials)
 
 
 def key_of(rng):
@@ -114,37 +113,43 @@ class TestSubstreams:
 
 
 class TestTrialStreams:
+    """The trial keys (engine._trial_keys), the streams they key (engine._streams) and trial_rng."""
+
     @pytest.mark.parametrize("seed", KEY_SEEDS)
     def test_keys_match_seed_sequence(self, seed):
-        keys = [rng.bit_generator.state["state"]["key"] for rng in trial_streams(seed, 0, 3000)]
-        for trial, key in enumerate(keys):
+        for trial, key in enumerate(engine._trial_keys(seed, 0, 3000)):
             spawned = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
             assert np.array_equal(key, spawned.generate_state(2, np.uint64)), trial
 
     @pytest.mark.parametrize("seed", KEY_SEEDS)
     def test_last_trial_index_matches_seed_sequence(self, seed):
         last = 2**32 - 1
-        [rng] = trial_streams(seed, last, last + 1)
-        key = rng.bit_generator.state["state"]["key"]
+        [key] = engine._trial_keys(seed, last, last + 1)
         spawned = np.random.SeedSequence(entropy=seed, spawn_key=(last,))
         assert np.array_equal(key, spawned.generate_state(2, np.uint64))
+        assert key_of(trial_rng(seed, last)) == key.tolist()
 
     @pytest.mark.parametrize("seed", KEY_SEEDS)
     def test_rekeyed_draws_match_oracle(self, seed):
         # one reused generator, drawn from in every way, must equal a fresh
         # SeedSequence-keyed generator per trial
-        for trial, rng in enumerate(trial_streams(seed, 40, 300), start=40):
+        streams = engine._streams(engine._trial_keys(seed, 40, 300))
+        for trial, rng in enumerate(streams, start=40):
             got, want = draw_sequence(rng), draw_sequence(substream(seed, trial))
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), trial
 
     def test_streams_depend_only_on_the_trial_index(self):
-        whole = [rng.random(2) for rng in trial_streams(5, 0, 20)]
+        whole = engine._trial_keys(5, 0, 20)
         chunks = ((0, 7), (7, 8), (8, 20))
-        parts = [rng.random(2) for lo, hi in chunks for rng in trial_streams(5, lo, hi)]
-        assert np.array_equal(whole, parts)
+        parts = [engine._trial_keys(5, lo, hi) for lo, hi in chunks]
+        assert np.array_equal(whole, np.concatenate(parts))
+        draws = [rng.random(2) for rng in engine._streams(whole)]
+        assert np.array_equal(draws, [trial_rng(5, trial).random(2) for trial in range(20)])
 
     def test_empty_range_yields_nothing(self):
-        assert list(trial_streams(1, 9, 9)) == []
+        keys = engine._trial_keys(1, 9, 9)
+        assert keys.shape == (0, 2)
+        assert list(engine._streams(keys)) == []
 
     @pytest.mark.parametrize("seed, start, stop", [
         (-1, 0, 1), (1, -1, 2), (1, 0, 2**32 + 1), (1, 2**32 + 1, 2**32 + 2),
@@ -152,7 +157,7 @@ class TestTrialStreams:
     def test_seed_or_trials_outside_the_key_words_raise(self, seed, start, stop):
         # SeedSequence refuses a negative seed; masking it would alias 2**32 - 1
         with pytest.raises(ValueError):
-            trial_streams(seed, start, stop)
+            engine._trial_keys(seed, start, stop)
         if stop == start + 1:
             with pytest.raises(ValueError):
                 trial_rng(seed, start)
@@ -162,64 +167,75 @@ class TestSimulateFrame:
     def test_single_aligned_device_always_decodes(self):
         cfg = aligned_cfg("policy.kind=sscp", "policy.sscp_s=1")
         for trial in range(60):
-            frame = simulate_frame(cfg, trial_rng(cfg.seed, trial))
+            frame = simulate_frame(cfg, trial)
             assert frame.successes == 1
 
     def test_two_devices_sharing_both_slots_never_decode(self):
         cfg = make_cfg("sim.k=2", "sim.s=2", "policy.kind=sscp", "policy.sscp_s=2")
         for trial in range(40):
-            frame = simulate_frame(cfg, trial_rng(cfg.seed, trial))
+            frame = simulate_frame(cfg, trial)
             assert frame.successes == 0
 
     def test_baseline_config_stays_in_range(self):
         cfg = make_cfg()
-        frame = simulate_frame(cfg, trial_rng(cfg.seed, 0))
+        frame = simulate_frame(cfg, 0)
         assert 0 <= frame.successes <= cfg.k
         assert frame.replica_counts.sum() >= cfg.k
 
     def test_deterministic_in_rng_state(self):
-        cfg = make_cfg()
-        a = simulate_frame(cfg, trial_rng(9, 4))
-        b = simulate_frame(cfg, trial_rng(9, 4))
+        cfg = dataclasses.replace(make_cfg(), seed=9)
+        a = simulate_frame(cfg, 4)
+        b = simulate_frame(cfg, 4)
         assert a.successes == b.successes
         assert a.power_w == b.power_w
         assert np.array_equal(a.replica_counts, b.replica_counts)
 
-    def test_a_fresh_stream_is_its_key(self):
-        cfg = make_cfg("policy.kind=crdsap", "sim.k=12")
-        rng = trial_rng(cfg.seed, 5)
-        frame = simulate_frame(cfg, rng, keep_trace=True)
-        rebuilt = np.random.Generator(np.random.Philox(key=rng.bit_generator.state["state"]["key"]))
-        for other in (simulate_frame(cfg, rebuilt, keep_trace=True),
-                      simulate_frame(cfg, rng, keep_trace=True)):  # rng was read, not drawn from
-            assert (other.successes, other.power_w, other.trace) == (
-                frame.successes, frame.power_w, frame.trace)
-            assert np.array_equal(other.replica_counts, frame.replica_counts)
+    @pytest.mark.parametrize("noise_std", [0.0, 2.0])
+    @pytest.mark.parametrize("kind", access.POLICY_KINDS)
+    def test_frame_is_its_trial_of_the_run(self, monkeypatch, kind, noise_std):
+        # trial t of a run on 1 or 2 workers, every per-trial result and its
+        # trace rows, is simulate_frame(cfg, t)
+        cfg = make_cfg("sim.trials=40", "sim.k=7", "sim.s=9", f"policy.kind={kind}",
+                       f"estimation.noise_std={noise_std}")
+        frames = [simulate_frame(cfg, trial, True) for trial in range(cfg.trials)]
+        [(_a, _g, _p, counts, _trace)] = _simulate_batch([[cfg]], trial_keys(cfg.seed, 40), False)
+        results, parts = engine._results, []
 
-    @pytest.mark.parametrize("stale", ["drawn", "half_word", "pcg64", "counter"])
-    def test_rejects_a_stream_that_is_not_fresh(self, stale):
-        # the pipeline reads a trial's stream from its first word, so it takes
-        # only a stream at its start, whose key alone fixes it
-        rng = trial_rng(3, 0)
-        if stale == "drawn":
-            rng.bit_generator.random_raw(1)
-        elif stale == "half_word":
-            state = rng.bit_generator.state
-            state.update(has_uint32=1, uinteger=7)
-            rng.bit_generator.state = state
-        elif stale == "pcg64":
-            rng = np.random.default_rng(1)
-        else:
-            rng = np.random.Generator(np.random.Philox(key=1, counter=3))
-        with pytest.raises(ValueError, match="fresh Philox stream"):
-            simulate_frame(make_cfg(), rng)
+        def recorded(work, workers):
+            for part in results(work, workers):
+                parts.append(part)
+                yield part
+
+        monkeypatch.setattr(engine, "_results", recorded)
+        for workers in (1, 2):
+            parts.clear()
+            [(_agg, trace)] = run_groups([dataclasses.replace(cfg, workers=workers)], True)
+            # one member per job: each part is [(a, g, p, trace)] of its trial range
+            a, g, p, joined = map(np.concatenate, zip(*[part for [part] in parts]))
+            assert len(parts) == min(workers, os.cpu_count()) and np.array_equal(joined, trace)
+            for trial, frame in enumerate(frames):
+                assert (frame.successes, frame.throughput_pps, frame.power_w) == (
+                    a[trial], g[trial], p[trial])
+                assert frame.energy_efficiency == g[trial] / p[trial]
+                assert np.array_equal(frame.replica_counts, counts[trial])
+                rows = trace[trace[:, 0] == trial]
+                assert frame.trace.dtype == rows.dtype and np.array_equal(frame.trace, rows)
+        assert simulate_frame(cfg, 3).trace.shape == (0, 4)
+
+    @pytest.mark.parametrize("trial", [-1, 2**32, 2**70])
+    def test_a_trial_outside_the_key_word_raises(self, trial):
+        # a trial index is one 32-bit spawn word; 2**70 is wider than an int64
+        with pytest.raises(ValueError, match="2\\*\\*32-1"):
+            simulate_frame(make_cfg(), trial)
+        with pytest.raises(ValueError, match="2\\*\\*32-1"):
+            trial_rng(1, trial)
 
 
 class TestRunMonteCarlo:
     def test_single_trial_degenerates_to_the_frame(self):
         cfg = make_cfg("sim.trials=1")
         agg = run_monte_carlo(cfg)
-        frame = simulate_frame(cfg, trial_rng(cfg.seed, 0))
+        frame = simulate_frame(cfg, 0)
         assert agg.mean_a == frame.successes
         assert agg.mean_throughput == frame.throughput_pps
         assert agg.mean_power_w == frame.power_w
@@ -236,7 +252,7 @@ class TestRunMonteCarlo:
                 )
                 [(a, g, p, _)] = _simulate_range([[cfg]], 0, cfg.trials)
                 for trial in range(cfg.trials):
-                    frame = simulate_frame(cfg, trial_rng(cfg.seed, trial))
+                    frame = simulate_frame(cfg, trial)
                     assert frame.successes == a[trial]
                     assert frame.throughput_pps == g[trial]
                     assert frame.power_w == p[trial]
@@ -251,7 +267,7 @@ class TestRunMonteCarlo:
         cfg = make_cfg("sim.trials=40")
         [(a, g, p, _)] = _simulate_range([[cfg]], 0, 40)
         for trial in (31, 7, 18):
-            frame = simulate_frame(cfg, trial_rng(cfg.seed, trial))
+            frame = simulate_frame(cfg, trial)
             assert (frame.successes, frame.power_w) == (a[trial], p[trial])
 
     def test_ratio_of_means_identity(self):
@@ -261,18 +277,18 @@ class TestRunMonteCarlo:
     def test_crdsap_replica_total_every_trial(self):
         cfg = make_cfg("policy.kind=crdsap", "sim.k=10")
         for trial in range(200):
-            frame = simulate_frame(cfg, trial_rng(cfg.seed, trial))
+            frame = simulate_frame(cfg, trial)
             assert frame.replica_counts.sum() == 2 * cfg.k
 
     def test_traces_variant_matches_plain_run(self):
         cfg = make_cfg("sim.trials=50")
         [(agg, trace)] = run_groups([cfg], True)
         assert agg == run_monte_carlo(cfg)
-        # one trace per trial, each that trial's frame
-        assert frame_traces(trace, 50) == [
-            list(simulate_frame(cfg, trial_rng(cfg.seed, trial), keep_trace=True).trace)
-            for trial in range(50)
-        ]
+        # one trace per trial, each that trial's frame (frame_traces asserts the form)
+        frame_traces(trace, 50)
+        assert np.array_equal(
+            np.concatenate([simulate_frame(cfg, trial, keep_trace=True).trace for trial in range(50)]),
+            trace)
         # the pooled path returns the same aggregate and the traces in trial order
         assert same_runs(run_groups([dataclasses.replace(cfg, workers=2)], True), [(agg, trace)])
 

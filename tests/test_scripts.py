@@ -1,15 +1,20 @@
-"""The experiment recipes under scripts/, run end to end at a tiny trial count.
+"""The experiment recipes under scripts/, run end to end at a tiny trial count, and
+README's library example, run as written.
 
 Each script drives `risra.cli.main`; the hashes pin every CSV byte they write.
 One worker keeps every cell in this process.
 """
 
 import hashlib
+import re
 import runpy
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 ARGV = ["--trials", "2", "--seed", "1", "--workers", "1"]
 EXPECTED = {  # sha256 of each CSV the four scripts write with ARGV
     "devices_s5": "22400d6e14ae31ac9e52b6ad9031171513a4bc05b1f337b72e7877cb17f8fde0",
@@ -30,3 +35,15 @@ def test_script_csv_bytes_are_pinned(tmp_path, monkeypatch):
         runpy.run_path(str(script), run_name="__main__")
     digests = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
     assert digests == EXPECTED
+
+
+def test_readme_library_example_runs(capsys):
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    [code] = re.findall(r"```python\n(.*?)```", section, re.S)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert len(capsys.readouterr().out.splitlines()) >= 2
+    # the frame is trial 0 of the run, its trace that trial's (trial, pass, slot, device) rows
+    trace = namespace["frame"].trace
+    assert trace.shape[1:] == (4,) and len(trace) == namespace["frame"].successes
+    assert np.array_equal(trace[:, 0], np.zeros(len(trace)))
