@@ -37,14 +37,6 @@ class Policy:
     kind: str
     sscp_s: int = 2
 
-    def __post_init__(self) -> None:
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(
-                f"policy.kind must be one of {', '.join(POLICY_KINDS)}, got {self.kind!r}"
-            )
-        if self.kind == "sscp" and self.sscp_s < 1:
-            raise ValueError("policy.sscp_s must be >= 1")
-
     @property
     def requires_training(self) -> bool:
         return self.kind in ("carp", "sscp")

@@ -46,14 +46,6 @@ class RisGeometry:
     d_z_m: float
     wavelength_m: float
 
-    def __post_init__(self) -> None:
-        for key, count in (("ris.n_x", self.n_x), ("ris.n_z", self.n_z)):
-            if count < 1:
-                raise ValueError(f"{key} must be >= 1")
-        for key, size in (("ris.d_x_m", self.d_x_m), ("ris.d_z_m", self.d_z_m)):
-            if not (0 < size <= self.wavelength_m):
-                raise ValueError(f"{key} must be in (0, radio.wavelength_m]")
-
     @property
     def n_elements(self) -> int:
         return self.n_x * self.n_z
@@ -70,12 +62,6 @@ class NodePlacement:
     distance_m: float
     antenna_gain: float
 
-    def __post_init__(self) -> None:
-        if self.distance_m <= 0:
-            raise ValueError("ap.distance_m must be positive")
-        if self.antenna_gain <= 0:
-            raise ValueError(f"ap.gain_db must give a positive linear gain, not {self.antenna_gain}")
-
 
 @dataclass(slots=True, frozen=True)
 class RadioParams:
@@ -84,13 +70,6 @@ class RadioParams:
     mtd_tx_power_w: float
     noise_power_w: float
     snr_threshold: float
-
-    def __post_init__(self) -> None:
-        for key, value in (("radio.mtd_tx_power_w", self.mtd_tx_power_w),
-                           ("radio.noise_power_dbm", self.noise_power_w),
-                           ("radio.snr_threshold_db", self.snr_threshold)):
-            if value <= 0:
-                raise ValueError(f"{key} must give a positive linear value, not {value}")
 
 
 def phase_shift_set(num_slots: int) -> tuple[float, ...]:

@@ -4,11 +4,11 @@ Config files are plain text, one `key = value` per line, `#` comments allowed.
 Keys are dotted and flat (no sections). Decibel-valued keys are converted to
 linear exactly once here; everything downstream is linear. Unset keys take the
 defaults below, which describe the baseline scenario used throughout the test
-suite: a 10x10 surface with 0.1 m elements at 0.1 m wavelength, the AP at
-20 m with 5 dB gain, devices uniform over 25..100 m and the full
-angle quadrant, 10 mW device transmit power, -94 dBm noise, 0 dB SIC
-threshold, 20 slots, 10 contending devices. A validation error names the key
-that sets the value, also for a dB key whose linear value underflows to 0.
+suite: a 10x10 surface with 0.1 m elements at 0.1 m wavelength, the AP at 20 m
+with 5 dB gain, devices uniform over 25..100 m and the full angle quadrant,
+10 mW device transmit power, -94 dBm noise, 0 dB SIC threshold, 20 slots, 10
+contending devices. Each rule is a _RULES row, checked on every ScenarioConfig
+built (dataclasses.replace too) over plain-record parts; errors name the key.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
-from .access import Policy
+from .access import POLICY_KINDS, Policy
 from .channel import (
     HALF_PI,
     NodePlacement,
@@ -105,34 +105,69 @@ class ScenarioConfig:
     workers: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("sim.k must be >= 1")
-        if not 1 <= self.trials <= 2**32:
-            # trial indices key the streams as one 32-bit word (engine._trial_keys)
-            raise ValueError(f"sim.trials must be between 1 and 2**32, got {_shown(self.trials)}")
-        if self.workers < 1:
-            raise ValueError("sim.workers must be >= 1")
-        if self.seed < 0:
-            raise ValueError("sim.seed must be a nonnegative integer")
-        if not (0 < self.mtd_d_min_m <= self.mtd_d_max_m):
-            raise ValueError("0 < mtd.d_min_m <= mtd.d_max_m must hold")
-        if not (0 <= self.mtd_angle_min_rad <= self.mtd_angle_max_rad <= HALF_PI):
-            raise ValueError("0 <= mtd.angle_min_rad <= mtd.angle_max_rad <= pi/2 must hold")
-        if self.mtd_gain <= 0:
-            raise ValueError(f"mtd.gain_db must give a positive linear gain, not {self.mtd_gain}")
-        if self.estimation_c < 0:  # measure_quality's clamp at 0 would zero every quality
-            raise ValueError("estimation.c must be nonnegative")
-        if self.estimation_noise_std < 0:
-            raise ValueError("estimation.noise_std must be nonnegative")
-        if self.policy.kind == "sscp" and self.policy.sscp_s > self.s:
-            raise ValueError(f"policy.sscp_s = {_shown(self.policy.sscp_s)} exceeds "
-                             f"sim.s = {_shown(self.s)}")
-        if self.policy.kind in ("crdsap", "irsap") and self.s < 2:
-            raise ValueError(f"policy {self.policy.kind!r} needs sim.s >= 2")
+        for _key, rule, message in _RULES:
+            if not rule(self):
+                raise ValueError(message if isinstance(message, str) else message(self))
+        _check_overflow(self)
 
     @property
     def s(self) -> int:
         return self.timing.slots
+
+
+def _positive(key: str, value: Callable[[ScenarioConfig], float], what: str, unit: str = "") -> tuple:
+    """The row of a key whose value in the built config must be positive."""
+    return (key, lambda c: value(c) > 0,
+            lambda c: f"{key} must give a positive {what}, not {value(c)}{unit}")
+
+
+# (key, rule every valid config keeps, message) rows, checked in the order build_config makes
+# the parts, so a config is told the first it breaks. Messages show ints and texts by _shown.
+_RULES = (
+    ("ris.n_x", lambda c: c.ris.n_x >= 1, "ris.n_x must be >= 1"),
+    ("ris.n_z", lambda c: c.ris.n_z >= 1, "ris.n_z must be >= 1"),
+    ("ris.d_x_m", lambda c: 0 < c.ris.d_x_m <= c.ris.wavelength_m,
+     "ris.d_x_m must be in (0, radio.wavelength_m]"),
+    ("ris.d_z_m", lambda c: 0 < c.ris.d_z_m <= c.ris.wavelength_m,
+     "ris.d_z_m must be in (0, radio.wavelength_m]"),
+    ("ap.distance_m", lambda c: c.ap.distance_m > 0, "ap.distance_m must be positive"),
+    _positive("ap.gain_db", lambda c: c.ap.antenna_gain, "linear gain"),
+    _positive("radio.mtd_tx_power_w", lambda c: c.radio.mtd_tx_power_w, "linear value"),
+    _positive("radio.noise_power_dbm", lambda c: c.radio.noise_power_w, "linear value"),
+    _positive("radio.snr_threshold_db", lambda c: c.radio.snr_threshold, "linear value"),
+    ("power.ap_xi", lambda c: c.power.ap_pa_inverse_eff > 1, "power.ap_xi must exceed 1"),
+    ("power.mtd_xi", lambda c: c.power.mtd_pa_inverse_eff > 1, "power.mtd_xi must exceed 1"),
+    _positive("power.ap_tx_power_w", lambda c: c.power.ap_tx_power_w, "power", " W"),
+    _positive("power.ap_static_dbw", lambda c: c.power.ap_static_w, "power", " W"),
+    _positive("power.mtd_static_w", lambda c: c.power.mtd_static_w, "power", " W"),
+    _positive("power.phase_shifter_mw", lambda c: c.power.phase_shifter_w, "power", " W"),
+    ("timing.t_as_s", lambda c: c.timing.access_slot_s > 0, "timing.t_as_s must be positive"),
+    ("timing.r", lambda c: c.timing.training_ratio >= 0, "timing.r must be nonnegative"),
+    ("sim.s", lambda c: c.s >= 1, "sim.s must be >= 1"),
+    ("policy.kind", lambda c: c.policy.kind in POLICY_KINDS, lambda c:
+     f"policy.kind must be one of {', '.join(POLICY_KINDS)}, got {_shown(c.policy.kind)}"),
+    ("policy.sscp_s", lambda c: c.policy.kind != "sscp" or c.policy.sscp_s >= 1,
+     "policy.sscp_s must be >= 1"),
+    ("sim.k", lambda c: c.k >= 1, "sim.k must be >= 1"),
+    # trial indices key the streams as one 32-bit word (engine._trial_keys)
+    ("sim.trials", lambda c: 1 <= c.trials <= 2**32,
+     lambda c: f"sim.trials must be between 1 and 2**32, got {_shown(c.trials)}"),
+    ("sim.workers", lambda c: c.workers >= 1, "sim.workers must be >= 1"),
+    ("sim.seed", lambda c: c.seed >= 0, "sim.seed must be a nonnegative integer"),
+    ("mtd.d_min_m", lambda c: 0 < c.mtd_d_min_m <= c.mtd_d_max_m,
+     "0 < mtd.d_min_m <= mtd.d_max_m must hold"),
+    ("mtd.angle_min_rad", lambda c: 0 <= c.mtd_angle_min_rad <= c.mtd_angle_max_rad <= HALF_PI,
+     "0 <= mtd.angle_min_rad <= mtd.angle_max_rad <= pi/2 must hold"),
+    _positive("mtd.gain_db", lambda c: c.mtd_gain, "linear gain"),
+    # measure_quality's clamp at 0 would zero every quality
+    ("estimation.c", lambda c: c.estimation_c >= 0, "estimation.c must be nonnegative"),
+    ("estimation.noise_std", lambda c: c.estimation_noise_std >= 0,
+     "estimation.noise_std must be nonnegative"),
+    ("policy.sscp_s", lambda c: c.policy.kind != "sscp" or c.policy.sscp_s <= c.s, lambda c:
+     f"policy.sscp_s = {_shown(c.policy.sscp_s)} exceeds sim.s = {_shown(c.s)}"),
+    ("sim.s", lambda c: c.policy.kind not in ("crdsap", "irsap") or c.s >= 2,
+     lambda c: f"policy {_shown(c.policy.kind)} needs sim.s >= 2"),
+)
 
 
 def _shown(value: int | str) -> str:
@@ -232,7 +267,7 @@ def build_config(resolved: dict[str, Any]) -> ScenarioConfig:
         training_ratio=resolved["timing.r"],
         slots=resolved["sim.s"],
     )
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         ris=ris,
         ap=ap,
         radio=radio,
@@ -251,8 +286,6 @@ def build_config(resolved: dict[str, Any]) -> ScenarioConfig:
         seed=resolved["sim.seed"],
         workers=resolved["sim.workers"],
     )
-    _check_overflow(cfg)
-    return cfg
 
 
 # numpy's normals lie within ±13.7: its ziggurat's tail returns r - log1p(-u) / r,

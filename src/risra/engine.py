@@ -81,7 +81,7 @@ import numpy as np
 
 from . import access, channel, power_metrics, receiver
 from .channel import phase_shift_set
-from .config import ScenarioConfig
+from .config import ScenarioConfig, _shown
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -137,7 +137,8 @@ def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
     per pool word and 4 per seed word past the fourth; the trial word follows.
     """
     if seed < 0 or not 0 <= start <= stop <= 2**32:
-        raise ValueError(f"need seed >= 0 and trials in 0..2**32-1, not {seed}, {start}..{stop - 1}")
+        raise ValueError(f"need seed >= 0 and trials in 0..2**32-1, not {_shown(seed)}, "
+                         f"{_shown(start)}..{_shown(stop - 1)}")
     trials = np.arange(start, stop, dtype=np.uint32)
     pool = np.random.SeedSequence(seed).pool.tolist()
     words = -(-seed.bit_length() // 32)

@@ -50,13 +50,14 @@ class TestPolicy:
         assert not ac.Policy("crdsap").requires_training
         assert not ac.Policy("irsap").requires_training
 
+    # Policy is a plain record: the config checks its rules when it is built
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ac.Policy("aloha")
+        with pytest.raises(ValueError, match=r"^policy\.kind must be one of "):
+            parse_config(None, ["policy.kind=aloha"])
 
     def test_bad_sscp_count_rejected(self):
-        with pytest.raises(ValueError):
-            ac.Policy("sscp", sscp_s=0)
+        with pytest.raises(ValueError, match=r"^policy\.sscp_s must be >= 1$"):
+            parse_config(None, ["policy.kind=sscp", "policy.sscp_s=0"])
 
 
 class TestMeasureQuality:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risra import channel as ch
+from risra.config import parse_config
 from oracles import (
     linear_to_db,
     loop_array_factor,
@@ -90,14 +91,20 @@ class TestPhaseShiftSet:
             assert a == pytest.approx(math.pi * i / (2 * (s - 1)), rel=1e-12, abs=1e-15)
 
 
+def surface_settings(n_x, n_z, d_x, d_z, wavelength):
+    return [f"ris.n_x={n_x}", f"ris.n_z={n_z}", f"ris.d_x_m={d_x}", f"ris.d_z_m={d_z}",
+            f"radio.wavelength_m={wavelength}"]
+
+
 class TestGeometryValidation:
+    # the parts are plain records: the config checks their rules when it is built
     def test_element_larger_than_wavelength_rejected(self):
-        with pytest.raises(ValueError):
-            ch.RisGeometry(4, 4, 0.2, 0.1, 0.1)
+        with pytest.raises(ValueError, match=r"^ris\.d_x_m must be in "):
+            parse_config(None, surface_settings(4, 4, 0.2, 0.1, 0.1))
 
     def test_zero_elements_rejected(self):
-        with pytest.raises(ValueError):
-            ch.RisGeometry(0, 4, 0.1, 0.1, 0.1)
+        with pytest.raises(ValueError, match=r"^ris\.n_x must be >= 1$"):
+            parse_config(None, surface_settings(0, 4, 0.1, 0.1, 0.1))
 
     def test_derived_counts(self):
         ris = make_ris(8, 5)
@@ -105,10 +112,11 @@ class TestGeometryValidation:
         assert ris.wavenumber == pytest.approx(2 * math.pi / 0.1, rel=1e-15)
 
     def test_placement_validation(self):
-        with pytest.raises(ValueError):
-            ch.NodePlacement(0.0, 1.0)
-        with pytest.raises(ValueError):
-            ch.NodePlacement(10.0, 0.0)
+        # a 0 dB gain is the linear 1.0; -4000 dB underflows to the linear 0.0
+        with pytest.raises(ValueError, match=r"^ap\.distance_m must be positive$"):
+            parse_config(None, ["ap.distance_m=0", "ap.gain_db=0"])
+        with pytest.raises(ValueError, match=r"^ap\.gain_db must give a positive linear gain"):
+            parse_config(None, ["ap.distance_m=10", "ap.gain_db=-4000"])
         with pytest.raises(TypeError):  # the AP angle is gone: no output read it
             ch.NodePlacement(10.0, 0.1, 1.0)
 

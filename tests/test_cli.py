@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 
-from risra import cli, engine
+from risra import cli, config, engine
 from risra.config import CONFIG_SCHEMA, parse_config
 
 NOISE_MINUS_94_DBM = 3.9810717055349725e-13
@@ -589,7 +589,11 @@ class TestConfigErrors:
         ("power.ap_static_dbw=-4000",), ("power.mtd_static_w=0",), ("power.phase_shifter_mw=0",),
         ("timing.t_as_s=0",), ("timing.r=-1",), ("sim.s=0",), ("sim.k=0",), ("sim.trials=0",),
         ("sim.seed=-1",), ("sim.workers=0",), ("estimation.noise_std=-1",),
-        ("policy.kind=sscp", "policy.sscp_s=0"),
+        ("policy.kind=sscp", "policy.sscp_s=0"), ("mtd.d_min_m=50", "mtd.d_max_m=40"),
+        ("mtd.angle_max_rad=0.5", "mtd.angle_min_rad=1"),
+        ("policy.kind=sscp", "sim.s=3", "policy.sscp_s=4"),
+        pytest.param(("policy.kind=crdsap", "sim.s=1"), id="crdsap-sim.s=1"),
+        pytest.param(("policy.kind=irsap", "sim.s=1"), id="irsap-sim.s=1"),
     ], ids=lambda settings: settings[-1])
     def test_error_names_the_key(self, tmp_path, capsys, settings):
         # the dB settings are finite but their linear values underflow to 0;
@@ -606,10 +610,12 @@ class TestConfigErrors:
         ((f"sim.trials={10**400}",), "got 1.00000e+400"),
         (("policy.kind=sscp", f"policy.sscp_s={10**400}"), "policy.sscp_s = 1.00000e+400"),
         (("sim.trials=1" + "0" * 5000,), "got '1" + "0" * 28 + "...'"),
-    ], ids=["sim.trials", "policy.sscp_s", "sim.trials-unparsed"])
+        (("policy.kind=" + "x" * 3000,), "got '" + "x" * 29 + "...'"),
+    ], ids=["sim.trials", "policy.sscp_s", "sim.trials-unparsed", "policy.kind"])
     def test_a_huge_integer_is_shown_bounded(self, tmp_path, capsys, settings, shown):
         # the messages held every digit: 453 and 444 bytes for the 401-digit
-        # values, and 5052 for the 5001 digits int() refuses
+        # values, and 5052 for the 5001 digits int() refuses; an unknown
+        # policy.kind was echoed whole, 3068 bytes for 3000 characters
         key = settings[-1].split("=")[0]
         out = tmp_path / "o.csv"
         assert run_cli("validate", *itertools.chain(*(("--set", s) for s in settings)),
@@ -617,6 +623,22 @@ class TestConfigErrors:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error:") and key in line and shown in line and len(line) < 100
         assert not out.exists()
+
+    @pytest.mark.parametrize("settings, line", [
+        (("ris.n_x=0", "sim.k=0"), "error: ris.n_x must be >= 1"),
+        (("timing.r=-1", "policy.kind=aloha"), "error: timing.r must be nonnegative"),
+    ], ids=["ris.n_x", "timing.r"])
+    def test_the_first_broken_rule_is_named(self, capsys, settings, line):
+        # the rules are checked in the order build_config makes the parts, so
+        # a config that breaks several is told the rule of the earliest part
+        assert run_cli("validate", *itertools.chain(*(("--set", s) for s in settings))) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+
+    def test_every_rule_is_keyed_by_a_config_key(self):
+        # a row's key is the setting that mends it, and its message names it
+        for key, _rule, message in config._RULES:
+            assert key in CONFIG_SCHEMA
+            assert not isinstance(message, str) or key in message
 
 
 class TestOutOfMemory:
@@ -724,6 +746,16 @@ class TestOverflow:
                        "--policies", "carp,sscp", "--out", str(out)) == 0
         for row in out.read_text().splitlines()[1:]:
             assert all(math.isfinite(float(x)) for x in row.split(",")[4:])
+
+    def test_a_replaced_config_is_checked(self):
+        # dataclasses.replace builds the config anew, so the rules and bounds of
+        # build_config hold for it too: this 1e300 W device power ran, to an
+        # ee_ratio_of_means of 0.0 over a mean_power_w of 1.2e301
+        cfg, _resolved = parse_config()
+        with pytest.raises(ValueError, match=r"radio\.mtd_tx_power_w"):
+            dataclasses.replace(cfg, radio=dataclasses.replace(cfg.radio, mtd_tx_power_w=1e300))
+        with pytest.raises(ValueError, match=r"^ris\.n_x must be >= 1$"):
+            dataclasses.replace(cfg, ris=dataclasses.replace(cfg.ris, n_x=0))
 
     def test_non_finite_aggregate_never_reaches_a_csv(self):
         # the last guard behind the config bounds: _csv_row refuses the row itself

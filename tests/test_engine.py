@@ -222,13 +222,15 @@ class TestSimulateFrame:
                 assert frame.trace.dtype == rows.dtype and np.array_equal(frame.trace, rows)
         assert simulate_frame(cfg, 3).trace.shape == (0, 4)
 
-    @pytest.mark.parametrize("trial", [-1, 2**32, 2**70])
+    @pytest.mark.parametrize("trial", [-1, 2**32, 2**70, pytest.param(10**400, id="10**400")])
     def test_a_trial_outside_the_key_word_raises(self, trial):
-        # a trial index is one 32-bit spawn word; 2**70 is wider than an int64
-        with pytest.raises(ValueError, match="2\\*\\*32-1"):
+        # a trial index is one 32-bit spawn word; 2**70 is wider than an int64,
+        # and the 10**400 range was echoed in full, 852 characters
+        with pytest.raises(ValueError, match="2\\*\\*32-1") as frame_error:
             simulate_frame(make_cfg(), trial)
-        with pytest.raises(ValueError, match="2\\*\\*32-1"):
+        with pytest.raises(ValueError, match="2\\*\\*32-1") as stream_error:
             trial_rng(1, trial)
+        assert len(str(frame_error.value)) < 100 and len(str(stream_error.value)) < 100
 
 
 class TestRunMonteCarlo:
