@@ -15,9 +15,10 @@ and each device transmits packet replicas in the slots chosen by its policy:
 Every policy works on arrays of shape (..., k, s): any leading batch shape,
 then devices, then slots. Its random numbers are decoded beforehand from each
 trial's raw 64-bit stream words by `decode_draws`, exactly as numpy's
-Generator would draw them, so the slot choice itself is deterministic. The
-result is a boolean replica mask of the same shape. Slot indices are 0-based
-throughout.
+Generator would draw them, so a slot choice, one `choose_slots` call for
+every policy, is deterministic and reads the quality grid only for carp and
+sscp. The result is a boolean replica mask of the same shape. Slot indices
+are 0-based throughout.
 """
 
 from __future__ import annotations
@@ -216,22 +217,14 @@ def decode_draws(
     return (), clean
 
 
-def choose_slots(policy: Policy, quality: np.ndarray, draws) -> np.ndarray:
-    """Replica mask of one policy over a quality grid of shape (..., k, s) (measure_quality).
-
-    `draws` are decode_draws' arrays, stacked along the same leading axes.
-    Untrained policies read only the grid's shape (blind_slots).
-    """
-    if not policy.requires_training:
-        return blind_slots(policy, draws, quality.shape[-1])
+def choose_slots(policy: Policy, quality: np.ndarray | None, draws, num_slots: int) -> np.ndarray:
+    """Replica mask of one policy, shape (..., k, num_slots), from its decode_draws arrays
+    stacked along the leading axes: carp and sscp choose on `quality`, measure_quality's
+    grid, and crdsap and irsap on the draws alone, so for them `quality` may be None."""
     if policy.kind == "carp":
         return carp_slots(quality, *draws)
-    return sscp_slots(quality, policy.sscp_s)
-
-
-def blind_slots(policy: Policy, draws, num_slots: int) -> np.ndarray:
-    """Replica mask of an untrained policy (crdsap, irsap) over `num_slots` slots,
-    from its decode_draws arrays alone: it needs no SNR grid."""
+    if policy.kind == "sscp":
+        return sscp_slots(quality, policy.sscp_s)
     if policy.kind == "crdsap":
         return crdsap_slots(*draws, num_slots)
     return irsap_slots(*draws)

@@ -121,10 +121,18 @@ def _positive(key: str, value: Callable[[ScenarioConfig], float], what: str, uni
             lambda c: f"{key} must give a positive {what}, not {value(c)}{unit}")
 
 
+def _integer(key: str, value: Callable[[ScenarioConfig], Any]) -> tuple:
+    """The row of a key whose value in the built config must be an int, not a bool."""
+    return (key, lambda c: isinstance(value(c), int) and not isinstance(value(c), bool),
+            lambda c: f"{key} must be an integer, got {type(value(c)).__name__}")
+
+
 # (key, rule every valid config keeps, message) rows, checked in the order build_config makes
 # the parts, so a config is told the first it breaks. Messages show ints and texts by _shown.
 _RULES = (
+    _integer("ris.n_x", lambda c: c.ris.n_x),
     ("ris.n_x", lambda c: c.ris.n_x >= 1, "ris.n_x must be >= 1"),
+    _integer("ris.n_z", lambda c: c.ris.n_z),
     ("ris.n_z", lambda c: c.ris.n_z >= 1, "ris.n_z must be >= 1"),
     ("ris.d_x_m", lambda c: 0 < c.ris.d_x_m <= c.ris.wavelength_m,
      "ris.d_x_m must be in (0, radio.wavelength_m]"),
@@ -143,16 +151,22 @@ _RULES = (
     _positive("power.phase_shifter_mw", lambda c: c.power.phase_shifter_w, "power", " W"),
     ("timing.t_as_s", lambda c: c.timing.access_slot_s > 0, "timing.t_as_s must be positive"),
     ("timing.r", lambda c: c.timing.training_ratio >= 0, "timing.r must be nonnegative"),
+    _integer("sim.s", lambda c: c.s),
     ("sim.s", lambda c: c.s >= 1, "sim.s must be >= 1"),
     ("policy.kind", lambda c: c.policy.kind in POLICY_KINDS, lambda c:
      f"policy.kind must be one of {', '.join(POLICY_KINDS)}, got {_shown(c.policy.kind)}"),
+    _integer("policy.sscp_s", lambda c: c.policy.sscp_s),
     ("policy.sscp_s", lambda c: c.policy.kind != "sscp" or c.policy.sscp_s >= 1,
      "policy.sscp_s must be >= 1"),
+    _integer("sim.k", lambda c: c.k),
     ("sim.k", lambda c: c.k >= 1, "sim.k must be >= 1"),
+    _integer("sim.trials", lambda c: c.trials),
     # trial indices key the streams as one 32-bit word (engine._trial_keys)
     ("sim.trials", lambda c: 1 <= c.trials <= 2**32,
      lambda c: f"sim.trials must be between 1 and 2**32, got {_shown(c.trials)}"),
+    _integer("sim.workers", lambda c: c.workers),
     ("sim.workers", lambda c: c.workers >= 1, "sim.workers must be >= 1"),
+    _integer("sim.seed", lambda c: c.seed),
     ("sim.seed", lambda c: c.seed >= 0, "sim.seed must be a nonnegative integer"),
     ("mtd.d_min_m", lambda c: 0 < c.mtd_d_min_m <= c.mtd_d_max_m,
      "0 < mtd.d_min_m <= mtd.d_max_m must hold"),

@@ -29,13 +29,13 @@ Its members that draw no noise read each trial's stream once, with one
 random_raw call: 2k words for the placement, then the most words any of them
 takes at its own S (access.policy_words). The placement, and the words after
 it as unit doubles, are decoded once, and each member decodes its own prefix
-exactly as numpy's Generator would (_batch_draws). A point builds one SNR
-grid and, when a member is trained, one quality grid; its members choose
-their slots on it and their stacked masks are peeled as one batch (one
-receiver.peel_batch call), and each member's metrics follow from its own
-counts. When no member of a point is trained, no slot choice reads the grid,
-so the members choose first and the grid is computed only at the union of
-their replicas, the only entries a peel reads; the rest stay 0. A Philox
+exactly as numpy's Generator would (_batch_draws). A point with a trained
+member builds its SNR and quality grids; then each member chooses its slots
+with one access.choose_slots call, and the point's stacked masks are peeled
+as one batch (one receiver.peel_batch call), each member's metrics following
+from its own counts. With no trained member a point has no quality grid, so
+its SNR grid is computed after the choice, only at the union of their
+replicas, the only entries a peel reads; the rest stay 0. A Philox
 stream is fixed by its key and counter and every policy's words start at
 offset 2k, so a member reads exactly the words it would read alone, and a
 frame's peel does not depend on the frames stacked with it: a group's
@@ -288,13 +288,14 @@ def _simulate_batch(points: list[list[ScenarioConfig]], keys: np.ndarray, keep_t
     The group is given as its points, each the cells that differ only in
     policy. Its members share one placement; a point's members share one SNR
     grid, and everything after the draws runs on (b, k, s) arrays, the peel
-    on the point's (m, b, k, s) stack of masks. When no member of a point is
-    trained, none reads the grid to choose its slots, so they choose first
-    and the grid is computed only where one of them placed a replica: the
-    peel reads no other entry. Yields per member, point by point, the
-    per-trial (successes, throughput, power, replica counts) arrays and its
-    decode trace: peel_batch's (n, 4) rows with the frame rebased to the
-    trial within the batch, empty without keep_traces.
+    on the point's (m, b, k, s) stack of masks. A point with a trained member
+    builds its SNR and quality grids before access.choose_slots; one with
+    none has no quality grid, and its SNR grid follows the choice, computed
+    only where a replica lies: the peel reads no other entry. Yields per
+    member, point by point, the per-trial (successes, throughput, power,
+    replica counts) arrays and its decode trace: peel_batch's (n, 4) rows
+    with the frame rebased to the trial within the batch, empty without
+    keep_traces.
     """
     distances, angles, members = _batch_draws(list(itertools.chain(*points)), keys)
     for point in points:
@@ -302,21 +303,16 @@ def _simulate_batch(points: list[list[ScenarioConfig]], keys: np.ndarray, keep_t
         phases = phase_shift_set(cfg.s)
         normals, point_draws = zip(*itertools.islice(members, len(point)))
         grid = (cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles, phases)
+        quality = None
         if any(member.policy.requires_training for member in point):
             gamma = channel.snr_matrix(*grid)
             # the normals of the point's trained members, None without noise
             noise = next((own for own in normals if own is not None), None)
             quality = access.measure_quality(gamma, cfg.estimation_c, cfg.estimation_noise_std,
                                              noise)
-            chosen = np.stack([
-                access.choose_slots(member.policy, quality, own)
-                for member, own in zip(point, point_draws)
-            ])
-        else:
-            chosen = np.stack([
-                access.blind_slots(member.policy, own, len(phases))
-                for member, own in zip(point, point_draws)
-            ])
+        chosen = np.stack([access.choose_slots(member.policy, quality, own, cfg.s)
+                           for member, own in zip(point, point_draws)])
+        if quality is None:
             gamma = channel.snr_matrix(*grid, mask=chosen.any(axis=0))
         # one peel for the stacked members: they differ only in policy, so they
         # share the threshold as well as the grid

@@ -56,11 +56,11 @@ def test_c1_replica_count_exactness():
     units = ch.unit_doubles(words)
     (first, second), _rejected = ac.decode_draws(crdsap, words, units, frames * k, s)
     draws = (first.reshape(frames, k), second.reshape(frames, k))
-    totals = ac.choose_slots(crdsap, np.empty((frames, k, s)), draws).sum(axis=(1, 2))
+    totals = ac.choose_slots(crdsap, None, draws, s).sum(axis=(1, 2))
     ok = bool(np.all(totals == 2 * k))
     for policy, count in ((sscp2, 2), (sscp3, 3)):
         snr = rng.uniform(0.0, 100.0, (frames, k, s))
-        totals = ac.choose_slots(policy, snr, ()).sum(axis=(1, 2))
+        totals = ac.choose_slots(policy, snr, (), s).sum(axis=(1, 2))
         ok = ok and bool(np.all(totals == count * k))
     report("1", ok, f"crdsap=2K and sscp(s)=sK replica totals over {frames} frames")
     assert ok
@@ -72,7 +72,7 @@ def test_c2_irsap_degree_statistics():
     irsap = Policy("irsap")
     words = rng.bit_generator.random_raw((1, ac.policy_words(irsap, n, s)))
     draws, _rejected = ac.decode_draws(irsap, words, ch.unit_doubles(words), n, s)
-    sizes = ac.choose_slots(irsap, np.empty((1, n, s)), draws)[0].sum(axis=1)
+    sizes = ac.choose_slots(irsap, None, draws, s)[0].sum(axis=1)
 
     mean_ok = abs(sizes.mean() - IRSAP_MEAN_DEGREE_S20) <= 0.01 * IRSAP_MEAN_DEGREE_S20
     pmf = ac.irsap_degree_pmf(s)

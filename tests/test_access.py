@@ -36,7 +36,7 @@ def trial_draws(kind, rng, k, s):
 def select(kind, rng, k, s, snr=None):
     """One trial of `kind` for k devices: decode its draws, then choose."""
     snr = np.zeros((1, k, s)) if snr is None else snr[None]
-    return ac.choose_slots(ac.Policy(kind), snr, trial_draws(kind, rng, k, s))[0]
+    return ac.choose_slots(ac.Policy(kind), snr, trial_draws(kind, rng, k, s), s)[0]
 
 
 def slot_set(mask_row):
@@ -235,7 +235,7 @@ class TestDecideAccess:
 
     def test_sscp_total_replicas_exact(self):
         snr = np.random.default_rng(0).uniform(0.0, 100.0, (10, 6))
-        assert ac.choose_slots(ac.Policy("sscp", 2), snr, ()).sum() == 20
+        assert ac.choose_slots(ac.Policy("sscp", 2), snr, (), 6).sum() == 20
 
     def test_carp_matches_scalar_ops(self):
         # per-row reference: normalize, one trial per slot, else the best slot
@@ -243,7 +243,7 @@ class TestDecideAccess:
         q = rng.uniform(0.0, 100.0, (3, 12, 7))
         q[0, 0] = 0.0  # an all-zero row falls back to uniform probabilities
         u = rng.random((3, 12, 7))
-        chosen = ac.choose_slots(ac.Policy("carp"), q, (u,))
+        chosen = ac.choose_slots(ac.Policy("carp"), q, (u,), 7)
         for b, k in itertools.product(range(3), range(12)):
             row = q[b, k]
             p = row / row.sum() if row.sum() > 0 else np.full(7, 1 / 7)
@@ -253,7 +253,7 @@ class TestDecideAccess:
     def test_sscp_matches_scalar_ops(self):
         rng = np.random.default_rng(10)
         q = rng.integers(0, 4, (4, 9, 5)).astype(float)  # small integers: many ties
-        chosen = ac.choose_slots(ac.Policy("sscp", 3), q, ())
+        chosen = ac.choose_slots(ac.Policy("sscp", 3), q, (), 5)
         for b, k in itertools.product(range(4), range(9)):
             expected = sorted(range(5), key=lambda j: (-q[b, k, j], j))[:3]
             assert slot_set(chosen[b, k]) == set(expected)
@@ -281,10 +281,9 @@ class TestDecideAccess:
         for kind in ("crdsap", "irsap"):
             policy = ac.Policy(kind)
             draws = trial_draws(kind, np.random.default_rng(6), 10, 8)
-            a = ac.choose_slots(policy, np.zeros((1, 10, 8)), draws)
-            b = ac.choose_slots(policy, np.full((1, 10, 8), 1e9), draws)
-            assert np.array_equal(a, b)
-            assert np.array_equal(ac.blind_slots(policy, draws, 8), a)
+            blind = ac.choose_slots(policy, None, draws, 8)
+            for grid in (np.zeros((1, 10, 8)), np.full((1, 10, 8), 1e9)):
+                assert np.array_equal(ac.choose_slots(policy, grid, draws, 8), blind)
 
 
 # a few values, so that ties within a row are common, and all-zero rows

@@ -640,6 +640,24 @@ class TestConfigErrors:
             assert key in CONFIG_SCHEMA
             assert not isinstance(message, str) or key in message
 
+    @pytest.mark.parametrize("key, part, field, value", [
+        ("ris.n_x", "ris", "n_x", 10.0), ("ris.n_z", "ris", "n_z", True),
+        ("sim.s", "timing", "slots", 20.0), ("policy.sscp_s", "policy", "sscp_s", 2.0),
+        ("sim.k", None, "k", 2.0), ("sim.trials", None, "trials", 2.5),
+        ("sim.trials", None, "trials", True), ("sim.seed", None, "seed", 1.5),
+        ("sim.workers", None, "workers", 1.0),
+    ])
+    def test_an_integer_key_holds_an_int(self, key, part, field, value):
+        # build_config always gives ints, but dataclasses.replace took these:
+        # trials=2.5 and k=2.0 ran into a TypeError, seed=1.5 failed inside
+        # SeedSequence, and trials=True ran one trial
+        cfg, _resolved = parse_config()
+        changes = ({field: value} if part is None
+                   else {part: dataclasses.replace(getattr(cfg, part), **{field: value})})
+        message = f"^{re.escape(key)} must be an integer, got {type(value).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(cfg, **changes)
+
 
 class TestOutOfMemory:
     @pytest.mark.parametrize("error, line", [

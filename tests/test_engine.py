@@ -310,7 +310,7 @@ class TestSscpSingleReplica:
             gamma = channel.snr_matrix(
                 cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles, phases
             )
-            chosen = access.choose_slots(cfg.policy, gamma, ())
+            chosen = access.choose_slots(cfg.policy, gamma, (), cfg.s)
             trace = peel_trace(rx.peel_batch, chosen, gamma, cfg.radio.snr_threshold)
 
             slots = chosen.argmax(axis=1).tolist()
@@ -331,7 +331,7 @@ def masks_and_decoded(cfg):
         channel.phase_shift_set(cfg.s),
     )
     quality = access.measure_quality(gamma, cfg.estimation_c, cfg.estimation_noise_std, normals)
-    chosen = access.choose_slots(cfg.policy, quality, draws)
+    chosen = access.choose_slots(cfg.policy, quality, draws, cfg.s)
     [(a, _g, _p, _traces)] = _simulate_range([[cfg]], 0, cfg.trials)
     assert np.array_equal(rx.peel_batch(chosen, gamma, cfg.radio.snr_threshold)[0], a)
     return chosen, a

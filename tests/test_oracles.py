@@ -148,7 +148,7 @@ def test_decoded_draws_match_the_fixed_grid_oracle(grid, kind):
         (GRID_FRAMES, access.policy_words(policy, k, s)))
     draws, rejected = access.decode_draws(policy, words, channel.unit_doubles(words), k, s)
     gamma = np.broadcast_to(np.array(snr), (GRID_FRAMES, k, s))
-    chosen = access.choose_slots(policy, gamma, draws)
+    chosen = access.choose_slots(policy, gamma, draws, s)
     decoded = receiver.peel_batch(chosen, gamma, 1.0)[0][~rejected]
     expected = fixed_grid_decoded(kind, snr, 1.0, sscp_s)
     half_width = Z_GRID * decoded.std(ddof=1) / math.sqrt(decoded.size)
