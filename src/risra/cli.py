@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument(
         "--s-values",
         default="1:40",
-        help="slot counts to evaluate (policies without training need S >= 2)",
+        help="slot counts to evaluate (sscp needs S >= policy.sscp_s; crdsap and irsap S >= 2)",
     )
     p_opt.set_defaults(func=cmd_optimal_s)
 

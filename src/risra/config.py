@@ -7,8 +7,10 @@ defaults below, which describe the baseline scenario used throughout the test
 suite: a 10x10 surface with 0.1 m elements at 0.1 m wavelength, the AP at 20 m
 with 5 dB gain, devices uniform over 25..100 m and the full angle quadrant,
 10 mW device transmit power, -94 dBm noise, 0 dB SIC threshold, 20 slots, 10
-contending devices. Each rule is a _RULES row, checked on every ScenarioConfig
-built (dataclasses.replace too) over plain-record parts; errors name the key.
+contending devices. Each key is one CONFIG_SCHEMA row: its type, its default,
+the ScenarioConfig attribute that holds its linear value and the conversion to
+that value. Each rule is a _RULES row, checked on every ScenarioConfig built
+(dataclasses.replace too) over plain-record parts; errors name the key.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, get_type_hints
 
 from .access import POLICY_KINDS, Policy
 from .channel import (
@@ -32,40 +35,41 @@ from .channel import (
 )
 from .power_metrics import FrameTiming, PowerParams, ap_power, ris_power
 
-# key -> (python type, default)
-CONFIG_SCHEMA: dict[str, tuple[type, Any]] = {
-    "ris.n_x": (int, 10),
-    "ris.n_z": (int, 10),
-    "ris.d_x_m": (float, 0.1),
-    "ris.d_z_m": (float, 0.1),
-    "radio.wavelength_m": (float, 0.1),
-    "radio.mtd_tx_power_w": (float, 0.01),
-    "radio.noise_power_dbm": (float, -94.0),
-    "radio.snr_threshold_db": (float, 0.0),
-    "ap.distance_m": (float, 20.0),
-    "ap.gain_db": (float, 5.0),
-    "mtd.d_min_m": (float, 25.0),
-    "mtd.d_max_m": (float, 100.0),
-    "mtd.angle_min_rad": (float, 0.0),
-    "mtd.angle_max_rad": (float, HALF_PI),
-    "mtd.gain_db": (float, 5.0),
-    "policy.kind": (str, "carp"),
-    "policy.sscp_s": (int, 2),
-    "estimation.c": (float, 1.0),
-    "estimation.noise_std": (float, 0.0),
-    "power.ap_xi": (float, 1.2),
-    "power.ap_tx_power_w": (float, 0.1),
-    "power.ap_static_dbw": (float, 9.0),
-    "power.mtd_xi": (float, 1.2),
-    "power.mtd_static_w": (float, 0.04),
-    "power.phase_shifter_mw": (float, 1.5),
-    "timing.t_as_s": (float, 1.0),
-    "timing.r": (float, 0.2),
-    "sim.k": (int, 10),
-    "sim.s": (int, 20),
-    "sim.trials": (int, 1000),
-    "sim.seed": (int, 1),
-    "sim.workers": (int, 1),
+# key -> (python type, default, the ScenarioConfig attribute path that holds its value,
+# the conversion from the key's unit to that value or None where it is held as given)
+CONFIG_SCHEMA: dict[str, tuple[type, Any, str, Callable[[float], float] | None]] = {
+    "ris.n_x": (int, 10, "ris.n_x", None),
+    "ris.n_z": (int, 10, "ris.n_z", None),
+    "ris.d_x_m": (float, 0.1, "ris.d_x_m", None),
+    "ris.d_z_m": (float, 0.1, "ris.d_z_m", None),
+    "radio.wavelength_m": (float, 0.1, "ris.wavelength_m", None),
+    "radio.mtd_tx_power_w": (float, 0.01, "radio.mtd_tx_power_w", None),
+    "radio.noise_power_dbm": (float, -94.0, "radio.noise_power_w", dbm_to_watts),
+    "radio.snr_threshold_db": (float, 0.0, "radio.snr_threshold", db_to_linear),
+    "ap.distance_m": (float, 20.0, "ap.distance_m", None),
+    "ap.gain_db": (float, 5.0, "ap.antenna_gain", db_to_linear),
+    "mtd.d_min_m": (float, 25.0, "mtd_d_min_m", None),
+    "mtd.d_max_m": (float, 100.0, "mtd_d_max_m", None),
+    "mtd.angle_min_rad": (float, 0.0, "mtd_angle_min_rad", None),
+    "mtd.angle_max_rad": (float, HALF_PI, "mtd_angle_max_rad", None),
+    "mtd.gain_db": (float, 5.0, "mtd_gain", db_to_linear),
+    "policy.kind": (str, "carp", "policy.kind", None),
+    "policy.sscp_s": (int, 2, "policy.sscp_s", None),
+    "estimation.c": (float, 1.0, "estimation_c", None),
+    "estimation.noise_std": (float, 0.0, "estimation_noise_std", None),
+    "power.ap_xi": (float, 1.2, "power.ap_pa_inverse_eff", None),
+    "power.ap_tx_power_w": (float, 0.1, "power.ap_tx_power_w", None),
+    "power.ap_static_dbw": (float, 9.0, "power.ap_static_w", dbw_to_watts),
+    "power.mtd_xi": (float, 1.2, "power.mtd_pa_inverse_eff", None),
+    "power.mtd_static_w": (float, 0.04, "power.mtd_static_w", None),
+    "power.phase_shifter_mw": (float, 1.5, "power.phase_shifter_w", lambda mw: mw * 1e-3),
+    "timing.t_as_s": (float, 1.0, "timing.access_slot_s", None),
+    "timing.r": (float, 0.2, "timing.training_ratio", None),
+    "sim.k": (int, 10, "k", None),
+    "sim.s": (int, 20, "timing.slots", None),
+    "sim.trials": (int, 1000, "trials", None),
+    "sim.seed": (int, 1, "seed", None),
+    "sim.workers": (int, 1, "workers", None),
 }
 
 # keys of earlier versions -> the value at which their outputs equal this
@@ -115,64 +119,71 @@ class ScenarioConfig:
         return self.timing.slots
 
 
-def _positive(key: str, value: Callable[[ScenarioConfig], float], what: str, unit: str = "") -> tuple:
+# each part's type by its ScenarioConfig field name, for build_config
+_PART_TYPES = get_type_hints(ScenarioConfig)
+
+
+def _positive(key: str, what: str, unit: str = "") -> tuple:
     """The row of a key whose value in the built config must be positive."""
+    value = attrgetter(CONFIG_SCHEMA[key][2])
     return (key, lambda c: value(c) > 0,
             lambda c: f"{key} must give a positive {what}, not {value(c)}{unit}")
 
 
-def _integer(key: str, value: Callable[[ScenarioConfig], Any]) -> tuple:
+def _integer(key: str) -> tuple:
     """The row of a key whose value in the built config must be an int, not a bool."""
+    value = attrgetter(CONFIG_SCHEMA[key][2])
     return (key, lambda c: isinstance(value(c), int) and not isinstance(value(c), bool),
             lambda c: f"{key} must be an integer, got {type(value(c)).__name__}")
 
 
-# (key, rule every valid config keeps, message) rows, checked in the order build_config makes
-# the parts, so a config is told the first it breaks. Messages show ints and texts by _shown.
+# (key, rule every valid config keeps, message) rows, checked part by part (ris, ap, radio,
+# power, timing, policy, the scenario's own fields, then the rules across parts), so a config
+# is told the first it breaks. Messages show ints and texts by _shown.
 _RULES = (
-    _integer("ris.n_x", lambda c: c.ris.n_x),
+    _integer("ris.n_x"),
     ("ris.n_x", lambda c: c.ris.n_x >= 1, "ris.n_x must be >= 1"),
-    _integer("ris.n_z", lambda c: c.ris.n_z),
+    _integer("ris.n_z"),
     ("ris.n_z", lambda c: c.ris.n_z >= 1, "ris.n_z must be >= 1"),
     ("ris.d_x_m", lambda c: 0 < c.ris.d_x_m <= c.ris.wavelength_m,
      "ris.d_x_m must be in (0, radio.wavelength_m]"),
     ("ris.d_z_m", lambda c: 0 < c.ris.d_z_m <= c.ris.wavelength_m,
      "ris.d_z_m must be in (0, radio.wavelength_m]"),
     ("ap.distance_m", lambda c: c.ap.distance_m > 0, "ap.distance_m must be positive"),
-    _positive("ap.gain_db", lambda c: c.ap.antenna_gain, "linear gain"),
-    _positive("radio.mtd_tx_power_w", lambda c: c.radio.mtd_tx_power_w, "linear value"),
-    _positive("radio.noise_power_dbm", lambda c: c.radio.noise_power_w, "linear value"),
-    _positive("radio.snr_threshold_db", lambda c: c.radio.snr_threshold, "linear value"),
+    _positive("ap.gain_db", "linear gain"),
+    _positive("radio.mtd_tx_power_w", "linear value"),
+    _positive("radio.noise_power_dbm", "linear value"),
+    _positive("radio.snr_threshold_db", "linear value"),
     ("power.ap_xi", lambda c: c.power.ap_pa_inverse_eff > 1, "power.ap_xi must exceed 1"),
     ("power.mtd_xi", lambda c: c.power.mtd_pa_inverse_eff > 1, "power.mtd_xi must exceed 1"),
-    _positive("power.ap_tx_power_w", lambda c: c.power.ap_tx_power_w, "power", " W"),
-    _positive("power.ap_static_dbw", lambda c: c.power.ap_static_w, "power", " W"),
-    _positive("power.mtd_static_w", lambda c: c.power.mtd_static_w, "power", " W"),
-    _positive("power.phase_shifter_mw", lambda c: c.power.phase_shifter_w, "power", " W"),
+    _positive("power.ap_tx_power_w", "power", " W"),
+    _positive("power.ap_static_dbw", "power", " W"),
+    _positive("power.mtd_static_w", "power", " W"),
+    _positive("power.phase_shifter_mw", "power", " W"),
     ("timing.t_as_s", lambda c: c.timing.access_slot_s > 0, "timing.t_as_s must be positive"),
     ("timing.r", lambda c: c.timing.training_ratio >= 0, "timing.r must be nonnegative"),
-    _integer("sim.s", lambda c: c.s),
+    _integer("sim.s"),
     ("sim.s", lambda c: c.s >= 1, "sim.s must be >= 1"),
     ("policy.kind", lambda c: c.policy.kind in POLICY_KINDS, lambda c:
      f"policy.kind must be one of {', '.join(POLICY_KINDS)}, got {_shown(c.policy.kind)}"),
-    _integer("policy.sscp_s", lambda c: c.policy.sscp_s),
+    _integer("policy.sscp_s"),
     ("policy.sscp_s", lambda c: c.policy.kind != "sscp" or c.policy.sscp_s >= 1,
      "policy.sscp_s must be >= 1"),
-    _integer("sim.k", lambda c: c.k),
+    _integer("sim.k"),
     ("sim.k", lambda c: c.k >= 1, "sim.k must be >= 1"),
-    _integer("sim.trials", lambda c: c.trials),
+    _integer("sim.trials"),
     # trial indices key the streams as one 32-bit word (engine._trial_keys)
     ("sim.trials", lambda c: 1 <= c.trials <= 2**32,
      lambda c: f"sim.trials must be between 1 and 2**32, got {_shown(c.trials)}"),
-    _integer("sim.workers", lambda c: c.workers),
+    _integer("sim.workers"),
     ("sim.workers", lambda c: c.workers >= 1, "sim.workers must be >= 1"),
-    _integer("sim.seed", lambda c: c.seed),
+    _integer("sim.seed"),
     ("sim.seed", lambda c: c.seed >= 0, "sim.seed must be a nonnegative integer"),
     ("mtd.d_min_m", lambda c: 0 < c.mtd_d_min_m <= c.mtd_d_max_m,
      "0 < mtd.d_min_m <= mtd.d_max_m must hold"),
     ("mtd.angle_min_rad", lambda c: 0 <= c.mtd_angle_min_rad <= c.mtd_angle_max_rad <= HALF_PI,
      "0 <= mtd.angle_min_rad <= mtd.angle_max_rad <= pi/2 must hold"),
-    _positive("mtd.gain_db", lambda c: c.mtd_gain, "linear gain"),
+    _positive("mtd.gain_db", "linear gain"),
     # measure_quality's clamp at 0 would zero every quality
     ("estimation.c", lambda c: c.estimation_c >= 0, "estimation.c must be nonnegative"),
     ("estimation.noise_std", lambda c: c.estimation_noise_std >= 0,
@@ -192,7 +203,7 @@ def _shown(value: int | str) -> str:
 
 
 def _parse_value(key: str, raw: Any) -> Any:
-    kind, _default = CONFIG_SCHEMA[key]
+    kind = CONFIG_SCHEMA[key][0]
     if isinstance(raw, kind) and not (kind is int and isinstance(raw, bool)):
         value = raw
     else:
@@ -231,7 +242,7 @@ def resolve_config(
     values in their schema types) used both to build a ScenarioConfig and to
     record run manifests.
     """
-    resolved: dict[str, Any] = {key: default for key, (_t, default) in CONFIG_SCHEMA.items()}
+    resolved: dict[str, Any] = {key: row[1] for key, row in CONFIG_SCHEMA.items()}
     for source in (file_items or {}).items(), _split_overrides(overrides):
         for key, value in source:
             if key not in CONFIG_SCHEMA:
@@ -251,55 +262,17 @@ def _split_overrides(overrides: Iterable[str]) -> list[tuple[str, str]]:
 
 
 def build_config(resolved: dict[str, Any]) -> ScenarioConfig:
-    """Construct a validated ScenarioConfig from a fully resolved flat mapping."""
-    ris = RisGeometry(
-        n_x=resolved["ris.n_x"],
-        n_z=resolved["ris.n_z"],
-        d_x_m=resolved["ris.d_x_m"],
-        d_z_m=resolved["ris.d_z_m"],
-        wavelength_m=resolved["radio.wavelength_m"],
-    )
-    ap = NodePlacement(
-        distance_m=resolved["ap.distance_m"],
-        antenna_gain=db_to_linear(resolved["ap.gain_db"]),
-    )
-    radio = RadioParams(
-        mtd_tx_power_w=resolved["radio.mtd_tx_power_w"],
-        noise_power_w=dbm_to_watts(resolved["radio.noise_power_dbm"]),
-        snr_threshold=db_to_linear(resolved["radio.snr_threshold_db"]),
-    )
-    power = PowerParams(
-        ap_pa_inverse_eff=resolved["power.ap_xi"],
-        ap_tx_power_w=resolved["power.ap_tx_power_w"],
-        ap_static_w=dbw_to_watts(resolved["power.ap_static_dbw"]),
-        mtd_pa_inverse_eff=resolved["power.mtd_xi"],
-        mtd_static_w=resolved["power.mtd_static_w"],
-        phase_shifter_w=resolved["power.phase_shifter_mw"] * 1e-3,
-    )
-    timing = FrameTiming(
-        access_slot_s=resolved["timing.t_as_s"],
-        training_ratio=resolved["timing.r"],
-        slots=resolved["sim.s"],
-    )
-    return ScenarioConfig(
-        ris=ris,
-        ap=ap,
-        radio=radio,
-        mtd_d_min_m=resolved["mtd.d_min_m"],
-        mtd_d_max_m=resolved["mtd.d_max_m"],
-        mtd_angle_min_rad=resolved["mtd.angle_min_rad"],
-        mtd_angle_max_rad=resolved["mtd.angle_max_rad"],
-        mtd_gain=db_to_linear(resolved["mtd.gain_db"]),
-        policy=Policy(kind=resolved["policy.kind"], sscp_s=resolved["policy.sscp_s"]),
-        estimation_c=resolved["estimation.c"],
-        estimation_noise_std=resolved["estimation.noise_std"],
-        power=power,
-        timing=timing,
-        k=resolved["sim.k"],
-        trials=resolved["sim.trials"],
-        seed=resolved["sim.seed"],
-        workers=resolved["sim.workers"],
-    )
+    """Construct a validated ScenarioConfig from a fully resolved flat mapping: each key's
+    value, converted by its CONFIG_SCHEMA row, goes to the row's path, and each part is
+    built from the values under its name."""
+    parts: dict[str, dict[str, Any]] = {}
+    for key, (_kind, _default, path, to_linear) in CONFIG_SCHEMA.items():
+        part, _, name = path.rpartition(".")
+        value = resolved[key]
+        parts.setdefault(part, {})[name] = value if to_linear is None else to_linear(value)
+    own = parts.pop("")
+    return ScenarioConfig(**own, **{part: _PART_TYPES[part](**values)
+                                    for part, values in parts.items()})
 
 
 # numpy's normals lie within ±13.7: its ziggurat's tail returns r - log1p(-u) / r,

@@ -13,7 +13,8 @@ chain of fresh arrays, np.where and full sorts, so the tests can hold the
 in-place kernels to the same bits. The inverse decibel conversions and the
 closed-form irsap mean degree check the simulator's conversions and degree
 distribution; the simulator itself needs neither. energy_efficiency states the
-per-frame ratio the engine divides inline, with its power check.
+per-frame ratio the engine divides inline, with its power check. reference_frame
+chains the stream, draw, grid, slot-choice and peel oracles into one whole frame.
 frame_traces and peel_trace are no oracles but adapters: they read the
 receiver's (frame, pass, slot, device) trace array as per-frame tuple lists,
 the form loop_peel_trace gives. Like the oracles they import nothing from the
@@ -180,6 +181,59 @@ def peel_trace(peel_batch, chosen, snr_values, threshold: float) -> list[tuple[i
     """
     trace = peel_batch(chosen[None], snr_values[None], threshold, keep_traces=True)[1]
     return frame_traces(trace, 1)[0]
+
+
+def reference_frame(cfg, trial: int) -> tuple[int, np.ndarray, float, float, list]:
+    """Trial `trial` of cfg's run from the oracles above alone: its successes, replica
+    counts per device, throughput, power and decode events (pass, slot, device).
+
+    cfg is read as a plain object with the simulator's config attributes, in
+    linear units. The trial's numbers are its SeedSequence stream's, drawn by
+    numpy's Generator methods (generator_trial_draws); the slots' configurations
+    are the sweep pi/2 * (i / (S - 1)), 0 for one slot; the grid is
+    where_snr_matrix's and a quality c * SNR plus the noise std times the
+    normals, clamped at 0. carp sends where its uniform is below
+    where_carp_probabilities, and on the best-quality slot of a device that
+    sends nowhere; sscp takes argsort_sscp_slots; crdsap its first index and the
+    second shifted past it; irsap double_argsort_irsap_slots. loop_peel_trace
+    decodes. Throughput and power are the README's, summed device by device.
+    """
+    k, s, kind = cfg.k, cfg.s, cfg.policy.kind
+    trained = kind in ("carp", "sscp")
+    distances, angles, *draws = generator_trial_draws(
+        substream(cfg.seed, trial), kind, cfg.estimation_noise_std, k, s,
+        (cfg.mtd_d_min_m, cfg.mtd_d_max_m), (cfg.mtd_angle_min_rad, cfg.mtd_angle_max_rad))
+    phases = [math.pi / 2 * (i / (s - 1)) for i in range(s)] if s > 1 else [0.0]
+    snr = where_snr_matrix(cfg.ris, cfg.radio, cfg.ap, cfg.mtd_gain, distances, angles, phases)
+    if trained:
+        quality = cfg.estimation_c * snr
+        if cfg.estimation_noise_std > 0:
+            quality = quality + cfg.estimation_noise_std * draws.pop(0)
+        quality = np.maximum(quality, 0.0)
+    if kind == "carp":
+        chosen = draws[0] < where_carp_probabilities(quality)
+        for device in np.flatnonzero(~chosen.any(axis=1)):
+            chosen[device, np.argmax(quality[device])] = True
+    elif kind == "sscp":
+        chosen = argsort_sscp_slots(quality, cfg.policy.sscp_s)
+    elif kind == "crdsap":
+        first, second = draws
+        chosen = np.zeros((k, s), dtype=bool)
+        chosen[np.arange(k), first] = True
+        chosen[np.arange(k), second + (second >= first)] = True
+    else:
+        chosen = double_argsort_irsap_slots(*draws)
+    events = loop_peel_trace(chosen, snr, cfg.radio.snr_threshold)
+    counts = chosen.sum(axis=1)
+    ratio = cfg.timing.training_ratio if trained else 0.0
+    throughput = len(events) / ((1.0 + ratio) * s * cfg.timing.access_slot_s)
+    power = cfg.power
+    training_w = s * power.ap_pa_inverse_eff * power.ap_tx_power_w if trained else 0.0
+    ap_w = training_w + power.ap_static_w
+    surface_w = cfg.ris.n_x * cfg.ris.n_z * power.phase_shifter_w
+    replica_w = power.mtd_pa_inverse_eff * cfg.radio.mtd_tx_power_w
+    devices_w = sum(n * replica_w for n in counts.tolist()) + k * power.mtd_static_w
+    return len(events), counts, throughput, ap_w + surface_w + devices_w, events
 
 
 def slot_sets(mask) -> list[set[int]]:

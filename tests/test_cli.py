@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import pickle
 import re
 from pathlib import Path
@@ -15,7 +16,7 @@ from risra.config import CONFIG_SCHEMA, parse_config
 
 NOISE_MINUS_94_DBM = 3.9810717055349725e-13
 STATIC_9_DBW = 7.943282347242815
-FLOAT_KEYS = sorted(key for key, (kind, _default) in CONFIG_SCHEMA.items() if kind is float)
+FLOAT_KEYS = sorted(key for key, (kind, *_row) in CONFIG_SCHEMA.items() if kind is float)
 # `risra run --trials 50 --seed 1 --policies carp,sscp,crdsap,irsap --verbose`
 RUN_50_CSV_SHA256 = "742a1ed5bf3adb8fdf3ca8f4464ef67d6f5c7e39d15c4f434764ee8d0ce9383b"
 RUN_50_TRACE_SHA256 = "6bfca5e7ee40ff93da03002acb1c4e0e11e5c1478eb5882ba01ebfd2b0d0f1ae"
@@ -72,6 +73,56 @@ class TestParseConfig:
         assert (cfg.timing.access_slot_s, cfg.timing.training_ratio) == (1.0, 0.2)
         assert (cfg.trials, cfg.seed, cfg.workers) == (1000, 1, 1)
         assert set(resolved) == set(CONFIG_SCHEMA)
+
+    def test_each_key_is_held_at_its_own_path(self):
+        # build_config puts each key's linear value at its schema path: every
+        # field of the config and of its parts is one key's, and the values are
+        # set apart so that two keys' paths swapped would show
+        settings = [
+            "ris.n_x=3", "ris.n_z=4", "ris.d_x_m=0.05", "ris.d_z_m=0.06", "radio.wavelength_m=0.07",
+            "radio.mtd_tx_power_w=0.02", "radio.noise_power_dbm=-90", "radio.snr_threshold_db=3",
+            "ap.distance_m=21", "ap.gain_db=6", "mtd.d_min_m=26", "mtd.d_max_m=99",
+            "mtd.angle_min_rad=0.1", "mtd.angle_max_rad=1.2", "mtd.gain_db=7", "policy.kind=sscp",
+            "policy.sscp_s=5", "estimation.c=0.9", "estimation.noise_std=0.3", "power.ap_xi=1.3",
+            "power.ap_tx_power_w=0.11", "power.ap_static_dbw=8", "power.mtd_xi=1.4",
+            "power.mtd_static_w=0.045", "power.phase_shifter_mw=1.6", "timing.t_as_s=1.1",
+            "timing.r=0.25", "sim.k=13", "sim.s=14", "sim.trials=15", "sim.seed=16",
+            "sim.workers=2",
+        ]
+        assert sorted(s.split("=")[0] for s in settings) == sorted(CONFIG_SCHEMA)
+        cfg, resolved = parse_config(None, settings)
+        assert len({repr(value) for value in resolved.values()}) == len(CONFIG_SCHEMA)
+        fields = set()
+        for field in dataclasses.fields(cfg):
+            value = getattr(cfg, field.name)
+            fields |= ({f"{field.name}.{f.name}" for f in dataclasses.fields(value)}
+                       if dataclasses.is_dataclass(value) else {field.name})
+        paths = [path for _kind, _default, path, _to_linear in CONFIG_SCHEMA.values()]
+        assert sorted(paths) == sorted(fields)
+        for key, (_kind, _default, path, to_linear) in CONFIG_SCHEMA.items():
+            want = resolved[key] if to_linear is None else to_linear(resolved[key])
+            assert operator.attrgetter(path)(cfg) == want, key
+
+    def test_readme_table_lists_every_key_with_its_default(self):
+        # the README's "Configuration" table: every schema key with its default
+        # (pi/2 read as the float pi / 2), and no other key
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        listed = {}
+        for line in section.splitlines():
+            if not line.startswith("| `"):
+                continue
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            keys = re.findall(r"`([^`]+)`", cells[0])
+            defaults = [text.strip() for text in cells[1].split(",")]
+            for key, text in zip(keys, defaults * len(keys) if len(defaults) == 1 else defaults,
+                                 strict=True):
+                assert key not in listed, key
+                listed[key] = text
+        assert sorted(listed) == sorted(CONFIG_SCHEMA)
+        for key, (kind, default, *_row) in CONFIG_SCHEMA.items():
+            text = listed[key]
+            assert (math.pi / 2 if text == "pi/2" else kind(text)) == default, key
 
     def test_zero_db_threshold_is_unity(self):
         cfg, _ = parse_config(None, ["radio.snr_threshold_db=0"])
@@ -496,6 +547,16 @@ class TestOptimalSCommand:
         data = {line.split(",")[2]: line.split(",", 1)[1] for line in lines[:2]}
         best_g = next(line for line in lines if line.startswith("crdsap:best_G"))
         assert best_g.split(",", 1)[1] == data[best_g.split(",")[2]]
+
+    def test_help_names_the_least_s_of_each_policy(self, capsys):
+        # the help said only that policies without training need S >= 2, yet
+        # sscp trains and needs S >= policy.sscp_s: `optimal-s --policies
+        # carp,sscp` at the default 1:40 stops at `policy.sscp_s = 2 exceeds sim.s = 1`
+        with pytest.raises(SystemExit) as stop:
+            run_cli("optimal-s", "--help")
+        assert stop.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "sscp needs S >= policy.sscp_s; crdsap and irsap S >= 2" in text
 
     def test_untrained_policy_with_single_slot_errors(self, tmp_path, run_calls):
         # carp sorts first and could run from S=1; crdsap's S=1 cell must stop it

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import math
 import os
 import random
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from risra import access, channel, engine
+from risra import access, channel, engine, power_metrics
 from risra import receiver as rx
 from risra.config import cell_configs, parse_config, resolve_config
 from risra.engine import (
@@ -27,7 +28,7 @@ from risra.engine import (
     simulate_frame,
     trial_rng,
 )
-from oracles import KEY_SEEDS, frame_traces, peel_trace, substream
+from oracles import KEY_SEEDS, frame_traces, peel_trace, reference_frame, substream
 
 
 def make_cfg(*overrides):
@@ -470,6 +471,85 @@ def group_cases(draw):
         f"sim.seed={draw(st.integers(0, 2**64))}",
     )
     return overrides, draw(st.lists(st.sampled_from(kinds), min_size=1, unique=True)), axis, values
+
+
+# the axes of the whole-frame reference fuzz, with values at which every policy runs
+REFERENCE_AXES = {"S": (2, 3, 5, 8, 13), "rho_mtd": (0.001, 0.01, 0.1), "N": (1, 16, 100)}
+
+
+@st.composite
+def reference_cases(draw):
+    """A group for the whole-frame reference: its flat overrides, its two to four policies,
+    its axis and two or three values, its first trial and trial count, and whether every
+    crdsap row takes a Lemire rejection."""
+    axis = draw(st.sampled_from(sorted(REFERENCE_AXES)))
+    values = draw(st.lists(st.sampled_from(REFERENCE_AXES[axis]), min_size=2, max_size=3,
+                           unique=True))
+    s = min(values) if axis == "S" else draw(st.sampled_from((2, 5, 20)))
+    distances = draw(st.sampled_from(((25, 100), (5, 30), (40, 40))))
+    angles = draw(st.sampled_from(((0, repr(math.pi / 2)), (0.3, 1.1), (0.6, 0.6))))
+    overrides = (
+        f"sim.k={draw(st.integers(1, 70))}", f"sim.s={s}", "sim.trials=1",
+        f"policy.sscp_s={draw(st.integers(1, min(s, 3)))}",
+        f"estimation.c={draw(st.sampled_from((0.0, 0.5, 1.0)))}",
+        f"estimation.noise_std={draw(st.sampled_from((0.0, 2.0)))}",
+        f"radio.snr_threshold_db={draw(st.sampled_from((-10.0, 0.0, 10.0)))}",
+        f"ris.d_x_m={draw(st.sampled_from((0.1, 0.09, 0.03)))}",
+        f"mtd.d_min_m={distances[0]}", f"mtd.d_max_m={distances[1]}",
+        f"mtd.angle_min_rad={angles[0]}", f"mtd.angle_max_rad={angles[1]}",
+        f"sim.seed={draw(st.sampled_from(KEY_SEEDS))}",
+    )
+    kinds = draw(st.lists(st.sampled_from(access.POLICY_KINDS), min_size=2, max_size=4,
+                          unique=True))
+    count = draw(st.integers(1, 12))
+    start = draw(st.integers(0, 2**32 - count))
+    return overrides, kinds, axis, values, start, count, draw(st.integers(0, 7)) == 0
+
+
+class TestWholeFrameReference:
+    """Every frame of a group equals the whole frame built from the oracles alone."""
+
+    @given(reference_cases())
+    # every device at one place and angle, so all rows of the grid are equal
+    @example((("sim.k=9", "sim.s=5", "sim.trials=1", "policy.sscp_s=2", "estimation.c=1.0",
+               "estimation.noise_std=0.0", "radio.snr_threshold_db=0.0", "ris.d_x_m=0.1",
+               "mtd.d_min_m=40", "mtd.d_max_m=40", "mtd.angle_min_rad=0.6",
+               "mtd.angle_max_rad=0.6", "sim.seed=1"),
+              list(access.POLICY_KINDS), "rho_mtd", [0.01, 0.1], 2**32 - 3, 3, False))
+    # every crdsap row drawn again by numpy, past k = 64 and at the last trial
+    @example((("sim.k=70", "sim.s=3", "sim.trials=1", "policy.sscp_s=1", "estimation.c=0.5",
+               "estimation.noise_std=2.0", "radio.snr_threshold_db=-10.0", "ris.d_x_m=0.09",
+               "mtd.d_min_m=5", "mtd.d_max_m=30", "mtd.angle_min_rad=0",
+               f"mtd.angle_max_rad={math.pi / 2!r}", f"sim.seed={2**70 + 123}"),
+              ["carp", "crdsap", "irsap"], "S", [3, 8], 2**32 - 4, 4, True))
+    @settings(max_examples=40, deadline=None)
+    def test_group_equals_the_reference(self, case):
+        overrides, kinds, axis, values, start, count, rejected = case
+        cfgs = cell_configs(make_resolved(*overrides), kinds, axis, values)
+        [group] = _groups(cfgs)
+        points = [[cfgs[i] for i in point] for point in group]
+        exact = access.bounded_integers
+        with contextlib.ExitStack() as stack:
+            metrics = stack.enter_context(mock.patch.object(
+                power_metrics, "frame_metrics", wraps=power_metrics.frame_metrics))
+            if rejected:
+                stack.enter_context(mock.patch.object(
+                    access, "bounded_integers", lambda halves, n: (exact(halves, n)[0], halves >= 0)))
+            runs = _simulate_range(points, start, start + count, True)
+        members = list(itertools.chain(*points))
+        # each member's (trials, k) replica counts, as the frame power is charged for them
+        counts = [call.args[4] for call in metrics.call_args_list]
+        assert len(runs) == len(counts) == len(members)
+        for cfg, (a, g, p, trace), replicas in zip(members, runs, counts):
+            for row, trial in enumerate(range(start, start + count)):
+                successes, want_replicas, throughput, power, events = reference_frame(cfg, trial)
+                assert a[row] == successes
+                assert np.array_equal(replicas[row], want_replicas)
+                assert g[row] == throughput
+                # numpy sums the devices' replica power pairwise, the reference in
+                # device order, so the two may part in the last bits
+                assert p[row] == pytest.approx(power, rel=1e-14, abs=0.0)
+                assert list(map(tuple, trace[trace[:, 0] == trial, 1:].tolist())) == events
 
 
 class TestCellGroups:
